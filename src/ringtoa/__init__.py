@@ -31,7 +31,6 @@ from .detector import (
     wigner_weyl,
 )
 from .amplitudes import (
-    AmplitudeField,
     amp_poisson,
     amp_ring,
     amp_rotating_split,

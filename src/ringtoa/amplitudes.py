@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,7 +29,6 @@ from .specfun import coherent_norm
 from .states import CoherentParams, LineProfileOnRing, LineState, RingState, spread_at_time
 
 __all__ = [
-    "AmplitudeField",
     "amp_state",
     "amp_ring",
     "amp_poisson",
@@ -43,38 +41,43 @@ __all__ = [
 _CHUNK_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
-class AmplitudeField:
-    """Amplitude samples on a grid, tagged with method and parameters."""
+def _on_grid(t, phi, fill):
+    """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
+    t_arr, phi_arr = np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
+    )
+    out = fill(t_arr.ravel(), phi_arr.ravel())
+    if t_arr.shape == ():
+        return out[0].item()
+    return out.reshape(t_arr.shape)
 
-    values: np.ndarray
-    t: np.ndarray
-    phi: np.ndarray
-    method: str
-    params: dict = field(default_factory=dict)
+
+def _pointwise(t, phi, at, dtype=complex):
+    """at(t_i, phi_i) at each point of the broadcast (t, phi) grid."""
+    return _on_grid(t, phi, lambda tf, pf: np.array(
+        [at(ti, pi_) for ti, pi_ in zip(tf, pf)], dtype=dtype))
+
+
+def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
+    """v_m, or v~_m relative to a rotating frame, with the zero mode excluded (0)."""
+    v = np.zeros(m.size)
+    nz = m != 0
+    v[nz] = velocity(ms, m[nz]) if frame is None else rotating_velocity(frame, m[nz])
+    return v
 
 
 def _speed_weights(ms: ModeSpace, m: np.ndarray) -> np.ndarray:
     """sqrt(|v_m|) with the zero mode excluded (Theta(0) = 0 convention)."""
-    w = np.empty(m.size)
-    nz = m != 0
-    w[nz] = np.sqrt(np.abs(velocity(ms, m[nz])))
-    w[~nz] = 0.0
-    return w
+    return np.sqrt(np.abs(_velocities(ms, m)))
 
 
 def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid."""
-    t_arr, phi_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = t_arr.shape
-    tf = t_arr.ravel()
-    pf = phi_arr.ravel()
     active = np.abs(coeffs) > 0.0
     c, mm, ww = coeffs[active], m[active], freq[active]
-    out = np.zeros(tf.size, dtype=complex)
-    if c.size:
+
+    def fill(tf, pf):
+        out = np.zeros(tf.size, dtype=complex)
         chunk = max(1, _CHUNK_BUDGET // max(tf.size, 1))
         for i in range(0, c.size, chunk):
             sl = slice(i, i + chunk)
@@ -82,9 +85,9 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
                 1j * (mm[sl, None] * pf[None, :] - ww[sl, None] * tf[None, :])
             )
             out += c[sl] @ phase
-    if shape == ():
-        return complex(out[0])
-    return out.reshape(shape)
+        return out
+
+    return _on_grid(t, phi, fill)
 
 
 def amp_state(state: RingState, ms: ModeSpace, t, phi, det=None):
@@ -168,11 +171,46 @@ def line_arrival_amp(x: float, t: float, mu: float, profile=None,
 
 
 def _image_windings(x0_over_r: float, v_p: float, t: float, sigma_t: float,
-                    r: float, n_extra: int = 1) -> range:
+                    r: float) -> range:
     """Winding indices whose image can reach weight above ~1e-12."""
     center = (v_p * t / r - x0_over_r) / (2.0 * math.pi)
-    half = (14.0 * sigma_t / r) / (2.0 * math.pi) + n_extra
+    half = (14.0 * sigma_t / r) / (2.0 * math.pi) + 1
     return range(math.floor(center - half), math.ceil(center + half) + 1)
+
+
+def _line_packet(ms: ModeSpace, prof) -> tuple[LineState, float, float]:
+    """(line packet, lattice prefactor, entry angle theta0) of a state profile."""
+    if isinstance(prof, CoherentParams):
+        sigma = ms.r / (math.sqrt(2.0) * prof.alpha)
+        line = LineState(p=prof.xi / ms.r, sigma=sigma)
+        pref = (
+            coherent_norm(prof.xi, prof.alpha)
+            * ms.r
+            * (math.pi / (2.0 * sigma**2)) ** 0.25
+        )
+        theta0 = prof.theta
+    elif isinstance(prof, LineProfileOnRing):
+        line, pref, theta0 = prof.line, ms.r / prof.norm, prof.theta0
+    else:
+        raise StateError(f"unsupported profile type {type(prof).__name__}")
+    if line.p <= 0:
+        raise StateError("Poisson images require positive mean momentum")
+    return line, pref, theta0
+
+
+def _images(ms: ModeSpace, line: LineState, theta0: float, t: float, phi: float,
+            rel_tol: float, windings=None):
+    """Line amplitudes of the packet's winding images at (t, phi), unprefixed."""
+    p, sigma = line.p, line.sigma
+    if windings is None:
+        v_p = p / math.sqrt(ms.mu**2 + p**2)
+        sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
+        windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
+    k_win = (max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
+    for n in windings:
+        x_n = (phi - theta0 + 2.0 * math.pi * n) * ms.r
+        yield line_arrival_amp(x_n, t, ms.mu, profile=line.momentum_profile,
+                               k_range=k_win, rel_tol=rel_tol)
 
 
 def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
@@ -187,19 +225,12 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
     than ~1e-12 of the packet weight; an explicit ``windings`` sequence
     overrides that window unchecked (single-image analysis and the like).
     """
-    t_arr, phi_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = t_arr.shape
-    out = np.zeros(t_arr.size, dtype=complex)
-    tf, pf = t_arr.ravel(), phi_arr.ravel()
-
     if state is None:
         k_hi = ms.m_max / ms.r
         win = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max, taper_frac))
         bare_tol = max(rel_tol, 1e-8)
-        for idx in range(tf.size):
-            ti, pi_ = tf[idx], pf[idx]
+
+        def bare(ti, pi_):
             ns = windings if windings is not None else range(
                 -2, int((ti / ms.r - pi_) / (2 * math.pi)) + 3
             )
@@ -210,56 +241,22 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
                     x_n, ti, ms.mu, k_range=(0.0, k_hi), rel_tol=bare_tol,
                     taper=win, limit=2000,
                 )
-            out[idx] = total
-        return complex(out[0]) if shape == () else out.reshape(shape)
+            return total
+
+        return _pointwise(t, phi, bare)
 
     if not state.profiles:
         raise StateError(
             "Poisson resummation needs a state with a continuum profile "
             "(coherent or line-sampled)"
         )
+    packets = [(weight, *_line_packet(ms, prof)) for weight, prof in state.profiles]
 
-    for weight, prof in state.profiles:
-        if isinstance(prof, CoherentParams):
-            cp = prof
-            sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
-            p = cp.xi / ms.r
-            line = LineState(p=p, sigma=sigma)
-            pref = (
-                coherent_norm(cp.xi, cp.alpha)
-                * ms.r
-                * (math.pi / (2.0 * sigma**2)) ** 0.25
-            )
-            theta0 = cp.theta
-        elif isinstance(prof, LineProfileOnRing):
-            line = prof.line
-            p = line.p
-            sigma = line.sigma
-            pref = ms.r / prof.norm
-            theta0 = prof.theta0
-        else:
-            raise StateError(f"unsupported profile type {type(prof).__name__}")
+    def resummed(ti, pi_):
+        return sum(weight * pref * sum(_images(ms, line, theta0, ti, pi_, rel_tol, windings))
+                   for weight, line, pref, theta0 in packets)
 
-        if p <= 0:
-            raise StateError("Poisson images require positive mean momentum")
-        eps_p = math.sqrt(ms.mu**2 + p**2)
-        v_p = p / eps_p
-        k_win = (max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
-        for idx in range(tf.size):
-            ti, pi_ = tf[idx], pf[idx]
-            sig_t = spread_at_time(line, ms, ti) if ms.mu > 0 else sigma
-            ns = windings if windings is not None else _image_windings(
-                pi_ - theta0, v_p, ti, sig_t, ms.r
-            )
-            total = 0.0 + 0.0j
-            for n in ns:
-                x_n = (pi_ - theta0 + 2.0 * math.pi * n) * ms.r
-                total += line_arrival_amp(
-                    x_n, ti, ms.mu, profile=line.momentum_profile,
-                    k_range=k_win, rel_tol=rel_tol,
-                )
-            out[idx] += weight * pref * total
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return _pointwise(t, phi, resummed)
 
 
 def amp_saddle(ms: ModeSpace, t, phi, delta_lc: float | None = None):
@@ -275,15 +272,9 @@ def amp_saddle(ms: ModeSpace, t, phi, delta_lc: float | None = None):
         raise DomainError("saddle-point amplitude requires mu > 0")
     if delta_lc is None:
         delta_lc = 10.0 / ms.mu
-    t_arr, phi_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = t_arr.shape
-    tf, pf = t_arr.ravel(), phi_arr.ravel()
-    out = np.zeros(tf.size, dtype=complex)
     root_i = cmath.exp(1j * math.pi / 4.0)
-    for idx in range(tf.size):
-        ti, pi_ = tf[idx], pf[idx]
+
+    def at(ti, pi_):
         n_hi = int(math.floor((ti / ms.r - pi_) / (2.0 * math.pi))) + 1
         total = 0.0 + 0.0j
         for n in range(1, n_hi + 1):
@@ -303,8 +294,9 @@ def amp_saddle(ms: ModeSpace, t, phi, delta_lc: float | None = None):
                 / q**0.75
                 * cmath.exp(-1j * ms.mu * math.sqrt(q))
             )
-        out[idx] = total
-    return complex(out[0]) if shape == () else out.reshape(shape)
+        return total
+
+    return _pointwise(t, phi, at)
 
 
 def amp_rotating_split(state: RingState, rf: RotationFrame, t, phi):
@@ -320,18 +312,9 @@ def amp_rotating_split(state: RingState, rf: RotationFrame, t, phi):
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
     m = ms.modes()
-    w = _speed_weights(ms, m)
-    vt = np.empty(m.size)
-    nz = m != 0
-    vt[nz] = rotating_velocity(rf, m[nz])
-    vt[~nz] = 0.0
-    freq = np.empty(m.size)
-    freq[nz] = rotating_omega(rf, m[nz])
-    freq[~nz] = ms.mu
-    coeffs = state.coeffs * w
-    plus = nz & (vt >= 0.0)
-    minus = nz & (vt < 0.0)
+    vt, freq = _velocities(ms, m, rf), rotating_omega(rf, m)
+    coeffs = state.coeffs * _speed_weights(ms, m)  # zero at m = 0: in neither sum
     mf = m.astype(float)
-    d_plus = _mode_sum(np.where(plus, coeffs, 0.0), mf, freq, t, phi)
-    d_minus = _mode_sum(np.where(minus, coeffs, 0.0), mf, freq, t, phi)
+    d_plus = _mode_sum(np.where(vt >= 0.0, coeffs, 0.0), mf, freq, t, phi)
+    d_minus = _mode_sum(np.where(vt < 0.0, coeffs, 0.0), mf, freq, t, phi)
     return d_plus, d_minus

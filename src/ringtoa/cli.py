@@ -28,14 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amplitudes import AmplitudeField, amp_poisson, amp_state
+from .amplitudes import amp_poisson, amp_state
 from .clock import clock_quality, cumulative, extract_ticks
 from .detector import DetectorKernel, localization_matrix
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame
-from .multitime import TwoParticleState, kolmogorov_check, violation_scan, p2_joint
-from .probability import NORMALIZATION_TAG, pc_density, qsymbol, timescales
+from .multitime import TwoParticleState, kolmogorov_check, violation_scan
+from .probability import NORMALIZATION_TAG, _density, pc_density, qsymbol, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
     CoherentParams,
@@ -67,9 +67,21 @@ def _require(cfg: dict, key: str, errors: list, kind=float, where: str = "params
         return None
     try:
         return kind(block[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{where}.{key} must be {kind.__name__}")
         return None
+
+
+# optional grid settings: type and exclusive lower bound (None: unbounded)
+_GRID_KEYS = {"t_min": (float, None), "omega_d_r_min": (float, None), "dt": (float, 0),
+              "n": (int, 0), "n_t": (int, 0), "n_theta": (int, 0)}
+
+
+def _optional(cfg: dict, key: str, errors: list, kind=float, where: str = "grid"):
+    """_require for a key that may be absent (None then)."""
+    if key not in cfg.get(where, {}):
+        return None
+    return _require(cfg, key, errors, kind, where)
 
 
 def validate_config(cfg: dict) -> tuple[list, list, dict]:
@@ -90,7 +102,7 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
         )
         return errors, warnings, cfg
     params = cfg.setdefault("params", {})
-    grid = cfg.setdefault("grid", {})
+    cfg.setdefault("grid", {})
 
     mu = _require(cfg, "mu", errors)
     r = _require(cfg, "r", errors)
@@ -115,8 +127,16 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
     if "m_max" not in params:
         params["m_max"] = 400
         warnings.append("m_max defaulted to 400")
-    if int(params["m_max"]) < 1:
+    m_max = _require(cfg, "m_max", errors, int)
+    if m_max is not None and m_max < 1:
         errors.append("params.m_max must be >= 1")
+
+    for key, (kind, low) in _GRID_KEYS.items():
+        val = _optional(cfg, key, errors, kind)
+        if None not in (val, low) and not val > low:
+            errors.append(f"grid.{key} must be > {low}")
+    if exp in ("clock", "sagnac", "mi-scan", "amplitude-check", "kolmogorov"):
+        _require(cfg, "t_max", errors, where="grid")
 
     if exp in ("sagnac",):
         omega_d = _require(cfg, "omega_d", errors)
@@ -128,8 +148,8 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
             isinstance(a, (int, float)) and a > 0 for a in a_values
         ):
             errors.append("params.a_values must be a nonempty list of positive numbers")
-        top = grid.get("omega_d_r_max", 0.9)
-        if not 0 <= top < 1:
+        top = _optional(cfg, "omega_d_r_max", errors)
+        if top is not None and not 0 <= top < 1:
             errors.append("grid.omega_d_r_max must lie in [0, 1)")
     if exp == "qsymbol":
         times = cfg.get("times")
@@ -150,16 +170,10 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
                 errors.append(f"missing params.{key}")
         if params.get("kind", "symmetrized") not in ("product", "symmetrized"):
             errors.append("params.kind must be product or symmetrized")
-    if exp in ("clock", "mi-scan", "amplitude-check", "kolmogorov"):
-        if "t_max" not in grid:
-            errors.append("missing grid.t_max")
-    if exp == "sagnac" and "t_max" not in grid:
-        errors.append("missing grid.t_max")
 
     out = cfg.setdefault("output", {})
-    fmt = out.setdefault("format", "csv")
-    if fmt not in ("csv", "json"):
-        errors.append("output.format must be csv or json")
+    if out.setdefault("format", "csv") != "csv":
+        errors.append("output.format must be csv")
     out.setdefault("prefix", exp.replace("-", "_"))
     return errors, warnings, cfg
 
@@ -173,6 +187,11 @@ def _modespace(cfg: dict) -> ModeSpace:
     return ModeSpace(mu=float(p["mu"]), r=float(p["r"]), m_max=int(p["m_max"]))
 
 
+def _coherent_params(p: dict) -> CoherentParams:
+    return CoherentParams(theta=float(p.get("theta", 0.0)), xi=float(p["xi"]),
+                          alpha=float(p["alpha"]))
+
+
 def _meta(cfg: dict) -> dict:
     meta = {k: v for k, v in cfg["params"].items() if not isinstance(v, dict)}
     meta["experiment"] = cfg["experiment"]
@@ -182,8 +201,7 @@ def _meta(cfg: dict) -> dict:
 def _run_qsymbol(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     p = cfg["params"]
-    cp = CoherentParams(theta=float(p.get("theta", 0.0)), xi=float(p["xi"]),
-                        alpha=float(p["alpha"]))
+    cp = _coherent_params(p)
     phi = float(p.get("phi", math.pi))
     scales = timescales(ms, cp.xi, cp.alpha)
     n_theta = int(cfg["grid"].get("n_theta", 2048))
@@ -234,8 +252,7 @@ def _run_qsymbol(cfg, out_dir: Path, threads: int):
 def _run_clock(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     p = cfg["params"]
-    cp = CoherentParams(theta=float(p.get("theta", 0.0)), xi=float(p["xi"]),
-                        alpha=float(p["alpha"]))
+    cp = _coherent_params(p)
     phi = float(p.get("phi", math.pi))
     state = coherent_state(ms, cp)
     det = localization_matrix(DetectorKernel.max_localization(), ms)
@@ -311,7 +328,7 @@ def _run_noise(cfg, out_dir: Path, threads: int):
 def _run_sagnac(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     p = cfg["params"]
-    cp = CoherentParams(theta=0.0, xi=float(p["xi"]), alpha=float(p["alpha"]))
+    cp = _coherent_params(p | {"theta": 0.0})
     state = symmetric_superposition(ms, coherent_state(ms, cp))
     rf = RotationFrame(omega_d=float(p["omega_d"]), modespace=ms)
     grid = cfg["grid"]
@@ -319,8 +336,7 @@ def _run_sagnac(cfg, out_dir: Path, threads: int):
     t = np.arange(float(grid.get("t_min", dt)), float(grid["t_max"]), dt)
     res = sagnac_scan(state, rf, t, phi=float(p.get("phi", 0.0)))
 
-    static = amp_state(state, ms, t, float(p.get("phi", 0.0)))
-    envelope = np.abs(static) ** 2 / (2 * math.pi * ms.r)
+    envelope = _density(ms, amp_state(state, ms, t, float(p.get("phi", 0.0))))
     phase = res.fringe_frequency * t if res.fringe_frequency == res.fringe_frequency \
         else np.zeros_like(t)
     prefix = cfg["output"]["prefix"]
@@ -356,7 +372,7 @@ def _run_mi_scan(cfg, out_dir: Path, threads: int):
     cols = {
         "t1": np.full(t.size, t1 if t1 is not None else np.nan),
         "t2": t,
-        "p2": np.asarray(p2_joint(tps, t, phi, t, phi)),
+        "p2": report.p2_diag,
         "margin_j": report.margin_j,
         "violated_j": report.violated_j.astype(int),
     }
@@ -374,21 +390,14 @@ def _run_mi_scan(cfg, out_dir: Path, threads: int):
 def _run_amplitude_check(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     p = cfg["params"]
-    cp = CoherentParams(theta=float(p.get("theta", 0.0)), xi=float(p["xi"]),
-                        alpha=float(p["alpha"]))
+    cp = _coherent_params(p)
     state = coherent_state(ms, cp)
     grid = cfg["grid"]
     t = np.linspace(float(grid.get("t_min", 0.0)), float(grid["t_max"]),
                     int(grid.get("n_t", 64)))
     phi = float(p.get("phi", math.pi))
-    field_mode = AmplitudeField(
-        values=amp_state(state, ms, t, phi), t=t, phi=np.full(t.size, phi),
-        method="mode-sum", params={"xi": cp.xi, "alpha": cp.alpha})
-    field_pois = AmplitudeField(
-        values=amp_poisson(ms, t, phi, state=state), t=t,
-        phi=np.full(t.size, phi), method="poisson",
-        params={"xi": cp.xi, "alpha": cp.alpha})
-    mode, pois = field_mode.values, field_pois.values
+    mode = amp_state(state, ms, t, phi)
+    pois = amp_poisson(ms, t, phi, state=state)
     scale = float(np.max(np.abs(mode)))
     dev = np.abs(mode - pois) / scale
     path = write_csv(out_dir / f"{cfg['output']['prefix']}.csv",
@@ -398,7 +407,7 @@ def _run_amplitude_check(cfg, out_dir: Path, threads: int):
                       "rel_dev": dev},
                      _meta(cfg))
     return {"outputs": [path], "max_rel_deviation": float(dev.max()),
-            "methods": [field_mode.method, field_pois.method],
+            "methods": ["mode-sum", "poisson"],
             "truncation": {"coherent_tail_mass": coherent_tail_mass(ms, cp)}}
 
 
@@ -450,42 +459,35 @@ def _emit_gnuplot_stub(out_dir: Path, prefix: str, outputs: list) -> Path:
     return path
 
 
-def cmd_validate(args) -> int:
+def _load_config(path: str) -> tuple[int, dict]:
+    """Read, validate and report a config; returns (exit code, normalized config)."""
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(path).read_text())
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
+        return 4, {}
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    errors, warnings, _ = validate_config(cfg)
+        return 2, {}
+    errors, warnings, cfg = validate_config(cfg)
     for w in warnings:
         print(f"warning: {w}")
     for e in errors:
         print(f"error: {e}")
-    if errors:
-        return 2
-    print("config ok")
-    return 0
+    return (2 if errors else 0), cfg
+
+
+def cmd_validate(args) -> int:
+    code, _ = _load_config(args.config)
+    if code == 0:
+        print("config ok")
+    return code
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg_raw = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    errors, warnings, cfg = validate_config(cfg_raw)
-    for w in warnings:
-        print(f"warning: {w}")
-    if errors:
-        for e in errors:
-            print(f"error: {e}")
-        return 2
+    code, cfg = _load_config(args.config)
+    if code:
+        return code
 
     out_dir = Path(args.out)
     threads = args.threads or int(os.environ.get("RINGTOA_THREADS", "1"))

@@ -10,6 +10,14 @@ single-detection marginal P1 comes from the reduced one-particle density
 matrix (cross terms included), which is exactly what makes the Kolmogorov
 condition ∫ dt1 P2 = P1 hold.
 
+P1 and P2 are algebra on the amplitudes A1, A2, each evaluated once per
+distinct (t, phi).  The marginal is a quadratic form in those at t2,
+
+    ∫ dt1 |A1(t1) A2(t2) + A1(t2) A2(t1)|^2
+        = |A2(t2)|^2 I11 + |A1(t2)|^2 I22 + 2 Re(A2(t2) A1(t2)* I12),
+
+with I_ij = ∫ dt1 A_i(t1) A_j(t1)* by the trapezoid rule on the t1 grid.
+
 Measurement independence bounds classical joint statistics by
 
     P1(t, phi)^2 <= P2(t, phi; t, phi)            (J)
@@ -25,13 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .amplitudes import amp_state
 from .errors import DomainError, StateError
-from .modes import ModeSpace
-from .probability import B_GAMMA
+from .probability import _density, _k_norm
 from .states import RingState
 
 __all__ = [
@@ -97,10 +105,6 @@ class TwoParticleState:
         return 2.0 / (1.0 + self.b) - 1.0
 
 
-def _k_norm(ms: ModeSpace) -> float:
-    return B_GAMMA / (2.0 * math.pi * ms.r)
-
-
 def _require_max_localization(*dets):
     for det in dets:
         if det is not None and not det.is_max_localization:
@@ -110,10 +114,39 @@ def _require_max_localization(*dets):
             )
 
 
-def _amps(tps: TwoParticleState, t, phi):
-    a1 = amp_state(tps.psi1, tps.psi1.modespace, t, phi)
-    a2 = amp_state(tps.psi2, tps.psi2.modespace, t, phi)
-    return a1, a2
+class _Amps:
+    """Amplitudes A1, A2 of a pair at one (t, phi), each evaluated on first use."""
+
+    def __init__(self, tps: TwoParticleState, t, phi):
+        self.tps, self.at = tps, (t, phi)
+
+    @cached_property
+    def a1(self):
+        return amp_state(self.tps.psi1, self.tps.psi1.modespace, *self.at)
+
+    @cached_property
+    def a2(self):
+        return amp_state(self.tps.psi2, self.tps.psi2.modespace, *self.at)
+
+
+def _p1(tps: TwoParticleState, x: _Amps, factor: int = 1):
+    """P1 from the amplitudes at one point; factor picks a product pair's detector."""
+    if tps.kind == "product":
+        psi, amp = (tps.psi1, x.a1) if factor == 1 else (tps.psi2, x.a2)
+        return _density(psi.modespace, amp)
+    a1, a2 = x.a1, x.a2
+    cross = 2.0 * np.real(tps.overlap * a1 * np.conj(a2))
+    k = _k_norm(tps.psi1.modespace)
+    return (k / (2.0 * (1.0 + tps.b))) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 + cross)
+
+
+def _p2(tps: TwoParticleState, x: _Amps, y: _Amps):
+    """P2(1; 2) from the amplitudes x at point 1 and y at point 2."""
+    if tps.kind == "product":
+        return _p1(tps, x, factor=1) * _p1(tps, y, factor=2)
+    k = _k_norm(tps.psi1.modespace)
+    sym = x.a1 * y.a2 + y.a1 * x.a2
+    return (k**2 / (2.0 * (1.0 + tps.b))) * np.abs(sym) ** 2
 
 
 def p1_single(tps: TwoParticleState, t, phi, factor: int = 1, det=None):
@@ -125,26 +158,13 @@ def p1_single(tps: TwoParticleState, t, phi, factor: int = 1, det=None):
     per detection so that ∫ dt P2 marginalizes onto it.
     """
     _require_max_localization(det)
-    if tps.kind == "product":
-        psi = tps.psi1 if factor == 1 else tps.psi2
-        amp = amp_state(psi, psi.modespace, t, phi)
-        return _k_norm(psi.modespace) * np.abs(amp) ** 2
-    a1, a2 = _amps(tps, t, phi)
-    cross = 2.0 * np.real(tps.overlap * a1 * np.conj(a2))
-    k = _k_norm(tps.psi1.modespace)
-    return (k / (2.0 * (1.0 + tps.b))) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 + cross)
+    return _p1(tps, _Amps(tps, t, phi), factor)
 
 
 def p2_joint(tps: TwoParticleState, t1, phi1, t2, phi2, det1=None, det2=None):
     """Joint detection density at (t1, phi1) x (t2, phi2), maximum localization."""
     _require_max_localization(det1, det2)
-    if tps.kind == "product":
-        return p1_single(tps, t1, phi1, factor=1) * p1_single(tps, t2, phi2, factor=2)
-    a1_1, a2_1 = _amps(tps, t1, phi1)
-    a1_2, a2_2 = _amps(tps, t2, phi2)
-    k = _k_norm(tps.psi1.modespace)
-    sym = a1_1 * a2_2 + a1_2 * a2_1
-    return (k**2 / (2.0 * (1.0 + tps.b))) * np.abs(sym) ** 2
+    return _p2(tps, _Amps(tps, t1, phi1), _Amps(tps, t2, phi2))
 
 
 def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
@@ -172,11 +192,17 @@ def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
                 f"of circulation periods, got {cycles:.4f} x {period:.4f}"
             )
     t1 = np.linspace(lo, hi, n_t1)
-    marg = np.empty(t2_grid.size)
-    for j, t2 in enumerate(t2_grid):
-        vals = p2_joint(tps, t1, phi1, t2, phi2)
-        marg[j] = float(np.trapezoid(vals, t1))
-    p1 = np.asarray(p1_single(tps, t2_grid, phi2, factor=2), dtype=float)
+    x, y = _Amps(tps, t1, phi1), _Amps(tps, t2_grid, phi2)
+    if tps.kind == "product":
+        marg = np.trapezoid(_p1(tps, x, factor=1), t1) * _p1(tps, y, factor=2)
+    else:  # the quadratic form of the module docstring
+        i11 = np.trapezoid(np.abs(x.a1) ** 2, t1)
+        i22 = np.trapezoid(np.abs(x.a2) ** 2, t1)
+        i12 = np.trapezoid(x.a1 * np.conj(x.a2), t1)
+        form = (np.abs(y.a2) ** 2 * i11 + np.abs(y.a1) ** 2 * i22
+                + 2.0 * np.real(y.a2 * np.conj(y.a1) * i12))
+        marg = (_k_norm(ms1) ** 2 / (2.0 * (1.0 + tps.b))) * form
+    p1 = np.asarray(_p1(tps, y, factor=2), dtype=float)
     scale = float(np.max(p1))
     if scale <= 0:
         raise DomainError("marginal comparison needs nonvanishing P1 on the grid")
@@ -197,17 +223,17 @@ def mi_inequality_j(tps: TwoParticleState, t, phi, det=None) -> dict:
     symmetrized states and requires A1 != 0.
     """
     _require_max_localization(det)
-    p1 = np.asarray(p1_single(tps, t, phi), dtype=float)
-    p2 = np.asarray(p2_joint(tps, t, phi, t, phi), dtype=float)
+    x = _Amps(tps, t, phi)
+    p1 = np.asarray(_p1(tps, x), dtype=float)
+    p2 = np.asarray(_p2(tps, x, x), dtype=float)
     margin = p2 - p1**2
     out = {"margin": margin if margin.ndim else float(margin)}
     if tps.kind == "symmetrized":
-        a1, a2 = _amps(tps, t, phi)
-        a1 = np.asarray(a1)
+        a1 = np.asarray(x.a1)
         mask = np.abs(a1) > 0
         if not np.all(mask):
             raise DomainError("degenerate amplitude: A1 = 0 on the ratio grid")
-        ratio_sq = np.abs(np.asarray(a2) / a1) ** 2
+        ratio_sq = np.abs(np.asarray(x.a2) / a1) ** 2
         lo, hi = jensen_interval(tps.lam)
         out.update({
             "ratio_sq": ratio_sq if ratio_sq.ndim else float(ratio_sq),
@@ -225,17 +251,16 @@ def mi_inequality_cs(tps: TwoParticleState, t1, phi1, t2, phi2, det1=None, det2=
     [3 - 2 sqrt 2, 3 + 2 sqrt 2].
     """
     _require_max_localization(det1, det2)
-    d1 = np.asarray(p2_joint(tps, t1, phi1, t1, phi1), dtype=float)
-    d2 = np.asarray(p2_joint(tps, t2, phi2, t2, phi2), dtype=float)
+    x, y = _Amps(tps, t1, phi1), _Amps(tps, t2, phi2)
+    d1 = np.asarray(_p2(tps, x, x), dtype=float)
+    d2 = np.asarray(_p2(tps, y, y), dtype=float)
     if np.any(d1 <= 0) or np.any(d2 <= 0):
         raise DomainError("degenerate diagonal joint density in CS margin")
-    off = np.asarray(p2_joint(tps, t1, phi1, t2, phi2), dtype=float)
+    off = np.asarray(_p2(tps, x, y), dtype=float)
     margin = np.sqrt(d1 * d2) - off
-    a1_1, a2_1 = _amps(tps, t1, phi1)
-    a1_2, a2_2 = _amps(tps, t2, phi2)
-    denom = np.abs(a1_2 * a2_1)
+    denom = np.abs(y.a1 * x.a2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0, np.abs(a1_1 * a2_2) / denom, np.inf)
+        ratio = np.where(denom > 0, np.abs(x.a1 * y.a2) / denom, np.inf)
     lo, hi = CS_INTERVAL
     return {
         "margin": margin if margin.ndim else float(margin),
@@ -252,6 +277,7 @@ class ViolationReport:
     t_grid: np.ndarray
     margin_j: np.ndarray
     violated_j: np.ndarray
+    p2_diag: np.ndarray  # P2(t, phi; t, phi) on the grid
     t1_fixed: float | None = None
     margin_cs: np.ndarray | None = None
     violated_cs: np.ndarray | None = None
@@ -280,18 +306,19 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
     """
     _require_max_localization(det)
     t_grid = np.asarray(t_grid, dtype=float)
-    p1 = np.asarray(p1_single(tps, t_grid, phi), dtype=float)
-    p2 = np.asarray(p2_joint(tps, t_grid, phi, t_grid, phi), dtype=float)
+    x = _Amps(tps, t_grid, phi)
+    p1 = np.asarray(_p1(tps, x), dtype=float)
+    p2 = np.asarray(_p2(tps, x, x), dtype=float)
     margin_j = p2 - p1**2
     scale_j = max(float(np.max(p2)), float(np.max(p1**2)), 1e-300)
     violated_j = margin_j < -rel_tol * scale_j
 
     margin_cs = violated_cs = None
     if t1_fixed is not None:
-        d1 = float(p2_joint(tps, t1_fixed, phi, t1_fixed, phi))
-        d2 = np.asarray(p2_joint(tps, t_grid, phi, t_grid, phi), dtype=float)
-        off = np.asarray(p2_joint(tps, t1_fixed, phi, t_grid, phi), dtype=float)
-        geo = np.sqrt(d1 * d2)
+        fixed = _Amps(tps, t1_fixed, phi)
+        d1 = float(_p2(tps, fixed, fixed))
+        off = np.asarray(_p2(tps, fixed, x), dtype=float)
+        geo = np.sqrt(d1 * p2)
         margin_cs = geo - off
         scale_cs = max(float(np.max(geo)), float(np.max(off)), 1e-300)
         violated_cs = margin_cs < -rel_tol * scale_cs
@@ -299,6 +326,7 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
         t_grid=t_grid,
         margin_j=margin_j,
         violated_j=violated_j,
+        p2_diag=p2,
         t1_fixed=t1_fixed,
         margin_cs=margin_cs,
         violated_cs=violated_cs,

@@ -20,12 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .amplitudes import _mode_sum, _speed_weights, amp_state, line_arrival_amp
+from .amplitudes import (
+    _images,
+    _line_packet,
+    _mode_sum,
+    _on_grid,
+    _pointwise,
+    _velocities,
+    amp_state,
+)
 from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
 from .errors import DomainError, SeriesError, StateError
-from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity
-from .specfun import coherent_norm
-from .states import CoherentParams, LineState, RingState, coherent_state, spread_at_time
+from .modes import ModeSpace, RotationFrame, omega, rotating_omega
+from .states import CoherentParams, RingState, coherent_state
 
 __all__ = [
     "NORMALIZATION_TAG",
@@ -47,6 +54,16 @@ NORMALIZATION_TAG = "B=1;unit-integral-per-period"
 
 REALITY_TOL = 1e-10
 NEGATIVITY_FLOOR = -1e-10
+
+
+def _k_norm(ms: ModeSpace) -> float:
+    """Density prefactor K = B / (2 pi r)."""
+    return B_GAMMA / (2.0 * math.pi * ms.r)
+
+
+def _density(ms: ModeSpace, amp):
+    """Maximum-localization detection density K |A|^2 of an amplitude."""
+    return _k_norm(ms) * np.abs(amp) ** 2
 
 
 @dataclass(frozen=True)
@@ -109,45 +126,31 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
         raise DomainError("localization matrix was built for a different frame")
     det.require_support(state.occupation())
 
-    m = ms.modes()
-    if frame is None:
-        freq = omega(ms, m)
-        w = _speed_weights(ms, m)
-    else:
-        freq = rotating_omega(frame, m)
-        w = np.empty(m.size)
-        nz = m != 0
-        w[nz] = np.sqrt(np.abs(rotating_velocity(frame, m[nz])))
-        w[~nz] = 0.0
-
-    k_norm = B_GAMMA / (2.0 * math.pi * ms.r)
     if det.is_max_localization and state.is_pure and frame is None:
-        amp = amp_state(state, ms, t, phi)
-        return k_norm * np.abs(amp) ** 2
+        return _density(ms, amp_state(state, ms, t, phi))
 
-    t_arr, phi_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = t_arr.shape
-    tf, pf = t_arr.ravel(), phi_arr.ravel()
+    m = ms.modes()
+    freq = omega(ms, m) if frame is None else rotating_omega(frame, m)
+    w = np.sqrt(np.abs(_velocities(ms, m, frame)))
     rho = state.density_matrix()
     kernel = rho * det.matrix * np.outer(w, w)
     # prune empty rows/columns before forming the phase matrix
     active = np.any(np.abs(kernel) > 0.0, axis=1)
     kernel = kernel[np.ix_(active, active)]
     ma, wa = m[active].astype(float), freq[active]
-    u = np.exp(1j * (ma[:, None] * pf[None, :] - wa[:, None] * tf[None, :]))
-    vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    scale = max(float(np.max(np.abs(vals.real))), 1e-300)
-    if resid > REALITY_TOL * max(scale, 1.0):
-        raise DomainError(
-            f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
-        )
-    out = k_norm * vals.real
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+
+    def fill(tf, pf):
+        u = np.exp(1j * (ma[:, None] * pf[None, :] - wa[:, None] * tf[None, :]))
+        vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+        scale = max(float(np.max(np.abs(vals.real))), 1e-300)
+        if resid > REALITY_TOL * max(scale, 1.0):
+            raise DomainError(
+                f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
+            )
+        return _k_norm(ms) * vals.real
+
+    return _on_grid(t, phi, fill)
 
 
 def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi,
@@ -164,42 +167,18 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi,
             f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3",
             stacklevel=2,
         )
-    k_norm = B_GAMMA / (2.0 * math.pi * ms.r)
     if method == "mode-sum":
-        state = coherent_state(ms, cp)
-        amp = amp_state(state, ms, t, phi)
-        return k_norm * np.abs(amp) ** 2
+        return _density(ms, amp_state(coherent_state(ms, cp), ms, t, phi))
     if method != "images":
         raise DomainError(f"unknown qsymbol method {method!r}")
 
-    sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
-    p = cp.xi / ms.r
-    line = LineState(p=p, sigma=sigma)
-    pref = coherent_norm(cp.xi, cp.alpha) * ms.r * (math.pi / (2 * sigma**2)) ** 0.25
-    eps_p = math.sqrt(ms.mu**2 + p**2)
-    v_p = p / eps_p
-    k_win = (max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
-    t_arr, phi_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = t_arr.shape
-    tf, pf = t_arr.ravel(), phi_arr.ravel()
-    out = np.zeros(tf.size)
-    for idx in range(tf.size):
-        ti = tf[idx]
-        sig_t = spread_at_time(line, ms, ti) if ms.mu > 0 else sigma
-        center = (v_p * ti / ms.r - (pf[idx] - cp.theta)) / (2 * math.pi)
-        half = 14.0 * sig_t / (2 * math.pi * ms.r) + 1
-        total = 0.0
-        for n in range(math.floor(center - half), math.ceil(center + half) + 1):
-            x_n = (pf[idx] - cp.theta + 2 * math.pi * n) * ms.r
-            b0 = line_arrival_amp(x_n, ti, ms.mu, profile=line.momentum_profile,
-                                  k_range=k_win, rel_tol=rel_tol)
-            total += abs(pref * b0) ** 2
-        out[idx] = k_norm * total
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+    line, pref, theta0 = _line_packet(ms, cp)
+
+    def at(ti, pi_):
+        images = _images(ms, line, theta0, ti, pi_, rel_tol)
+        return _k_norm(ms) * sum(abs(pref * b0) ** 2 for b0 in images)
+
+    return _pointwise(t, phi, at, dtype=float)
 
 
 def vacuum_noise(dk: DetectorKernel, ms: ModeSpace,

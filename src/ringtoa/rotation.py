@@ -19,7 +19,7 @@ from .amplitudes import amp_rotating_split
 from .errors import DomainError, SeriesError, StateError
 from .modes import ModeSpace, RotationFrame, omega, velocity
 from .detector import DetectorKernel
-from .probability import B_GAMMA, timescales
+from .probability import _density, timescales
 from .states import RingState
 
 __all__ = [
@@ -175,7 +175,7 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
         )
     t_grid = np.asarray(t_grid, dtype=float)
     d_plus, d_minus = amp_rotating_split(state, rf, t_grid, phi)
-    density = (B_GAMMA / (2 * math.pi * ms.r)) * np.abs(d_plus + d_minus) ** 2
+    density = _density(ms, d_plus + d_minus)
 
     occ = state.occupation()
     m = ms.modes()

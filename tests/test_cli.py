@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -126,6 +127,44 @@ def test_run_numerical_failure_exit_3(tmp_path):
         "grid": {"t_max": 10.0},
     })
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+SAGNAC_CFG = {
+    "experiment": "sagnac",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0,
+               "omega_d": 0.001},
+    "grid": {"t_max": 10.0},
+}
+CLOCK_CFG = {
+    "experiment": "clock",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0},
+    "grid": {"t_max": 10.0},
+}
+QSYMBOL_CFG = {
+    "experiment": "qsymbol",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 60, "xi": 20.0, "alpha": 4.0},
+    "times": [{"t": 1.0}],
+}
+
+
+@pytest.mark.parametrize("cfg, block, key, value", [
+    (SAGNAC_CFG, "grid", "dt", 0),
+    (NOISE_CFG, "params", "m_max", "big"),
+    (CLOCK_CFG, "grid", "n_t", "many"),
+    (NOISE_CFG, "grid", "n", 0),
+    (QSYMBOL_CFG, "grid", "n_theta", 0),
+    (NOISE_CFG, "output", "format", "json"),
+])
+def test_run_malformed_setting_exit_2(tmp_path, capsys, cfg, block, key, value):
+    # a malformed setting is a config error (exit 2 with a message naming
+    # the key), never a traceback, a numerical failure or an empty run
+    bad = copy.deepcopy(cfg)
+    bad.setdefault(block, {})[key] = value
+    path = write_config(tmp_path, "bad.json", bad)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"error: {block}.{key} " in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_run_missing_config_exit_4(tmp_path):

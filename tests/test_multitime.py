@@ -20,6 +20,7 @@ from ringtoa import (
     p2_joint,
     violation_scan,
 )
+from ringtoa import multitime
 from ringtoa.errors import StateError
 
 
@@ -232,3 +233,60 @@ def test_violation_scan_massless_gaussian_pair_empty():
     report = violation_scan(tps, 0.0, t, t1_fixed=2.0 * math.pi + 0.5 * SIGMA)
     assert not report.any_violation_j
     assert not report.any_violation_cs
+
+
+def overlapping_pair(kind):
+    # coherent factors with overlap b ~ 0.6: the cross integral I12 matters
+    s1 = coherent_state(MS0, CoherentParams(theta=0.3, xi=995.0, alpha=10.0))
+    s2 = coherent_state(MS0, CoherentParams(theta=0.0, xi=1005.0, alpha=10.0))
+    return TwoParticleState(kind, s1, s2)
+
+
+@pytest.mark.parametrize("kind", ["product", "symmetrized"])
+def test_kolmogorov_marginal_matches_per_t2_quadrature(kind):
+    # reference: trapezoid of the joint density over t1, one t2 at a time
+    tps = overlapping_pair(kind)
+    phi1, phi2, n_t1 = 0.4, 2.1, 1500
+    t2 = np.linspace(7.5, 9.5, 6)
+    out = kolmogorov_check(tps, phi1, phi2, t2, (0.0, 2.0 * math.pi), n_t1=n_t1)
+    t1 = np.linspace(0.0, 2.0 * math.pi, n_t1)
+    ref = np.array([np.trapezoid(p2_joint(tps, t1, phi1, t, phi2), t1) for t in t2])
+    assert np.max(np.abs(out["marginal"] - ref)) <= 1e-13 * np.max(out["p1"])
+    assert np.array_equal(out["p1"], p1_single(tps, t2, phi2, factor=2))
+
+
+@pytest.mark.parametrize("kind", ["product", "symmetrized"])
+def test_violation_scan_margins_equal_public_densities(kind):
+    tps = overlapping_pair(kind)
+    phi, t1 = 0.0, 2.0 * math.pi + 0.01
+    t = 2.0 * math.pi + np.linspace(-0.1, 0.1, 81)
+    report = violation_scan(tps, phi, t, t1_fixed=t1)
+    p1 = p1_single(tps, t, phi)
+    p2 = p2_joint(tps, t, phi, t, phi)
+    assert np.array_equal(report.p2_diag, p2)
+    assert np.array_equal(report.margin_j, p2 - p1**2)
+    d1 = p2_joint(tps, t1, phi, t1, phi)
+    off = p2_joint(tps, t1, phi, t, phi)
+    assert np.array_equal(report.margin_cs, np.sqrt(d1 * p2) - off)
+
+
+@pytest.mark.parametrize("kind", ["product", "symmetrized"])
+def test_each_amplitude_evaluated_once(kind, monkeypatch):
+    calls, amp_state = [], multitime.amp_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return amp_state(*args, **kwargs)
+
+    monkeypatch.setattr(multitime, "amp_state", counted)
+    tps = overlapping_pair(kind)
+    t = 2.0 * math.pi + np.linspace(-0.1, 0.1, 41)
+    violation_scan(tps, 0.0, t, t1_fixed=2.0 * math.pi)
+    assert len(calls) == 4  # A1, A2 on the grid and at t1
+    calls.clear()
+    kolmogorov_check(tps, 0.0, 0.0, np.linspace(6.0, 7.0, 8), (0.0, 2.0 * math.pi),
+                     n_t1=500)
+    assert len(calls) <= 4  # one amplitude per factor on each grid
+    calls.clear()
+    p2_joint(tps, t, 0.0, t + 0.01, 0.0)
+    assert len(calls) == (2 if kind == "product" else 4)
