@@ -37,8 +37,19 @@ __all__ = [
     "line_arrival_amp",
 ]
 
-# modes-per-chunk x grid-points budget for the dense phase matrices
+# modes x points budget for the phase matrices held at once
 _CHUNK_BUDGET = 4_000_000
+
+# Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
+# n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of
+# modes x n.  Grids shorter than _MIN_UNIFORM save too little and stay dense.
+# A grid counts as uniform when every point lies within tol_t = _UNIFORM_ULPS
+# ulps of max|t| (tol_phi: of max|phi|) of the progression.  The in-block
+# phases then differ from the dense ones by at most
+# 2 (max|omega_m| tol_t + max|m| tol_phi) rad plus roundoff.
+_BLOCK = 64
+_MIN_UNIFORM = 2 * _BLOCK
+_UNIFORM_ULPS = 8
 
 
 def _on_grid(t, phi, fill):
@@ -71,21 +82,69 @@ def _speed_weights(ms: ModeSpace, m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(_velocities(ms, m)))
 
 
+def _arithmetic_step(x: np.ndarray) -> float | None:
+    """Step d with x_j = x_0 + j d to within _UNIFORM_ULPS ulps of max|x|, else None.
+
+    d is taken from the end points, (x_{n-1} - x_0) / (n - 1), not from
+    x_1 - x_0, whose rounding would drift by (n - 1) times as much along the
+    grid.  A constant array has step 0.
+    """
+    if x.ndim != 1 or x.size < 2:
+        return None
+    d = (x[-1] - x[0]) / (x.size - 1)
+    tol = _UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(x)))
+    ideal = x[0] + d * np.arange(x.size)
+    return float(d) if float(np.max(np.abs(x - ideal))) <= tol else None
+
+
+def _dense_sum(c, mm, ww, tf, pf):
+    """The reference evaluation: one complex exp per mode x point, chunked over modes."""
+    out = np.zeros(tf.size, dtype=complex)
+    chunk = max(1, _CHUNK_BUDGET // max(tf.size, 1))
+    for i in range(0, c.size, chunk):
+        sl = slice(i, i + chunk)
+        phase = np.exp(
+            1j * (mm[sl, None] * pf[None, :] - ww[sl, None] * tf[None, :])
+        )
+        out += c[sl] @ phase
+    return out
+
+
+def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
+    """The same sum on a uniform grid, one GEMM per chunk of blocks.
+
+    Point b*B + k of block b has phase theta_m(b*B) + k beta_m, beta_m =
+    m dp - omega_m dt: the block-start phases come from the grid values by
+    the dense formula, the in-block steps from one modes x B table that
+    also carries the coefficients.
+    """
+    starts = np.arange(0, tf.size, _BLOCK)
+    steps = c[:, None] * np.exp(1j * np.outer(mm * dp - ww * dt, np.arange(_BLOCK)))
+    out = np.empty((starts.size, _BLOCK), dtype=complex)
+    chunk = max(1, _CHUNK_BUDGET // max(c.size, 1))
+    for i in range(0, starts.size, chunk):
+        s = starts[i:i + chunk]
+        head = np.exp(1j * (mm[:, None] * pf[s] - ww[:, None] * tf[s]))
+        out[i:i + chunk] = head.T @ steps
+    return out.ravel()[:tf.size]
+
+
 def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
-    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid."""
+    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid.
+
+    A flattened grid that is an arithmetic progression in both t and phi
+    (either step may be 0) takes _blocked_sum, any other grid _dense_sum.
+    """
     active = np.abs(coeffs) > 0.0
     c, mm, ww = coeffs[active], m[active], freq[active]
 
     def fill(tf, pf):
-        out = np.zeros(tf.size, dtype=complex)
-        chunk = max(1, _CHUNK_BUDGET // max(tf.size, 1))
-        for i in range(0, c.size, chunk):
-            sl = slice(i, i + chunk)
-            phase = np.exp(
-                1j * (mm[sl, None] * pf[None, :] - ww[sl, None] * tf[None, :])
-            )
-            out += c[sl] @ phase
-        return out
+        # the blocked path holds its modes x _BLOCK step table whole
+        if tf.size >= _MIN_UNIFORM and c.size * _BLOCK <= _CHUNK_BUDGET:
+            dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
+            if dt is not None and dp is not None:
+                return _blocked_sum(c, mm, ww, tf, pf, dt, dp)
+        return _dense_sum(c, mm, ww, tf, pf)
 
     return _on_grid(t, phi, fill)
 

@@ -66,10 +66,14 @@ def _require(cfg: dict, key: str, errors: list, kind=float, where: str = "params
         errors.append(f"missing {where}.{key}")
         return None
     try:
-        return kind(block[key])
+        val = kind(block[key])
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{where}.{key} must be {kind.__name__}")
         return None
+    if not math.isfinite(val):
+        errors.append(f"{where}.{key} must be finite")
+        return None
+    return val
 
 
 # optional grid settings: type and exclusive lower bound (None: unbounded)
@@ -157,10 +161,12 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
             errors.append("qsymbol needs a nonempty 'times' list")
         else:
             for spec in times:
-                keys = set(spec) & {"t", "t_over_tq", "t_over_trec"}
+                keys = set(spec) if isinstance(spec, dict) else set()
+                keys &= {"t", "t_over_tq", "t_over_trec"}
                 if len(keys) != 1:
                     errors.append(
-                        "each times entry needs exactly one of t, t_over_tq, t_over_trec"
+                        "times entries must be objects with exactly one of "
+                        "t, t_over_tq, t_over_trec"
                     )
                 elif mu == 0 and keys != {"t"}:
                     errors.append("t_over_tq/t_over_trec undefined for mu = 0")
@@ -489,8 +495,12 @@ def cmd_run(args) -> int:
     if code:
         return code
 
+    try:
+        threads = args.threads or int(os.environ.get("RINGTOA_THREADS", "1"))
+    except ValueError:
+        print("error: RINGTOA_THREADS must be an integer")
+        return 2
     out_dir = Path(args.out)
-    threads = args.threads or int(os.environ.get("RINGTOA_THREADS", "1"))
     started = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import find_peaks, peak_widths
 
+from .amplitudes import _arithmetic_step
 from .errors import TickError
 
 __all__ = ["TickTrain", "ClockQuality", "cumulative", "extract_ticks", "clock_quality"]
@@ -57,17 +58,19 @@ def extract_ticks(t: np.ndarray, density: np.ndarray,
 
     Widths are full width at half maximum (in time units); weights integrate
     the density between midpoints to neighboring ticks, i.e. the staircase
-    step heights.
+    step heights.  Widths are counted in grid steps, so t must be uniform.
     """
     t = np.asarray(t, dtype=float)
     density = np.asarray(density, dtype=float)
+    dt = _arithmetic_step(t)
+    if dt is None:
+        raise TickError("tick extraction needs a uniform time grid t_j = t_0 + j dt")
     peak = float(density.max(initial=0.0))
     if peak <= 0:
         raise TickError("no ticks found: density vanishes")
     idx, _ = find_peaks(density, prominence=prominence_frac * peak)
     if idx.size == 0:
         raise TickError("no ticks found above the prominence threshold")
-    dt = float(t[1] - t[0])
     widths_samples = peak_widths(density, idx, rel_height=0.5)[0]
     widths = widths_samples * dt
 

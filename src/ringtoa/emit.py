@@ -37,6 +37,19 @@ def _meta_lines(metadata: dict) -> list[str]:
     return lines
 
 
+def _cells(a: np.ndarray) -> list[str]:
+    """One column's cells: bools as 1/0, integers as is, the rest as format_float.
+
+    The dtype is checked once per column; repr of a Python float is
+    format_float's form, "nan" included.
+    """
+    if a.dtype.kind == "b":
+        return ["1" if v else "0" for v in a.tolist()]
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    return list(map(repr, a.astype(float).tolist()))
+
+
 def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Path:
     """Write named columns with metadata comments; returns the path."""
     path = Path(path)
@@ -45,18 +58,7 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("all columns must have equal length")
-    rows = []
-    for i in range(n):
-        cells = []
-        for a in arrays:
-            v = a[i]
-            if isinstance(v, (np.bool_, bool)):
-                cells.append("1" if v else "0")
-            elif isinstance(v, (np.integer, int)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_float(v))
-        rows.append(",".join(cells))
+    rows = [",".join(cells) for cells in zip(*(_cells(a.ravel()) for a in arrays))]
     text = "\n".join(_meta_lines(metadata) + [",".join(names)] + rows) + "\n"
     path.write_text(text)
     return path

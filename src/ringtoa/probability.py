@@ -21,6 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .amplitudes import (
+    _CHUNK_BUDGET,
     _images,
     _line_packet,
     _mode_sum,
@@ -140,8 +141,12 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     ma, wa = m[active].astype(float), freq[active]
 
     def fill(tf, pf):
-        u = np.exp(1j * (ma[:, None] * pf[None, :] - wa[:, None] * tf[None, :]))
-        vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+        vals = np.empty(tf.size, dtype=complex)
+        chunk = max(1, _CHUNK_BUDGET // max(ma.size, 1))
+        for i in range(0, tf.size, chunk):
+            sl = slice(i, i + chunk)
+            u = np.exp(1j * (ma[:, None] * pf[None, sl] - wa[:, None] * tf[None, sl]))
+            vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
         resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
         scale = max(float(np.max(np.abs(vals.real))), 1e-300)
         if resid > REALITY_TOL * max(scale, 1.0):

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,10 @@ QSYMBOL_CFG = {
 }
 
 
+CLOCK_NO_M_MAX = {**CLOCK_CFG, "params": {k: v for k, v in CLOCK_CFG["params"].items()
+                                          if k != "m_max"}}
+
+
 @pytest.mark.parametrize("cfg, block, key, value", [
     (SAGNAC_CFG, "grid", "dt", 0),
     (NOISE_CFG, "params", "m_max", "big"),
@@ -154,17 +161,39 @@ QSYMBOL_CFG = {
     (NOISE_CFG, "grid", "n", 0),
     (QSYMBOL_CFG, "grid", "n_theta", 0),
     (NOISE_CFG, "output", "format", "json"),
+    # block None: a top-level key; block "env": an environment variable
+    pytest.param(QSYMBOL_CFG, None, "times", [5], id="times-not-object"),
+    pytest.param(CLOCK_NO_M_MAX, "params", "xi", math.inf, id="xi-infinite"),
+    pytest.param(NOISE_CFG, "env", "RINGTOA_THREADS", "abc", id="threads-env"),
 ])
-def test_run_malformed_setting_exit_2(tmp_path, capsys, cfg, block, key, value):
+def test_run_malformed_setting_exit_2(tmp_path, capsys, monkeypatch, cfg, block, key, value):
     # a malformed setting is a config error (exit 2 with a message naming
     # the key), never a traceback, a numerical failure or an empty run
     bad = copy.deepcopy(cfg)
-    bad.setdefault(block, {})[key] = value
+    if block == "env":
+        monkeypatch.setenv(key, value)
+    elif block is None:
+        bad[key] = value
+    else:
+        bad.setdefault(block, {})[key] = value
     path = write_config(tmp_path, "bad.json", bad)
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out)]) == 2
-    assert f"error: {block}.{key} " in capsys.readouterr().out
+    name = key if block in (None, "env") else f"{block}.{key}"
+    assert f"error: {name} " in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_python_m_ringtoa(tmp_path):
+    # the package runs as a module without an installed entry point
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(repo / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringtoa", "validate", str(repo / "configs" / "fig-steps.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "config ok" in proc.stdout
 
 
 def test_run_missing_config_exit_4(tmp_path):

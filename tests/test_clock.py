@@ -74,6 +74,17 @@ def test_extract_ticks_errors_without_peaks():
         extract_ticks(t, np.ones_like(t))  # constant density has no peaks
 
 
+def test_extract_ticks_rejects_non_uniform_grid():
+    t, dens, _ = massless_density(n_periods=3)
+    assert extract_ticks(t, dens).grid_step == pytest.approx(t[1] - t[0], rel=1e-12)
+    bumped = t.copy()
+    bumped[len(t) // 2] += 1e-9
+    with pytest.raises(TickError, match="uniform"):
+        extract_ticks(bumped, dens)
+    with pytest.raises(TickError, match="uniform"):
+        extract_ticks(np.sqrt(np.linspace(0.0, 1.0, 100)), np.ones(100))
+
+
 def test_clock_quality_massless_ideal():
     t, dens, _ = massless_density(n_periods=8)
     ticks = extract_ticks(t, dens)

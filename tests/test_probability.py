@@ -94,6 +94,22 @@ def test_pc_density_general_localization_damps_interference():
     assert np.ptp(dens_damp) == pytest.approx(np.ptp(dens_full) * damp, rel=1e-6)
 
 
+def test_pc_density_general_sum_chunks_over_points(monkeypatch):
+    # the double sum holds at most _CHUNK_BUDGET active modes x points at once
+    from ringtoa import probability
+
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
+    st = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7, 13: 0.2})
+    rho = 0.6 * st.density_matrix() + 0.4 * from_modes(ms, {5: 1.0, -2: 1.0}).density_matrix()
+    mixed = RingState(ms, rho=rho)
+    det = max_loc(ms)
+    t = np.linspace(0.0, 20.0, 301)
+    phi = np.linspace(-1.0, 2.0, 301)
+    whole = pc_density(mixed, det, t, phi)
+    monkeypatch.setattr(probability, "_CHUNK_BUDGET", 6 * 40)  # 6 active modes: 40 points a chunk
+    np.testing.assert_allclose(pc_density(mixed, det, t, phi), whole, rtol=1e-13, atol=0)
+
+
 def test_pc_density_rotating_frame_consistency():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=1100)
     st = coherent_state(ms, COH)
