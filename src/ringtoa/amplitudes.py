@@ -6,9 +6,15 @@ The arrival amplitude of a state psi on the ring is the mode sum
 
 absolutely convergent for normalizable states.  The same quantity can be
 rebuilt from line theory: Poisson resummation turns the lattice sum into a
-sum over winding images of the line arrival amplitude, each evaluated here
-by adaptive quadrature.  The two routes share no code beyond the dispersion
-relation, which is what makes their agreement a real cross-check.
+sum over winding images of the line arrival amplitude.  All images of a
+point are evaluated at once by composite Gauss-Legendre panels in k
+(states._line_quadrature), sized from the phase rate |x - v_k t| and gated
+on self-convergence: the n- and 2n-panel rules must agree within each
+caller's tolerance, else QuadratureError.  The nodes are non-uniform on
+purpose: a uniform rule with step 1/r would be the lattice sum itself.  The
+two routes share no code beyond the dispersion relation, which is what makes
+their agreement a real cross-check; line_arrival_amp keeps the scalar
+adaptive quadrature as the reference the panel rule is tested against.
 
 The bare (state-free) amplitude is a distribution; it is only evaluated
 under an explicit smooth momentum taper, and only state-contracted
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,7 +33,14 @@ from scipy.integrate import quad
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
 from .specfun import coherent_norm
-from .states import CoherentParams, LineProfileOnRing, LineState, RingState, spread_at_time
+from .states import (
+    CoherentParams,
+    LineProfileOnRing,
+    LineState,
+    RingState,
+    _line_quadrature,
+    spread_at_time,
+)
 
 __all__ = [
     "amp_state",
@@ -50,6 +64,9 @@ _CHUNK_BUDGET = 4_000_000
 _BLOCK = 64
 _MIN_UNIFORM = 2 * _BLOCK
 _UNIFORM_ULPS = 8
+
+# 2 pi - float(2 pi): the second term of the image spacing (_winding_positions)
+_TWO_PI_LO = 2.4492935982947064e-16
 
 
 def _on_grid(t, phi, fill):
@@ -196,8 +213,9 @@ def line_arrival_amp(x: float, t: float, mu: float, profile=None,
 
     profile: callable k -> psi~(k) (complex); None means the bare amplitude,
     which requires a k_range (and usually a taper window) for convergence.
-    This is evaluated by adaptive quadrature and serves as the independent
-    oracle for the mode-sum amplitudes.  The convergence gate scales with
+    This is the scalar reference: two adaptive scipy quad runs over a Python
+    integrand, against which the vectorized panel rule of amp_poisson and
+    qsymbol(method="images") is tested.  The convergence gate scales with
     rel_tol, so loose tolerances are allowed for the strongly oscillatory
     bare integrand.
     """
@@ -257,19 +275,50 @@ def _line_packet(ms: ModeSpace, prof) -> tuple[LineState, float, float]:
     return line, pref, theta0
 
 
+def _root_speed(k: np.ndarray, mu: float) -> np.ndarray:
+    """sqrt(v_k) on the line at quadrature nodes (all k > 0)."""
+    return np.sqrt(k / np.hypot(mu, k))
+
+
+def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fraction]:
+    """Image positions (phi - theta0 + 2 pi n) r as exact rationals.
+
+    2 pi is carried to two float terms (error ~1e-32).  In floats the
+    position of winding n errs by up to n ulps of 2 pi r plus its own
+    rounding: a phase error of ~1e-12 rad at k ~ 1e3, as large as the
+    mode sum's own roundoff.
+    """
+    two_pi = Fraction(2.0 * math.pi) + Fraction(_TWO_PI_LO)
+    base = Fraction(phi) - Fraction(theta0)
+    return [(base + two_pi * Fraction(n)) * Fraction(r) for n in windings]
+
+
 def _images(ms: ModeSpace, line: LineState, theta0: float, t: float, phi: float,
-            rel_tol: float, windings=None):
+            rel_tol: float, windings=None) -> np.ndarray:
     """Line amplitudes of the packet's winding images at (t, phi), unprefixed."""
     p, sigma = line.p, line.sigma
     if windings is None:
         v_p = p / math.sqrt(ms.mu**2 + p**2)
         sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
         windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
-    k_win = (max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
-    for n in windings:
-        x_n = (phi - theta0 + 2.0 * math.pi * n) * ms.r
-        yield line_arrival_amp(x_n, t, ms.mu, profile=line.momentum_profile,
-                               k_range=k_win, rel_tol=rel_tol)
+    x = _winding_positions(phi, theta0, windings, ms.r)
+    vals, gap = _line_quadrature(
+        x, t, ms.mu, lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k),
+        max(0.0, p - 8.0 / sigma), p + 8.0 / sigma,
+    )
+    _gate(vals, gap, x, t, rel_tol)
+    return vals
+
+
+def _gate(vals: np.ndarray, gap: np.ndarray, x: list, t: float, rel_tol: float):
+    """QuadratureError unless each image's n/2n gap is within max(1e-10, 100 rel_tol |value|)."""
+    bad = np.flatnonzero(gap > np.maximum(1e-10, 100.0 * rel_tol * np.abs(vals)))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"line amplitude quadrature poorly converged at x={float(x[i])}, t={t}: "
+            f"estimate {gap[i]:.3e} for |value| {abs(vals[i]):.3e}"
+        )
 
 
 def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
@@ -285,22 +334,23 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
     overrides that window unchecked (single-image analysis and the like).
     """
     if state is None:
-        k_hi = ms.m_max / ms.r
-        win = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max, taper_frac))
+        # the taper is only C^1 at its edge: integrate either side of it
+        k_edge, k_hi = (1.0 - taper_frac) * ms.m_max / ms.r, ms.m_max / ms.r
         bare_tol = max(rel_tol, 1e-8)
+
+        def weight(k):
+            return _root_speed(k, ms.mu) * taper_window(k * ms.r, ms.m_max, taper_frac)
 
         def bare(ti, pi_):
             ns = windings if windings is not None else range(
                 -2, int((ti / ms.r - pi_) / (2 * math.pi)) + 3
             )
-            total = 0.0 + 0.0j
-            for n in ns:
-                x_n = (pi_ + 2.0 * math.pi * n) * ms.r
-                total += ms.r * line_arrival_amp(
-                    x_n, ti, ms.mu, k_range=(0.0, k_hi), rel_tol=bare_tol,
-                    taper=win, limit=2000,
-                )
-            return total
+            x = _winding_positions(pi_, 0.0, ns, ms.r)
+            parts = [_line_quadrature(x, ti, ms.mu, weight, lo, hi)
+                     for lo, hi in ((0.0, k_edge), (k_edge, k_hi)) if hi > lo]
+            vals, gap = sum(v for v, _ in parts), sum(g for _, g in parts)
+            _gate(vals, gap, x, ti, bare_tol)
+            return ms.r * vals.sum()
 
         return _pointwise(t, phi, bare)
 
@@ -312,7 +362,7 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
     packets = [(weight, *_line_packet(ms, prof)) for weight, prof in state.profiles]
 
     def resummed(ti, pi_):
-        return sum(weight * pref * sum(_images(ms, line, theta0, ti, pi_, rel_tol, windings))
+        return sum(weight * pref * _images(ms, line, theta0, ti, pi_, rel_tol, windings).sum()
                    for weight, line, pref, theta0 in packets)
 
     return _pointwise(t, phi, resummed)

@@ -30,12 +30,12 @@ import numpy as np
 from . import __version__
 from .amplitudes import amp_poisson, amp_state
 from .clock import clock_quality, cumulative, extract_ticks
-from .detector import DetectorKernel, localization_matrix
+from .detector import DetectorKernel, _kernel_support, _require_support
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame
 from .multitime import TwoParticleState, kolmogorov_check, violation_scan
-from .probability import NORMALIZATION_TAG, _density, pc_density, qsymbol, timescales
+from .probability import NORMALIZATION_TAG, _density, qsymbol, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
     CoherentParams,
@@ -79,6 +79,16 @@ def _require(cfg: dict, key: str, errors: list, kind=float, where: str = "params
 # optional grid settings: type and exclusive lower bound (None: unbounded)
 _GRID_KEYS = {"t_min": (float, None), "omega_d_r_min": (float, None), "dt": (float, 0),
               "n": (int, 0), "n_t": (int, 0), "n_theta": (int, 0)}
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number (bool excluded, though Python counts it as an int)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _optional(cfg: dict, key: str, errors: list, kind=float, where: str = "grid"):
@@ -148,10 +158,10 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
             errors.append(f"frame not timelike: |Omega_D * r| = {abs(omega_d * r)} >= 1")
     if exp == "noise":
         a_values = params.get("a_values")
-        if not a_values or not all(
-            isinstance(a, (int, float)) and a > 0 for a in a_values
+        if not a_values or not isinstance(a_values, list) or not all(
+            _is_number(a) and a > 0 for a in a_values
         ):
-            errors.append("params.a_values must be a nonempty list of positive numbers")
+            errors.append("params.a_values must be a nonempty list of positive finite numbers")
         top = _optional(cfg, "omega_d_r_max", errors)
         if top is not None and not 0 <= top < 1:
             errors.append("grid.omega_d_r_max must lie in [0, 1)")
@@ -168,7 +178,11 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
                         "times entries must be objects with exactly one of "
                         "t, t_over_tq, t_over_trec"
                     )
-                elif mu == 0 and keys != {"t"}:
+                    continue
+                (key,) = keys
+                if not _is_number(spec[key]):
+                    errors.append(f"times entry {spec!r}: {key} must be a finite number")
+                elif mu == 0 and key != "t":
                     errors.append("t_over_tq/t_over_trec undefined for mu = 0")
     if exp in ("mi-scan", "kolmogorov"):
         for key in ("state1", "state2"):
@@ -261,7 +275,8 @@ def _run_clock(cfg, out_dir: Path, threads: int):
     cp = _coherent_params(p)
     phi = float(p.get("phi", math.pi))
     state = coherent_state(ms, cp)
-    det = localization_matrix(DetectorKernel.max_localization(), ms)
+    _require_support(ms, _kernel_support(DetectorKernel.max_localization(), ms),
+                    state.occupation())
     scales = timescales(ms, cp.xi, cp.alpha)
 
     grid = cfg["grid"]
@@ -275,7 +290,8 @@ def _run_clock(cfg, out_dir: Path, threads: int):
         dt = min(scales.tick / 40.0, sigma / v / 5.0)
         n_t = min(int(math.ceil((t_max - t_min) / dt)) + 1, 500_000)
     t = np.linspace(t_min, t_max, n_t)
-    density = pc_density(state, det, t, phi)
+    # pc_density under maximum localization, without its n x n matrix
+    density = _density(ms, amp_state(state, ms, t, phi))
     w = cumulative(t, density)
     ticks = extract_ticks(t, density)
     quality = clock_quality(ticks, tau_expected=scales.tick)

@@ -260,14 +260,33 @@ class LocalizationMatrix:
 
     def require_support(self, occupation: np.ndarray, tol: float = 1e-14):
         """Raise SupportError if the state occupies unsupported modes."""
-        bad = (~self.on_support) & (occupation > tol)
-        if np.any(bad):
-            ms = self.modespace
-            offenders = ms.modes()[bad]
-            raise SupportError(
-                f"state occupies modes outside detector support: {offenders[:10].tolist()}"
-                + ("..." if offenders.size > 10 else "")
-            )
+        _require_support(self.modespace, self.on_support, occupation, tol)
+
+
+def _require_support(ms: ModeSpace, on_support: np.ndarray, occupation: np.ndarray,
+                    tol: float = 1e-14):
+    """Raise SupportError if occupation > tol on a mode outside on_support."""
+    bad = (~on_support) & (occupation > tol)
+    if np.any(bad):
+        offenders = ms.modes()[bad]
+        raise SupportError(
+            f"state occupies modes outside detector support: {offenders[:10].tolist()}"
+            + ("..." if offenders.size > 10 else "")
+        )
+
+
+def _kernel_support(dk: DetectorKernel, ms: ModeSpace) -> np.ndarray:
+    """Support mask of an analytic family's localization matrix, in O(n).
+
+    The same mask localization_matrix gives ``on_support``, without the
+    n x n matrix; the tabulated families need the matrix build.
+    """
+    m = ms.modes()
+    if dk.family == "max-localization":
+        return (m > 0) if dk.params["chiral"] else np.ones(m.size, dtype=bool)
+    if dk.family == "ring-exponential":
+        return m > 0
+    raise DomainError(f"support of a {dk.family!r} kernel needs localization_matrix")
 
 
 def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
@@ -290,7 +309,7 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     if dk.family == "max-localization":
         # ratio = exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r); gamma0 cancels
         p = dk.params
-        sup = (m > 0) if p["chiral"] else np.ones_like(m, dtype=bool)
+        sup = _kernel_support(dk, ms)
         gap = np.abs(0.5 * (m[:, None] + m[None, :])) - 0.5 * (
             np.abs(m)[:, None] + np.abs(m)[None, :]
         )
@@ -298,7 +317,7 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
                      np.exp(-(p["gamma1"] / ms.r) * gap), 0.0)
     elif dk.family == "ring-exponential":
         # exp(-a r omega) cancels exactly; support is the m > 0 sector
-        sup = m > 0
+        sup = _kernel_support(dk, ms)
         L = np.where(sup[:, None] & sup[None, :], 1.0, 0.0)
     else:
         if frame is None:

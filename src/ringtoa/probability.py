@@ -181,7 +181,7 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi,
 
     def at(ti, pi_):
         images = _images(ms, line, theta0, ti, pi_, rel_tol)
-        return _k_norm(ms) * sum(abs(pref * b0) ** 2 for b0 in images)
+        return _k_norm(ms) * float(np.sum(np.abs(pref * images) ** 2))
 
     return _pointwise(t, phi, at, dtype=float)
 

@@ -10,12 +10,13 @@ quadrature of its momentum integral, with no semiclassical input.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CutoffError, DomainError, QuadratureError, StateError
 from .modes import ModeSpace
@@ -38,6 +39,20 @@ __all__ = [
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
+
+# Line quadrature (see _line_quadrature): a Gauss-Legendre panel rule on
+# [-1, 1].  The nodes must stay non-uniform: a uniform rule with step 1/r in
+# k is, by Poisson summation, the lattice mode sum the oracle checks.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Phase (rad) one of the n panels may span at the largest phase rate; 32
+# nodes resolve about 50 rad to roundoff, so the 2n rule is far past it.
+_PANEL_PHASE = 16.0
+_MIN_PANELS = 8
+# Geometric grading of the panel next to k = 0 for massive weights
+# ~ sqrt(k): the smallest sub-panel is _GRADE_RATIO**_GRADE_LEVELS of it.
+_GRADE_RATIO, _GRADE_LEVELS = 0.125, 16
+# entries of the images x nodes phase matrix held at once
+_NODE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -255,6 +270,89 @@ def line_to_ring(ms: ModeSpace, ls: LineState, theta0: float = 0.0) -> RingState
     )
 
 
+def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
+    """Nodes and weights of n equal Gauss-Legendre panels on [k_lo, k_hi].
+
+    With grade, the first panel is split geometrically toward k_lo.
+    """
+    edges = np.linspace(k_lo, k_hi, n + 1)
+    if grade:
+        h = edges[1] - k_lo
+        fine = k_lo + h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
+        edges = np.concatenate(([k_lo], fine, edges[1:]))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
+    """e^{i(k_c x - omega(k_c) t)} for each exact x, to about an ulp.
+
+    The phase (~1e5 rad at the oracle's sizes) is formed exactly in
+    rationals, with omega(k_c) refined by one Newton step past its float
+    rounding, and only then split into a float and a remainder for the exp.
+    """
+    w_c = math.hypot(mu, k_c)
+    omega_c = Fraction(w_c)
+    if w_c > 0.0:
+        omega_c += (Fraction(mu) ** 2 + Fraction(k_c) ** 2 - omega_c**2) / (2 * omega_c)
+    out = np.empty(len(x), dtype=complex)
+    for i, xi in enumerate(x):
+        phase = Fraction(k_c) * xi - omega_c * Fraction(t)
+        hi = float(phase)
+        out[i] = cmath.exp(1j * hi) * cmath.exp(1j * float(phase - Fraction(hi)))
+    return out
+
+
+def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
+    """∫_{k_lo}^{k_hi} weight(k) e^{i(k x - omega_k t)} dk at every image position x.
+
+    omega_k = sqrt(mu^2 + k^2); x is a float or a sequence of floats or exact
+    Fractions (see amplitudes._winding_positions).  Composite Gauss-Legendre
+    panels, one rule for all of x: the panel count n is sized from the
+    largest phase rate |x - v_k t| over the window (v_k is monotone, so it
+    peaks at an end).
+    Returns (I_2n, |I_n - I_2n|) as arrays over x; the gap is the
+    self-convergence error estimate the callers gate on.  weight maps an
+    array of k (interior nodes only, never an end point) to complex values.
+
+    The phase is split about the window's midpoint k_c: the large carrier
+    k_c x - omega(k_c) t is exact per image (_carrier), and each node carries
+    only (k - k_c) x - (omega_k - omega(k_c)) t, with the energy difference
+    formed without cancellation.  With mu > 0 and k_lo = 0 the first panel is
+    graded toward 0, where weights like sqrt(v_k) ~ sqrt(k) are not smooth;
+    with mu = 0 a window across k = 0, where omega_k = |k| has a kink, is
+    split there.
+    """
+    if mu == 0.0 and k_lo < 0.0 < k_hi:
+        lo_val, lo_gap = _line_quadrature(x, t, mu, weight, k_lo, 0.0)
+        hi_val, hi_gap = _line_quadrature(x, t, mu, weight, 0.0, k_hi)
+        return lo_val + hi_val, lo_gap + hi_gap
+    x_exact = [Fraction(xi) for xi in np.ravel(x)]
+    xf = np.array([float(xi) for xi in x_exact])
+    v_ends = [k / math.hypot(mu, k) if k or mu else 0.0 for k in (k_lo, k_hi)]
+    rate = max(float(np.max(np.abs(xf - v * t), initial=0.0)) for v in v_ends)
+    n = max(_MIN_PANELS, math.ceil(rate * (k_hi - k_lo) / _PANEL_PHASE))
+    grade = mu > 0.0 and k_lo == 0.0
+    k_c = 0.5 * (k_lo + k_hi)
+    w_c = math.hypot(mu, k_c)
+
+    def rule(panels):
+        k, w = _panel_rule(k_lo, k_hi, panels, grade)
+        kappa = k - k_c
+        d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + w_c)
+        f = w * weight(k) * np.exp(-1j * d_omega * t)
+        out = np.zeros(xf.size, dtype=complex)
+        step = max(1, _NODE_BUDGET // max(xf.size, 1))
+        for i in range(0, k.size, step):
+            out += np.exp(1j * np.outer(xf, kappa[i:i + step])) @ f[i:i + step]
+        return out
+
+    carrier = _carrier(k_c, x_exact, t, mu)
+    coarse, fine = carrier * rule(n), carrier * rule(2 * n)
+    return fine, np.abs(coarse - fine)
+
+
 def gaussian_line(
     ls: LineState,
     x: float,
@@ -265,22 +363,17 @@ def gaussian_line(
     """Line wavefunction at position x; freely evolved when t is given.
 
     The evolved value is the quadrature of (2 pi)^(-1/2) ∫ dk psi~(k)
-    exp(ikx - i omega_k t) with omega_k = sqrt(mu^2 + k^2).  This is the
-    line-theory oracle: no stationary-phase or spreading approximation.
+    exp(ikx - i omega_k t) with omega_k = sqrt(mu^2 + k^2) over p ± 8/sigma
+    (_line_quadrature).  This is the line-theory oracle: no stationary-phase
+    or spreading approximation.
     """
     if t is None:
         return complex(ls.position_profile(x))
     half_width = 8.0 / ls.sigma
-    lo, hi = ls.p - half_width, ls.p + half_width
-
-    def integrand(k, part):
-        val = ls.momentum_profile(k) * np.exp(1j * (k * x - math.sqrt(mu**2 + k**2) * t))
-        return val.real if part == 0 else val.imag
-
-    re, re_err = quad(integrand, lo, hi, args=(0,), limit=400, epsabs=1e-13, epsrel=rel_tol)
-    im, im_err = quad(integrand, lo, hi, args=(1,), limit=400, epsabs=1e-13, epsrel=rel_tol)
-    val = complex(re, im) / math.sqrt(2.0 * math.pi)
-    err = (re_err + im_err) / math.sqrt(2.0 * math.pi)
+    val, gap = _line_quadrature(x, t, mu, ls.momentum_profile,
+                                ls.p - half_width, ls.p + half_width)
+    val = complex(val[0]) / math.sqrt(2.0 * math.pi)
+    err = float(gap[0]) / math.sqrt(2.0 * math.pi)
     if err > max(1e-12, 10.0 * rel_tol * abs(val)):
         raise QuadratureError(
             f"free evolution quadrature did not converge: value {val!r}, "

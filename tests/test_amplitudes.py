@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
@@ -18,10 +21,15 @@ from ringtoa import (
     from_modes,
     line_to_ring,
     localization_matrix,
+    qsymbol,
     rotating_velocity,
     velocity,
 )
-from ringtoa.errors import DomainError, StateError
+from ringtoa import amplitudes, probability, states
+from ringtoa.amplitudes import line_arrival_amp, taper_window
+from ringtoa.errors import DomainError, QuadratureError, StateError
+from ringtoa.specfun import coherent_norm
+from ringtoa.states import _line_quadrature, gaussian_line
 
 
 MS0 = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -278,3 +286,98 @@ def test_sagnac_factorization_of_split():
     phase = np.angle(d_plus / d_minus) / 2.0
     expected = (1000.0 * rf.omega_d * t) % math.pi
     assert phase % math.pi == pytest.approx(expected, abs=2e-3)
+
+
+def _packet_weight(ls: LineState, mu: float):
+    """sqrt(v_k) psi~(k): the integrand weight of a packet's winding images."""
+    return lambda k: np.sqrt(k / np.hypot(mu, k)) * ls.momentum_profile(k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    massless=st.booleans(),
+    mu=st.floats(1.0, 60.0),
+    sigma=st.floats(0.05, 1.0),
+    p_sigma=st.floats(2.0, 30.0),  # below 8 the window is clipped at k = 0
+    t=st.floats(0.0, 25.0),
+    offset=st.floats(-2.0, 2.0),
+    partner=st.booleans(),
+)
+def test_line_quadrature_matches_scalar_quad(massless, mu, sigma, p_sigma, t, offset,
+                                             partner):
+    # every winding image of a packet against the scalar scipy quad reference,
+    # within that reference's own convergence gate max(1e-10, 100 rel_tol |value|)
+    mu = 0.0 if massless else mu
+    p = p_sigma / sigma
+    ls = LineState(p=p, sigma=sigma, family="gaussian-times-x" if partner else "gaussian")
+    k_lo, k_hi = max(0.0, p - 8.0 / sigma), p + 8.0 / sigma
+    x = p / math.hypot(mu, p) * t + offset + 2.0 * math.pi * np.arange(-1, 2)
+    got, gap = _line_quadrature(x, t, mu, _packet_weight(ls, mu), k_lo, k_hi)
+    want = np.array([line_arrival_amp(xi, t, mu, profile=ls.momentum_profile,
+                                      k_range=(k_lo, k_hi)) for xi in x])
+    assert got.shape == gap.shape == x.shape
+    assert np.all(np.abs(got - want) <= np.maximum(1e-10, 1e-8 * np.abs(want)))
+    assert np.all(gap <= np.maximum(1e-10, 1e-8 * np.abs(got)))
+
+
+def test_bare_massive_image_matches_scalar_quad():
+    # sqrt(v_k) ~ sqrt(k) at the k = 0 end (graded panel) and the taper edge
+    ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
+    phi, t = 0.5, 12.0
+    taper = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max))
+    want = ms.r * line_arrival_amp((phi + 2.0 * math.pi) * ms.r, t, ms.mu,
+                                   k_range=(0.0, ms.m_max / ms.r), rel_tol=1e-8,
+                                   taper=taper, limit=2000)
+    got = amp_poisson(ms, t, phi, state=None, windings=[1])
+    assert abs(got - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("caller", ["images", "bare", "qsymbol", "gaussian_line"])
+def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
+    # 8 panels over hundreds of radians of phase: the n and 2n rules disagree
+    monkeypatch.setattr(states, "_PANEL_PHASE", 1e9)
+    with pytest.raises(QuadratureError):
+        if caller == "images":
+            amp_poisson(MS0, 9.0, 0.3, state=coherent_state(MS0, COH))
+        elif caller == "bare":
+            amp_poisson(ModeSpace(mu=40.0, r=1.0, m_max=400), 12.0, 0.5, windings=[1])
+        elif caller == "qsymbol":
+            qsymbol(MS0, COH, 9.0, 0.3, method="images")
+        else:
+            gaussian_line(LineState(p=20.0, sigma=0.2), 30.0, t=20.0, mu=5.0)
+
+
+def test_oracle_never_calls_scalar_quad(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad called")
+
+    for owner in (scipy.integrate, amplitudes, probability):
+        monkeypatch.setattr(owner, "quad", refuse)
+    st_ = coherent_state(MS0, COH)
+    amp_poisson(MS0, np.array([3.5, 9.0]), 0.3, state=st_)
+    amp_poisson(ModeSpace(mu=40.0, r=1.0, m_max=400), 12.0, 0.5, windings=[1])
+    qsymbol(MS0, COH, 9.0, np.array([0.2, 0.3]), method="images")
+    gaussian_line(LineState(p=20.0, sigma=1.0), 5.0, t=5.0, mu=3.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1000.0])
+def test_oracle_against_30_digit_lattice_sum(mu):
+    # the image positions and carrier phases (~1e5 rad) are exact, so the
+    # oracle is held to 1e-12 of the peak: below the mode sum's own roundoff
+    ms = ModeSpace(mu=mu, r=1.0, m_max=1130)
+    cp = CoherentParams(theta=0.3, xi=1000.0, alpha=10.0)
+    st_ = coherent_state(ms, cp)
+    v = cp.xi / math.hypot(mu, cp.xi)
+    t = np.array([17.0, 17.0, 80.0, 80.0])
+    phi = (cp.theta + v * t + np.array([0.0, 0.4, 0.0, 0.4])) % (2.0 * math.pi)
+    with mpmath.workdps(30):
+        c, alpha, xi = mpmath.mpf(coherent_norm(cp.xi, cp.alpha)), cp.alpha, cp.xi
+        want = np.array([complex(mpmath.fsum(
+            c * mpmath.exp(-(m - xi) ** 2 / (2 * alpha**2))
+            * mpmath.sqrt(m / mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2))
+            * mpmath.expj(m * (mpmath.mpf(p_) - cp.theta)
+                          - mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2) * mpmath.mpf(t_))
+            for m in range(int(xi - 14 * alpha), int(xi + 14 * alpha) + 1)))
+            for t_, p_ in zip(t, phi)])
+    got = amp_poisson(ms, t, phi, state=st_)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))

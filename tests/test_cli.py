@@ -165,6 +165,9 @@ CLOCK_NO_M_MAX = {**CLOCK_CFG, "params": {k: v for k, v in CLOCK_CFG["params"].i
     pytest.param(QSYMBOL_CFG, None, "times", [5], id="times-not-object"),
     pytest.param(CLOCK_NO_M_MAX, "params", "xi", math.inf, id="xi-infinite"),
     pytest.param(NOISE_CFG, "env", "RINGTOA_THREADS", "abc", id="threads-env"),
+    pytest.param(QSYMBOL_CFG, None, "times", [{"t": "abc"}], id="times-value-string"),
+    pytest.param(NOISE_CFG, "params", "a_values", [0.5, True], id="a-values-bool"),
+    pytest.param(NOISE_CFG, "params", "a_values", [0.5, math.inf], id="a-values-infinite"),
 ])
 def test_run_malformed_setting_exit_2(tmp_path, capsys, monkeypatch, cfg, block, key, value):
     # a malformed setting is a config error (exit 2 with a message naming

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,18 @@ def test_gaussian_line_massless_rigid_translation():
     assert abs(moved) == pytest.approx(abs(ref), rel=1e-9)
     # and not just in modulus: the phase is the free massless phase
     assert moved == pytest.approx(ref * np.exp(-0j), rel=1e-6) or True
+
+
+def test_gaussian_line_massless_window_across_zero():
+    # omega_k = |k| has a kink at k = 0 inside the p ± 8/sigma window
+    ls = LineState(p=1.0, sigma=1.0)
+    x, t = 2.0, 3.0
+    with mpmath.workdps(30):
+        ref = mpmath.quad(
+            lambda k: complex(ls.momentum_profile(float(k))) * mpmath.expj(k * x - abs(k) * t),
+            [-7, 0, 9])
+    want = complex(ref) / math.sqrt(2.0 * math.pi)
+    assert abs(gaussian_line(ls, x, t=t, mu=0.0) - want) < 1e-13
 
 
 def test_spread_at_time_basics():
