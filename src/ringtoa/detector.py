@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from .amplitudes import _CHUNK_BUDGET
 from .errors import DomainError, SupportError, UnphysicalKernelError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega
 from .specfun import sinc
@@ -243,8 +244,9 @@ class LocalizationMatrix:
     """Localization operator matrix over the mode lattice.
 
     ``on_support`` marks modes where the on-shell kernel is positive; rows
-    and columns outside support are zero.  ``is_max_localization`` is set
-    when every supported entry equals 1, enabling factorized fast paths.
+    and columns outside support are zero.  ``is_max_localization`` is
+    computed on each access by a bounded scan: true when every supported
+    entry equals 1, which enables the factorized fast paths.
     """
 
     modespace: ModeSpace
@@ -254,9 +256,24 @@ class LocalizationMatrix:
 
     @property
     def is_max_localization(self) -> bool:
+        # row chunks of about _CHUNK_BUDGET entries, views of the bounding
+        # box of the support; entries off support are masked, not copied out
         sup = self.on_support
-        block = self.matrix[np.ix_(sup, sup)]
-        return bool(block.size) and bool(np.all(block == 1.0))
+        idx = np.flatnonzero(sup)
+        if not idx.size:
+            return False
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        cols = sup[lo:hi]
+        gaps = not cols.all()
+        rows = max(1, _CHUNK_BUDGET // (hi - lo))
+        for i in range(lo, hi, rows):
+            j = min(i + rows, hi)
+            ok = self.matrix[i:j, lo:hi] == 1.0
+            if gaps:
+                ok |= ~(sup[i:j, None] & cols[None, :])
+            if not ok.all():
+                return False
+        return True
 
     def require_support(self, occupation: np.ndarray, tol: float = 1e-14):
         """Raise SupportError if the state occupies unsupported modes."""
@@ -299,53 +316,63 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     exceeds 1 anywhere on support are rejected as unphysical.
 
     For the analytic families the energy dependence of the ratio cancels in
-    the exponent before any arithmetic, so maximum localization comes out as
-    exactly 1.0 (statically and in rotation).
+    the exponent, so the accepted matrices are exactly the support indicator
+    (maximum localization, statically and in rotation): it is written in one
+    pass, with no n x n temporaries.
     """
     m = ms.modes().astype(float)
     if frame is not None and frame.modespace != ms:
         raise DomainError("frame built over a different mode space")
 
-    if dk.family == "max-localization":
-        # ratio = exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r); gamma0 cancels
-        p = dk.params
+    if dk.family in ("max-localization", "ring-exponential"):
         sup = _kernel_support(dk, ms)
-        gap = np.abs(0.5 * (m[:, None] + m[None, :])) - 0.5 * (
-            np.abs(m)[:, None] + np.abs(m)[None, :]
-        )
-        L = np.where(sup[:, None] & sup[None, :],
-                     np.exp(-(p["gamma1"] / ms.r) * gap), 0.0)
-    elif dk.family == "ring-exponential":
-        # exp(-a r omega) cancels exactly; support is the m > 0 sector
-        sup = _kernel_support(dk, ms)
-        L = np.where(sup[:, None] & sup[None, :], 1.0, 0.0)
-    else:
-        if frame is None:
-            energies = omega(ms, m)
-        else:
-            energies = rotating_omega(frame, m)
-        mid_m = 0.5 * (m[:, None] + m[None, :])
-        mid_w = 0.5 * (energies[:, None] + energies[None, :])
-        logs = np.asarray(dk.log_raw(energies, m, r=ms.r))
-        sup = logs > 0.25 * DetectorKernel._LOG_FLOOR
-        if frame is None:
-            sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
-        log_mid = np.asarray(dk.log_raw(mid_w, mid_m, r=ms.r))
-        expo = log_mid - 0.5 * (logs[:, None] + logs[None, :])
-        pair = sup[:, None] & sup[None, :]
-        with np.errstate(over="ignore"):
-            L = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),
-                         np.exp(np.where(pair, expo, 0.0)), 0.0)
+        _check_upper(_analytic_max(dk, ms))
+        # these supports are the tails m >= -m_max or m > 0 of the lattice
+        lo = int(np.argmax(sup))
+        L = np.zeros((m.size, m.size))
+        L[lo:, lo:] = 1.0
+        return LocalizationMatrix(ms, L, sup, frame=frame)
 
+    energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
+    mid_m = 0.5 * (m[:, None] + m[None, :])
+    mid_w = 0.5 * (energies[:, None] + energies[None, :])
+    logs = np.asarray(dk.log_raw(energies, m, r=ms.r))
+    sup = logs > 0.25 * DetectorKernel._LOG_FLOOR
+    if frame is None:
+        sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
+    log_mid = np.asarray(dk.log_raw(mid_w, mid_m, r=ms.r))
+    expo = log_mid - 0.5 * (logs[:, None] + logs[None, :])
+    pair = sup[:, None] & sup[None, :]
+    with np.errstate(over="ignore"):
+        L = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),
+                     np.exp(np.where(pair, expo, 0.0)), 0.0)
     np.fill_diagonal(L, np.where(sup, 1.0, 0.0))
-    worst = float(L.max(initial=0.0))
+    _check_upper(float(L.max(initial=0.0)))
+    np.clip(L, 0.0, 1.0, out=L)
+    return LocalizationMatrix(ms, L, sup, frame=frame)
+
+
+def _analytic_max(dk: DetectorKernel, ms: ModeSpace) -> float:
+    """Largest entry of an analytic family's midpoint-ratio matrix, in O(1).
+
+    The ratio is exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r) on support
+    (ring-exponential: 1).  Pairs of equal sign give 1; a mixed-sign pair
+    gives exp(gamma1 min(|m|, |m'|)/r), largest at the corner (m_max,
+    -m_max), which only the non-chiral max-localization family supports.
+    """
+    if dk.family == "max-localization" and not dk.params["chiral"]:
+        # the same float products as the elementwise ratio at that corner
+        return float(np.exp(-(dk.params["gamma1"] / ms.r) * np.float64(-ms.m_max)))
+    return 1.0
+
+
+def _check_upper(worst: float):
+    """Raise UnphysicalKernelError if the matrix's largest entry exceeds 1."""
     if worst > 1.0 + L_UPPER_TOL:
         raise UnphysicalKernelError(
             f"localization matrix exceeds 1 (max {worst!r}): kernel violates "
             "positivity of probabilities"
         )
-    np.clip(L, 0.0, 1.0, out=L)
-    return LocalizationMatrix(ms, L, sup, frame=frame)
 
 
 @dataclass(frozen=True)

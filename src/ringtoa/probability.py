@@ -127,18 +127,30 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
         raise DomainError("localization matrix was built for a different frame")
     det.require_support(state.occupation())
 
-    if det.is_max_localization and state.is_pure and frame is None:
+    # L = 1 on support: a pure state's double sum is K |sum_m psi_m w_m e^{...}|^2
+    factorized = state.is_pure and det.is_max_localization
+    if factorized and frame is None:
         return _density(ms, amp_state(state, ms, t, phi))
 
     m = ms.modes()
     freq = omega(ms, m) if frame is None else rotating_omega(frame, m)
     w = np.sqrt(np.abs(_velocities(ms, m, frame)))
-    rho = state.density_matrix()
-    kernel = rho * det.matrix * np.outer(w, w)
-    # prune empty rows/columns before forming the phase matrix
+    if factorized:
+        return _density(ms, _mode_sum(state.coeffs * w, m.astype(float), freq, t, phi))
+
+    # the kernel on the occupied, supported block with w > 0; entries outside
+    # it are zero, so pruning its empty rows gives the full kernel's active set
+    blk = np.flatnonzero(state.occupied() & det.on_support & (w > 0.0))
+    if state.is_pure:
+        c = state.coeffs[blk]
+        rho = np.outer(c, c.conj())
+    else:
+        rho = state.rho[np.ix_(blk, blk)]
+    wb = w[blk]
+    kernel = rho * det.matrix[np.ix_(blk, blk)] * np.outer(wb, wb)
     active = np.any(np.abs(kernel) > 0.0, axis=1)
     kernel = kernel[np.ix_(active, active)]
-    ma, wa = m[active].astype(float), freq[active]
+    ma, wa = m[blk][active].astype(float), freq[blk][active]
 
     def fill(tf, pf):
         vals = np.empty(tf.size, dtype=complex)

@@ -39,6 +39,9 @@ __all__ = [
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
+# largest occupied block of a density matrix that RingState eigenchecks for
+# positivity (O(k^3)); above it the check is skipped with a warning
+EIGENCHECK_MAX_MODES = 2049
 
 # Line quadrature (see _line_quadrature): a Gauss-Legendre panel rule on
 # [-1, 1].  The nodes must stay non-uniform: a uniform rule with step 1/r in
@@ -158,12 +161,19 @@ class RingState:
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:
                 raise StateError(f"rho trace must be 1, got {tr!r}")
-            # full eigencheck only at sizes where it is cheap
-            if n <= 2049:
-                lo = float(np.linalg.eigvalsh(rho)[0])
+            object.__setattr__(self, "rho", rho)
+            # rows and columns outside the occupied block are zero, so the
+            # block carries every eigenvalue of rho that is not 0
+            occ = self.occupied()
+            k = int(np.count_nonzero(occ))
+            if k > EIGENCHECK_MAX_MODES:
+                warnings.warn(
+                    f"rho positivity check skipped: occupied block of {k} modes "
+                    f"exceeds {EIGENCHECK_MAX_MODES}", stacklevel=3)
+            else:
+                lo = float(np.linalg.eigvalsh(rho[np.ix_(occ, occ)])[0])
                 if lo < -1e-10:
                     raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})")
-            object.__setattr__(self, "rho", rho)
         if self.source_localized:
             k0 = self.modespace.m_max
             occ0 = (
@@ -183,6 +193,13 @@ class RingState:
         if self.rho is not None:
             return self.rho
         return np.outer(self.coeffs, self.coeffs.conj())
+
+    def occupied(self) -> np.ndarray:
+        """Modes whose row or column of rho holds a non-zero entry."""
+        if self.coeffs is not None:
+            return self.coeffs != 0
+        nz = self.rho != 0
+        return nz.any(axis=0) | nz.any(axis=1)
 
     def occupation(self) -> np.ndarray:
         """Diagonal rho(m, m) as a real array over the lattice."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     DetectorKernel,
@@ -239,3 +240,141 @@ def test_kernel_support_is_the_matrix_support(dk):
     else:
         with pytest.raises(SupportError):
             _require_support(MS, _kernel_support(dk, MS), occ)
+
+
+# -- analytic families against the elementwise midpoint ratio ---------------
+
+
+def _reference_analytic(dk, ms):
+    """The midpoint-ratio matrix of an analytic family, entry by entry.
+
+    The gap formula ratio = exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r) on
+    support (ring-exponential: 1), its diagonal, the upper check and the clip:
+    returns (L, on_support), or the message of the UnphysicalKernelError.
+    """
+    m = ms.modes().astype(float)
+    sup = _kernel_support(dk, ms)
+    if dk.family == "max-localization":
+        gap = np.abs(0.5 * (m[:, None] + m[None, :])) - 0.5 * (
+            np.abs(m)[:, None] + np.abs(m)[None, :]
+        )
+        with np.errstate(over="ignore"):
+            L = np.where(sup[:, None] & sup[None, :],
+                         np.exp(-(dk.params["gamma1"] / ms.r) * gap), 0.0)
+    else:
+        L = np.where(sup[:, None] & sup[None, :], 1.0, 0.0)
+    np.fill_diagonal(L, np.where(sup, 1.0, 0.0))
+    worst = float(L.max(initial=0.0))
+    if worst > 1.0 + 1e-12:
+        return f"localization matrix exceeds 1 (max {worst!r})"
+    np.clip(L, 0.0, 1.0, out=L)
+    return L, sup
+
+
+def _assert_matches_reference(dk, ms, frame=None):
+    want = _reference_analytic(dk, ms)
+    if isinstance(want, str):
+        with np.errstate(over="ignore"), pytest.raises(UnphysicalKernelError) as err:
+            localization_matrix(dk, ms, frame=frame)
+        assert str(err.value).startswith(want + ":")
+        return
+    got = localization_matrix(dk, ms, frame=frame)
+    np.testing.assert_array_equal(got.matrix, want[0], strict=True)
+    np.testing.assert_array_equal(got.on_support, want[1], strict=True)
+    assert got.frame == frame
+    # accepted analytic matrices are exactly the support indicator
+    np.testing.assert_array_equal(got.matrix, np.outer(want[1], want[1]).astype(float))
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 9, 400])
+@pytest.mark.parametrize("r", [1.0, 2.5])
+@pytest.mark.parametrize("dk", [
+    DetectorKernel.max_localization(),
+    DetectorKernel.max_localization(gamma0=0.7),
+    DetectorKernel.max_localization(gamma0=0.2, gamma1=0.5),
+    DetectorKernel.max_localization(gamma1=3.0),  # max overflows to inf at m_max 400
+    DetectorKernel.max_localization(gamma1=1e-16),  # tiny: passes the check
+    DetectorKernel.max_localization(gamma1=1e-14),  # passes below m_max 100 r
+    DetectorKernel.max_localization(gamma0=0.4, gamma1=0.9, chiral=True),
+    DetectorKernel.max_localization(gamma1=1e-16, chiral=True),
+    DetectorKernel.ring_exponential(a=0.8),
+    DetectorKernel.ring_exponential(a=2.0, A=3.0),
+], ids=["flat", "gamma0", "gamma1", "gamma1-huge", "gamma1-tiny", "gamma1-small",
+        "chiral", "chiral-tiny", "ring-exp", "ring-exp-A"])
+@pytest.mark.parametrize("omega_d", [None, 0.3])
+def test_analytic_localization_matches_midpoint_ratio(dk, m_max, r, omega_d):
+    ms = ModeSpace(mu=1.5, r=r, m_max=m_max)
+    frame = None if omega_d is None else RotationFrame(omega_d=omega_d / r, modespace=ms)
+    _assert_matches_reference(dk, ms, frame)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_gamma1=st.floats(-17.0, 1.0), m_max=st.integers(1, 60),
+       r=st.floats(0.3, 4.0), chiral=st.booleans())
+def test_analytic_localization_raise_threshold_matches(log_gamma1, m_max, r, chiral):
+    # raise condition and reported maximum near the 1 + 1e-12 threshold
+    dk = DetectorKernel.max_localization(gamma1=10.0**log_gamma1, chiral=chiral)
+    _assert_matches_reference(dk, ModeSpace(mu=0.0, r=r, m_max=m_max))
+
+
+def test_analytic_localization_traced_peak_is_the_matrix():
+    import tracemalloc
+
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=1000)
+    dk = DetectorKernel.max_localization()
+    tracemalloc.start()
+    try:
+        L = localization_matrix(dk, ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * L.matrix.nbytes
+
+
+# -- the maximum-localization flag on hand-built matrices -------------------
+
+
+def _flag_reference(L):
+    sup = L.on_support
+    block = L.matrix[np.ix_(sup, sup)]
+    return bool(block.size) and bool(np.all(block == 1.0))
+
+
+def _hand_built(n_max=5, support=(-4, -3, -1, 2, 3, 5)):
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=n_max)
+    sup = np.isin(ms.modes(), support)
+    mat = np.full((sup.size, sup.size), 0.25)
+    mat[np.ix_(sup, sup)] = 1.0
+    return ms, sup, mat
+
+
+def test_is_max_localization_non_contiguous_support():
+    from ringtoa.detector import LocalizationMatrix
+
+    ms, sup, mat = _hand_built()
+    assert LocalizationMatrix(ms, mat, sup).is_max_localization
+    # entries off the support are ignored, whatever they hold
+    mat[~sup, :] = 1.0
+    mat[0, 1] = 7.0
+    assert LocalizationMatrix(ms, mat, sup).is_max_localization
+    assert not LocalizationMatrix(ms, mat, np.zeros_like(sup)).is_max_localization
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 13, 10**9])
+def test_is_max_localization_one_ulp_below_one(monkeypatch, budget):
+    # every supported entry is scanned, at every chunk edge
+    from ringtoa import detector
+    from ringtoa.detector import LocalizationMatrix
+
+    monkeypatch.setattr(detector, "_CHUNK_BUDGET", budget)
+    below = np.nextafter(1.0, 0.0)
+    for support in ((-4, -3, -1, 2, 3, 5), tuple(range(-5, 6)), (1, 2, 3, 4, 5), (0,), ()):
+        ms, sup, mat = _hand_built(support=support)
+        # an empty support is not maximum localization
+        assert LocalizationMatrix(ms, mat, sup).is_max_localization == bool(sup.any())
+        for i, j in np.argwhere(np.ones_like(mat, dtype=bool)):
+            bad = mat.copy()
+            bad[i, j] = below
+            L = LocalizationMatrix(ms, bad, sup)
+            expect = bool(sup.any()) and not (sup[i] and sup[j])
+            assert L.is_max_localization == _flag_reference(L) == expect

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
@@ -139,6 +140,92 @@ def test_pc_density_rotating_matches_split_representation():
     d_plus, d_minus = amp_rotating_split(sym, rf, t, 0.0)
     p_split = np.abs(d_plus + d_minus) ** 2 / (2.0 * math.pi)
     assert np.max(np.abs(p_eq - p_split)) / p_split.max() < 1e-5
+
+
+def test_pc_density_static_factorized_is_the_amplitude_density():
+    from ringtoa.probability import _density
+
+    st = coherent_state(MS0, COH)
+    rng = np.random.default_rng(3)
+    t, phi = np.sort(rng.uniform(0.0, 9.0, 257)), rng.uniform(0.0, 2.0 * math.pi, 257)
+    np.testing.assert_array_equal(pc_density(st, max_loc(MS0), t, phi),
+                                  _density(MS0, amp_state(st, MS0, t, phi)), strict=True)
+
+
+def _double_sum(state, det, t, phi, frame=None):
+    """pc_density's general double sum with the factorized path switched off."""
+    from ringtoa.detector import LocalizationMatrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LocalizationMatrix, "is_max_localization", property(lambda self: False))
+        return pc_density(state, det, t, phi, frame=frame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.sampled_from([0.0, 0.7, 25.0]), r=st.floats(0.5, 3.0),
+       omega_d_r=st.floats(-0.95, 0.95), family=st.sampled_from(["max", "chiral", "ring-exp"]),
+       lo=st.integers(-40, 40), width=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 40))
+def test_pc_density_rotating_factorized_matches_double_sum(mu, r, omega_d_r, family, lo,
+                                                           width, seed, n):
+    # the rotating factorized path against the general double sum, forced
+    rng = np.random.default_rng(seed)
+    ms = ModeSpace(mu=mu, r=r, m_max=40)
+    dk = {"max": DetectorKernel.max_localization(gamma0=0.3),
+          "chiral": DetectorKernel.max_localization(gamma1=0.5, chiral=True),
+          "ring-exp": DetectorKernel.ring_exponential(a=0.9)}[family]
+    if family != "max":
+        lo = max(lo, 1)  # these detectors see only m > 0
+    modes = range(lo, min(lo + width, 41))
+    st_ = from_modes(ms, {m: complex(*rng.normal(size=2)) for m in modes})
+    rf = RotationFrame(omega_d=omega_d_r / r, modespace=ms)
+    det = localization_matrix(dk, ms, frame=rf)
+    assert det.is_max_localization
+    t, phi = rng.uniform(-5.0, 40.0, n), rng.uniform(-4.0, 10.0, n)
+    got = pc_density(st_, det, t, phi, frame=rf)
+    want = _double_sum(st_, det, t, phi, frame=rf)
+    peak = max(float(np.max(np.abs(want))), 1e-300)
+    assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+
+def _full_kernel_sum(state, det, t, phi):
+    """The general double sum as it was first written: the full n x n kernel, pruned."""
+    from ringtoa.amplitudes import _velocities
+    from ringtoa.modes import omega
+    from ringtoa.probability import _k_norm
+
+    ms = state.modespace
+    m = ms.modes()
+    freq = omega(ms, m)
+    w = np.sqrt(np.abs(_velocities(ms, m)))
+    kernel = state.density_matrix() * det.matrix * np.outer(w, w)
+    active = np.any(np.abs(kernel) > 0.0, axis=1)
+    kernel = kernel[np.ix_(active, active)]
+    ma, wa = m[active].astype(float), freq[active]
+    u = np.exp(1j * (ma[:, None] * phi[None, :] - wa[:, None] * t[None, :]))
+    vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+    return _k_norm(ms) * vals.real
+
+
+def test_pc_density_general_sum_on_the_occupied_block_is_exact():
+    # pruning before the kernel is formed changes no bit of the result
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=60)
+    grid_w = np.linspace(0.0, 80.0, 2)
+    grid_m = np.linspace(-61.0, 61.0, 245)
+    logs = np.zeros(2)[:, None] + (0.01 * grid_m**2)[None, :]
+    custom = localization_matrix(DetectorKernel.tabulated(grid_w, grid_m, logs, log_values=True), ms)
+    ring = localization_matrix(DetectorKernel.ring_exponential(a=0.5), ms)
+    a = from_modes(ms, {m: 1.0 + 0.1j * m for m in range(-12, 30, 3)})
+    b = from_modes(ms, {0: 0.3, 5: 1.0, 44: 0.5j})
+    c = from_modes(ms, {m: 1.0 / m for m in range(1, 50, 2)})
+    mixed = RingState(ms, rho=0.7 * a.density_matrix() + 0.3 * b.density_matrix())
+    mixed_pos = RingState(ms, rho=0.5 * c.density_matrix() + 0.5 * from_modes(
+        ms, {6: 1.0, 44: 0.5j}).density_matrix())
+    rng = np.random.default_rng(11)
+    t, phi = rng.uniform(0.0, 30.0, 301), rng.uniform(0.0, 2.0 * math.pi, 301)
+    for state, det in ((mixed, custom), (a, custom), (mixed_pos, ring)):
+        np.testing.assert_array_equal(pc_density(state, det, t, phi),
+                                      _full_kernel_sum(state, det, t, phi), strict=True)
 
 
 def test_pc_density_support_violation():

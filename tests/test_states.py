@@ -18,6 +18,7 @@ from ringtoa import (
     spread_at_time,
     symmetric_superposition,
 )
+from ringtoa import states
 from ringtoa.states import state_from_spec
 from ringtoa.errors import CutoffError, StateError
 
@@ -280,3 +281,31 @@ def test_ring_state_validation():
     c[3] = 1.0
     with pytest.raises(StateError):
         RingState(ms, coeffs=c, source_localized=True)
+
+
+def _two_mode_rho(n, i, j, off):
+    """rho with 1/2 on modes i and j and off-diagonal off (PSD iff |off| <= 1/2)."""
+    rho = np.zeros((n, n), dtype=complex)
+    rho[i, i] = rho[j, j] = 0.5
+    rho[i, j] = rho[j, i] = off
+    return rho
+
+
+def test_ring_state_eigencheck_runs_on_the_occupied_block():
+    # a lattice larger than the cap, occupied on two modes: the block is checked
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=1025)
+    n = 2 * ms.m_max + 1
+    assert n > 2049
+    RingState(ms, rho=_two_mode_rho(n, 10, 2000, 0.5))
+    with pytest.raises(StateError, match="positive semidefinite"):
+        RingState(ms, rho=_two_mode_rho(n, 10, 2000, 0.9))
+
+
+def test_ring_state_eigencheck_skip_warns(monkeypatch):
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=3)
+    bad = _two_mode_rho(7, 1, 5, 0.9)
+    with pytest.raises(StateError):
+        RingState(ms, rho=bad)
+    monkeypatch.setattr(states, "EIGENCHECK_MAX_MODES", 1)
+    with pytest.warns(UserWarning, match="positivity check skipped: occupied block of 2"):
+        RingState(ms, rho=bad)
