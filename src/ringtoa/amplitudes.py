@@ -37,6 +37,7 @@ from .states import (
     CoherentParams,
     LineProfileOnRing,
     LineState,
+    _CHUNK_BUDGET,
     RingState,
     _line_quadrature,
     spread_at_time,
@@ -50,9 +51,6 @@ __all__ = [
     "amp_rotating_split",
     "line_arrival_amp",
 ]
-
-# modes x points budget for the phase matrices held at once
-_CHUNK_BUDGET = 4_000_000
 
 # Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
 # n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of
@@ -327,13 +325,22 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
     """Poisson-resummed amplitude: sum of line-theory winding images.
 
     With a state (built from coherent parameters or a line profile), each
-    image is the quadrature amplitude of the corresponding continuum packet;
-    without one, the bare tapered amplitude is resummed with the same taper
-    as amp_ring.  Images are included until the neglected ones carry less
-    than ~1e-12 of the packet weight; an explicit ``windings`` sequence
-    overrides that window unchecked (single-image analysis and the like).
+    image is the quadrature amplitude of the corresponding continuum packet.
+    Images are included until the neglected ones carry less than ~1e-12 of
+    the packet weight; an explicit ``windings`` sequence overrides that
+    window unchecked (single-image analysis and the like).
+
+    Without a state, ``windings`` is required: the sum runs over the listed
+    images of the bare amplitude, tapered as in amp_ring, and nothing else.
+    That sum is not amp_ring resummed: at mu = 0 the images decay only like
+    1/x, and the weight's jump at k = 0 adds a half-term the mode sum lacks.
     """
     if state is None:
+        if windings is None:
+            raise DomainError(
+                "the bare amplitude (state=None) needs explicit windings: "
+                "its images do not resum amp_ring's series"
+            )
         # the taper is only C^1 at its edge: integrate either side of it
         k_edge, k_hi = (1.0 - taper_frac) * ms.m_max / ms.r, ms.m_max / ms.r
         bare_tol = max(rel_tol, 1e-8)
@@ -342,10 +349,7 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
             return _root_speed(k, ms.mu) * taper_window(k * ms.r, ms.m_max, taper_frac)
 
         def bare(ti, pi_):
-            ns = windings if windings is not None else range(
-                -2, int((ti / ms.r - pi_) / (2 * math.pi)) + 3
-            )
-            x = _winding_positions(pi_, 0.0, ns, ms.r)
+            x = _winding_positions(pi_, 0.0, windings, ms.r)
             parts = [_line_quadrature(x, ti, ms.mu, weight, lo, hi)
                      for lo, hi in ((0.0, k_edge), (k_edge, k_hi)) if hi > lo]
             vals, gap = sum(v for v, _ in parts), sum(g for _, g in parts)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import find_peaks, peak_widths
 
 from .amplitudes import _arithmetic_step
 from .errors import TickError
@@ -47,9 +45,11 @@ def cumulative(t: np.ndarray, density: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     density = np.asarray(density, dtype=float)
-    if t.ndim != 1 or t.shape != density.shape:
-        raise TickError("t and density must be matching 1-D arrays")
-    return cumulative_trapezoid(density, t, initial=0.0)
+    if t.ndim != 1 or t.shape != density.shape or t.size == 0:
+        raise TickError("t and density must be matching non-empty 1-D arrays")
+    # scipy's cumulative_trapezoid(density, t, initial=0), operation for operation
+    steps = np.diff(t) * (density[1:] + density[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def extract_ticks(t: np.ndarray, density: np.ndarray,
@@ -68,10 +68,9 @@ def extract_ticks(t: np.ndarray, density: np.ndarray,
     peak = float(density.max(initial=0.0))
     if peak <= 0:
         raise TickError("no ticks found: density vanishes")
-    idx, _ = find_peaks(density, prominence=prominence_frac * peak)
+    idx, _, _, _, widths_samples = _prominent_peaks(density, prominence_frac * peak)
     if idx.size == 0:
         raise TickError("no ticks found above the prominence threshold")
-    widths_samples = peak_widths(density, idx, rel_height=0.5)[0]
     widths = widths_samples * dt
 
     bounds = np.empty(idx.size + 1, dtype=int)
@@ -85,6 +84,61 @@ def extract_ticks(t: np.ndarray, density: np.ndarray,
         for j in range(idx.size)
     ])
     return TickTrain(times=t[idx], weights=weights, widths=widths, grid_step=dt)
+
+
+def _prominent_peaks(x: np.ndarray, min_prominence: float):
+    """Peaks of x with prominence >= min_prominence, and their half-height widths.
+
+    Returns (peaks, prominences, left_bases, right_bases, widths), bit-equal to
+    scipy.signal's find_peaks(x, prominence=min_prominence) followed by
+    peak_prominences and peak_widths(rel_height=0.5): the same definitions
+    in the same floating-point operations.  A peak is a sample, or the
+    midpoint of a plateau, above both neighbors (never the first or last
+    sample).  Its bases are the minima nearest to it on either side, up to
+    the next higher sample; its widths are in samples, between the linearly
+    interpolated crossings of half the prominence below it.  A NaN in x
+    makes its minimum NaN, and no peak passes.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    # runs of equal samples: run k spans s[k]..s[k+1]-1 (the first and last
+    # runs touch the ends, so neither holds a peak)
+    s = np.flatnonzero(x[1:] != x[:-1]) + 1
+    v = x[s]
+    top = (x[s[:-1] - 1] < v[:-1]) & (v[1:] < v[:-1])
+    cand = (s[:-1][top] + s[1:][top] - 1) // 2
+    # a prominence never exceeds x[p] - min(x), so this drops no peak that
+    # could pass, and the loop visits the ticks, not every local maximum
+    cand = cand[x[cand] - x.min() >= min_prominence]
+    rows = []
+    for p in cand:
+        xp = x[p]
+        # the bases' scans stop at the nearest higher samples (up[p] is False)
+        up = ~(x <= xp)
+        j = int(up[p::-1].argmax())
+        lo = p - j + 1 if j else 0
+        j = int(up[p:].argmax())
+        hi = p + j if j else n
+        left = p - int(np.argmin(x[lo:p + 1][::-1]))
+        right = p + int(np.argmin(x[p:hi]))
+        prom = xp - max(x[left], x[right])
+        if prom < min_prominence:
+            continue
+        height = xp - prom * 0.5
+        # half-height crossings, walked outward from the peak (a few samples)
+        i = p
+        while i > left and height < x[i]:
+            i -= 1
+        left_ip = i + (height - x[i]) / (x[i + 1] - x[i]) if x[i] < height else float(i)
+        i = p
+        while i < right and height < x[i]:
+            i += 1
+        right_ip = i - (height - x[i]) / (x[i - 1] - x[i]) if x[i] < height else float(i)
+        rows.append((p, prom, left, right, right_ip - left_ip))
+    peaks, proms, lefts, rights, widths = zip(*rows) if rows else ((),) * 5
+    return (np.array(peaks, dtype=np.intp), np.array(proms, dtype=float),
+            np.array(lefts, dtype=np.intp), np.array(rights, dtype=np.intp),
+            np.array(widths, dtype=float))
 
 
 @dataclass(frozen=True)

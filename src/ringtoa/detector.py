@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .amplitudes import _CHUNK_BUDGET
 from .errors import DomainError, SupportError, UnphysicalKernelError
@@ -104,6 +103,9 @@ class DetectorKernel:
             with np.errstate(divide="ignore"):
                 logs = np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)),
                                 cls._LOG_FLOOR)
+        # imported here, so that runs without a custom table never load it
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(
             (og, mg), logs, bounds_error=False, fill_value=cls._LOG_FLOOR
         )

@@ -39,6 +39,9 @@ __all__ = [
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
+# entries of the temporaries one chunked loop holds at once (modes x points
+# for the mode sums' phase matrices)
+_CHUNK_BUDGET = 4_000_000
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
 EIGENCHECK_MAX_MODES = 2049
@@ -156,7 +159,12 @@ class RingState:
             rho = np.asarray(self.rho, dtype=complex)
             if rho.shape != (n, n):
                 raise StateError(f"rho must have shape ({n},{n}), got {rho.shape}")
-            if not np.allclose(rho, rho.conj().T, atol=1e-12):
+            # row blocks against the conjugated column blocks: the comparison
+            # holds about 40 bytes of temporaries an entry, so a block of
+            # _CHUNK_BUDGET / 32 entries keeps them near 5 MB at any size
+            rows = max(1, _CHUNK_BUDGET // (32 * n))
+            if not all(np.allclose(rho[i:i + rows], rho[:, i:i + rows].conj().T, atol=1e-12)
+                       for i in range(0, n, rows)):
                 raise StateError("rho is not Hermitian")
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:

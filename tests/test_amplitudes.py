@@ -332,6 +332,14 @@ def test_bare_massive_image_matches_scalar_quad():
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
+@pytest.mark.parametrize("mu", [0.0, 40.0])
+def test_bare_poisson_needs_explicit_windings(mu):
+    # no window of bare images reproduces amp_ring: at mu = 0 the default
+    # window gave -0.210-0.164j where amp_ring gives -0.541+0.359j
+    with pytest.raises(DomainError, match="windings"):
+        amp_poisson(ModeSpace(mu=mu, r=1.0, m_max=100), 3.0, 0.5)
+
+
 @pytest.mark.parametrize("caller", ["images", "bare", "qsymbol", "gaussian_line"])
 def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
     # 8 panels over hundreds of radians of phase: the n and 2n rules disagree

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
@@ -17,7 +23,10 @@ from ringtoa import (
     timescales,
     velocity,
 )
+from ringtoa.clock import _prominent_peaks
 from ringtoa.errors import TickError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def massless_density(n_periods=6, alpha=10.0, xi=1000.0, phi=math.pi):
@@ -172,3 +181,64 @@ def test_massive_clock_quality_bracket():
     # circulations, and their spacing turns erratic
     assert ticks.times.size < t[-1] / scales.tick
     assert q.spacing_jitter > ticks.grid_step
+
+
+# -- the numpy tick finder and trapezoid against scipy ----------------------
+
+
+@st.composite
+def peaky_densities(draw):
+    # plateaus and equal-height ties from repeated levels, peaks next to the
+    # edges from short leading and trailing runs, and a noise floor ~1e-16
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)),
+                         min_size=1, max_size=40))
+    x = np.repeat([float(level) for level, _ in runs], [k for _, k in runs])
+    x *= draw(st.sampled_from([1.0, 0.3, 1e-16]))
+    if draw(st.booleans()):
+        x += np.array(draw(st.lists(st.floats(0.0, 2e-16), min_size=x.size,
+                                    max_size=x.size)))
+    return x
+
+
+@settings(max_examples=250, deadline=None)
+@given(x=peaky_densities(), frac=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0]))
+def test_prominent_peaks_bit_equal_to_scipy(x, frac):
+    from scipy.signal import find_peaks, peak_widths
+
+    thr = frac * x.max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on zero prominences and widths
+        idx, props = find_peaks(x, prominence=thr)
+        widths = peak_widths(x, idx, rel_height=0.5)[0]
+    want = (idx, props["prominences"], props["left_bases"], props["right_bases"], widths)
+    got = _prominent_peaks(x, thr)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+       scale=st.sampled_from([1.0, 1e-16, 1e6]), seed=st.integers(0, 2**32 - 1))
+def test_cumulative_bit_equal_to_scipy(t, scale, seed):
+    from scipy.integrate import cumulative_trapezoid
+
+    t = np.sort(np.array(t))
+    y = np.random.default_rng(seed).random(t.size) * scale
+    got, want = cumulative(t, y), cumulative_trapezoid(y, t, initial=0.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (REPO / "configs").glob("*.json")))
+def test_shipped_config_run_loads_no_signal_stats_or_interpolate(tmp_path, config):
+    # -X importtime lists every module the process imported, to its exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ringtoa", "run",
+         str(REPO / "configs" / config), "--out", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "ringtoa.clock" in loaded
+    assert not loaded & {"scipy.signal", "scipy.stats", "scipy.interpolate"}

@@ -309,3 +309,60 @@ def test_ring_state_eigencheck_skip_warns(monkeypatch):
     monkeypatch.setattr(states, "EIGENCHECK_MAX_MODES", 1)
     with pytest.warns(UserWarning, match="positivity check skipped: occupied block of 2"):
         RingState(ms, rho=bad)
+
+
+def test_ring_state_hermiticity_check_in_bounded_memory():
+    import tracemalloc
+
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=1025)
+    n = 2 * ms.m_max + 1
+    tracemalloc.start()
+    try:
+        rho = _two_mode_rho(n, 10, 2000, 0.5)
+        RingState(ms, rho=rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rho.nbytes
+
+
+def _not_hermitian(ms, rho):
+    try:
+        RingState(ms, rho=rho)
+    except StateError as exc:
+        return "not Hermitian" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 9])
+def test_ring_state_hermiticity_blocks_miss_no_entry(monkeypatch, rows):
+    # one asymmetric entry at every position, so at every block boundary
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
+    n = 9
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 32 * n * rows)
+    rho = np.eye(n, dtype=complex) / n
+    assert not _not_hermitian(ms, rho)
+    for i in range(n):
+        for j in range(n):
+            bad = rho.copy()
+            bad[i, j] += 1e-3j if i == j else 1e-3
+            assert _not_hermitian(ms, bad), (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.integers(0, 8), j=st.integers(0, 8),
+       size=st.sampled_from([0.0, 5e-13, 2e-12, 1e-6, 1e-5, 1e-3, math.nan, math.inf]),
+       rows=st.integers(1, 9))
+def test_ring_state_hermiticity_is_allclose(i, j, size, rows):
+    # the blocked check accepts exactly what np.allclose(rho, rho^H) accepts
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
+    n = 9
+    rho = np.full((n, n), 0.01, dtype=complex) + 0.1 * np.eye(n)
+    rho[i, j] += size
+    want = not np.allclose(rho, rho.conj().T, atol=1e-12)
+    saved = states._CHUNK_BUDGET
+    states._CHUNK_BUDGET = 32 * n * rows
+    try:
+        assert _not_hermitian(ms, rho) == want
+    finally:
+        states._CHUNK_BUDGET = saved
