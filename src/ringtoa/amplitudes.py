@@ -66,6 +66,9 @@ _UNIFORM_ULPS = 8
 # 2 pi - float(2 pi): the second term of the image spacing (_winding_positions)
 _TWO_PI_LO = 2.4492935982947064e-16
 
+# unit roundoff of float64 (see _significant)
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _on_grid(t, phi, fill):
     """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
@@ -112,6 +115,18 @@ def _arithmetic_step(x: np.ndarray) -> float | None:
     return float(d) if float(np.max(np.abs(x - ideal))) <= tol else None
 
 
+def _significant(mag: np.ndarray) -> np.ndarray:
+    """Mask of the terms mag > u sum(mag) / nnz, u the unit roundoff, nnz the non-zeros.
+
+    The terms it drops are at most nnz, each at most u sum(mag) / nnz, and not
+    all of them (some term reaches the mean), so together they stay under
+    u sum(mag): inside the error bound gamma_n sum|c| of any n-term sum of
+    the same terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1).  Zeros are never kept; an all-zero input keeps nothing.
+    """
+    return mag > _UNIT_ROUNDOFF * mag.sum() / max(np.count_nonzero(mag), 1)
+
+
 def _dense_sum(c, mm, ww, tf, pf):
     """The reference evaluation: one complex exp per mode x point, chunked over modes."""
     out = np.zeros(tf.size, dtype=complex)
@@ -149,8 +164,10 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
 
     A flattened grid that is an arithmetic progression in both t and phi
     (either step may be 0) takes _blocked_sum, any other grid _dense_sum.
+    Either sums only the _significant terms, within u sum|coeffs| of the sum
+    over all of them.
     """
-    active = np.abs(coeffs) > 0.0
+    active = _significant(np.abs(coeffs))
     c, mm, ww = coeffs[active], m[active], freq[active]
 
     def fill(tf, pf):

@@ -344,7 +344,8 @@ def _run_noise(cfg, out_dir: Path, threads: int):
         write_csv(path, cols, _meta(cfg) | {"a": a, "method": curve.method})
         files.append(path)
     return {"outputs": files,
-            "truncation": {"eta_tail_bound": "auto-extended below 1e-12 of the sum"}}
+            "truncation": {"m_max_reached": max(c.m_max_reached for _, c in curves),
+                           "tail_over_sum": max(c.tail_over_sum for _, c in curves)}}
 
 
 def _run_sagnac(cfg, out_dir: Path, threads: int):

@@ -110,15 +110,18 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     # a prominence never exceeds x[p] - min(x), so this drops no peak that
     # could pass, and the loop visits the ticks, not every local maximum
     cand = cand[x[cand] - x.min() >= min_prominence]
+    xc = x[cand]
     rows = []
-    for p in cand:
+    for i, p in enumerate(cand):
         xp = x[p]
-        # the bases' scans stop at the nearest higher samples (up[p] is False)
-        up = ~(x <= xp)
-        j = int(up[p::-1].argmax())
-        lo = p - j + 1 if j else 0
-        j = int(up[p:].argmax())
-        hi = p + j if j else n
+        # the bases are the minima out to the nearest higher samples; the
+        # scans stop at the nearest higher candidates instead, which finds
+        # the same minima: x never dips below them in between, since the dip
+        # and the higher sample would enclose a higher peak nearer to p
+        higher = np.flatnonzero(xc > xp)
+        k = int(np.searchsorted(higher, i))
+        lo = cand[higher[k - 1]] + 1 if k else 0
+        hi = cand[higher[k]] if k < higher.size else n
         left = p - int(np.argmin(x[lo:p + 1][::-1]))
         right = p + int(np.argmin(x[p:hi]))
         prom = xp - max(x[left], x[right])

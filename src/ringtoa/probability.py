@@ -27,6 +27,7 @@ from .amplitudes import (
     _mode_sum,
     _on_grid,
     _pointwise,
+    _significant,
     _velocities,
     amp_state,
 )
@@ -138,8 +139,9 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     if factorized:
         return _density(ms, _mode_sum(state.coeffs * w, m.astype(float), freq, t, phi))
 
-    # the kernel on the occupied, supported block with w > 0; entries outside
-    # it are zero, so pruning its empty rows gives the full kernel's active set
+    # the kernel on the occupied, supported block with w > 0 (entries outside
+    # it are zero); dropping the rows and columns whose row sums of |K| fall
+    # under _significant changes the sum by at most 2 u sum|K|
     blk = np.flatnonzero(state.occupied() & det.on_support & (w > 0.0))
     if state.is_pure:
         c = state.coeffs[blk]
@@ -148,7 +150,7 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
         rho = state.rho[np.ix_(blk, blk)]
     wb = w[blk]
     kernel = rho * det.matrix[np.ix_(blk, blk)] * np.outer(wb, wb)
-    active = np.any(np.abs(kernel) > 0.0, axis=1)
+    active = _significant(np.abs(kernel).sum(axis=1))
     kernel = kernel[np.ix_(active, active)]
     ma, wa = m[blk][active].astype(float), freq[blk][active]
 

@@ -37,8 +37,8 @@ ETA_TAIL_TOL = 1e-12
 ETA_HARD_CAP = 2_000_000
 
 
-def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
-    """sum_m R(omega_m - m Omega_D, m) / omega_m with auto-extended cutoff.
+def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
+    """(sum, cutoff reached, tail bound / sum) of sum_m R(omega_m - m Omega_D, m) / omega_m.
 
     The kernel is evaluated at the literal rotating argument (no support
     clipping).  The cutoff grows until the geometric tail bound drops below
@@ -69,7 +69,7 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
             q = last / prev
             edge += last * q / (1.0 - q)
         if edge < ETA_TAIL_TOL * total:
-            return total
+            return total, m_max, edge / total
         if 2 * m_max > ETA_HARD_CAP:
             raise SeriesError(
                 f"eta tail bound {edge:.3e} still above tolerance at "
@@ -86,18 +86,23 @@ def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float,
     the ring-exponential family at mu = 0 this equals
     log(1 - e^(-a(1 - Omega_D r))) / log(1 - e^(-a)) analytically.
     """
-    x = omega_d * ms.r
-    if abs(x) >= 1.0:
-        raise DomainError(f"|Omega_D r| = {abs(x)} >= 1: frame is not timelike")
-    num = _eta_sum(dk, ms, omega_d)
-    den = _eta_sum(dk, ms, 0.0)
-    value = num / den
+    value = _eta(dk, ms, omega_d)[0]
     if full_output:
         closed = None
         if dk.family == "ring-exponential" and ms.mu == 0:
-            closed = eta_closed_form(dk.params["a"], x)
+            closed = eta_closed_form(dk.params["a"], omega_d * ms.r)
         return value, closed
     return value
+
+
+def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
+    """(eta, larger cutoff reached, larger tail bound / sum) of its two sums."""
+    x = omega_d * ms.r
+    if abs(x) >= 1.0:
+        raise DomainError(f"|Omega_D r| = {abs(x)} >= 1: frame is not timelike")
+    num, m_num, tail_num = _eta_sum(dk, ms, omega_d)
+    den, m_den, tail_den = _eta_sum(dk, ms, 0.0)
+    return num / den, max(m_num, m_den), max(tail_num, tail_den)
 
 
 def eta_closed_form(a: float, omega_d_r: float) -> float:
@@ -115,19 +120,26 @@ def eta_closed_form(a: float, omega_d_r: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseCurve:
-    """Sampled eta(Omega_D r), with closed-form values where they exist."""
+    """Sampled eta(Omega_D r), with closed-form values where they exist.
+
+    m_max_reached and tail_over_sum are the largest cutoff and the largest
+    geometric tail bound (relative to its partial sum) of the curve's sums.
+    """
 
     omega_d_r: np.ndarray
     eta: np.ndarray
     eta_closed: np.ndarray | None
     kernel_params: dict
+    m_max_reached: int
+    tail_over_sum: float
     method: str = "mode-sum"
 
 
 def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
     """Evaluate the noise ratio over a grid of angular velocities."""
     omega_d_grid = np.asarray(omega_d_grid, dtype=float)
-    vals = np.array([eta(dk, ms, od) for od in omega_d_grid])
+    points = [_eta(dk, ms, od) for od in omega_d_grid]
+    vals = np.array([value for value, _, _ in points])
     closed = None
     if dk.family == "ring-exponential" and ms.mu == 0:
         closed = np.array(
@@ -138,6 +150,8 @@ def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
         eta=vals,
         eta_closed=closed,
         kernel_params=dict(dk.params) if dk.family != "custom" else {"family": "custom"},
+        m_max_reached=max((m for _, m, _ in points), default=ms.m_max),
+        tail_over_sum=max((tail for _, _, tail in points), default=0.0),
         method="mode-sum",
     )
 

@@ -152,19 +152,15 @@ class RingState:
             if c.shape != (n,):
                 raise StateError(f"coeffs must have shape ({n},), got {c.shape}")
             norm2 = float(np.sum(np.abs(c) ** 2))
-            if abs(norm2 - 1.0) > NORM_TOL:
+            if not abs(norm2 - 1.0) <= NORM_TOL:  # a NaN norm fails too
                 raise StateError(f"pure state not normalized: sum|psi|^2 = {norm2!r}")
             object.__setattr__(self, "coeffs", c)
         else:
             rho = np.asarray(self.rho, dtype=complex)
             if rho.shape != (n, n):
                 raise StateError(f"rho must have shape ({n},{n}), got {rho.shape}")
-            # row blocks against the conjugated column blocks: the comparison
-            # holds about 40 bytes of temporaries an entry, so a block of
-            # _CHUNK_BUDGET / 32 entries keeps them near 5 MB at any size
-            rows = max(1, _CHUNK_BUDGET // (32 * n))
-            if not all(np.allclose(rho[i:i + rows], rho[:, i:i + rows].conj().T, atol=1e-12)
-                       for i in range(0, n, rows)):
+            if not all(np.allclose(rho[b], rho[:, b].conj().T, atol=1e-12)
+                       for b in _row_blocks(n)):
                 raise StateError("rho is not Hermitian")
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:
@@ -206,8 +202,12 @@ class RingState:
         """Modes whose row or column of rho holds a non-zero entry."""
         if self.coeffs is not None:
             return self.coeffs != 0
-        nz = self.rho != 0
-        return nz.any(axis=0) | nz.any(axis=1)
+        occ = np.zeros(self.rho.shape[0], dtype=bool)
+        for b in _row_blocks(occ.size):
+            nz = self.rho[b] != 0
+            occ[b] |= nz.any(axis=1)
+            occ |= nz.any(axis=0)
+        return occ
 
     def occupation(self) -> np.ndarray:
         """Diagonal rho(m, m) as a real array over the lattice."""
@@ -220,6 +220,16 @@ class RingState:
         if not (self.is_pure and other.is_pure):
             raise StateError("overlap requires pure states")
         return complex(np.vdot(self.coeffs, other.coeffs))
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n x n matrix, _CHUNK_BUDGET / 32 entries each.
+
+    A blocked comparison holds about 40 bytes of temporaries an entry, so a
+    block keeps them near 5 MB at any size.
+    """
+    rows = max(1, _CHUNK_BUDGET // (32 * n))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:

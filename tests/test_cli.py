@@ -104,6 +104,24 @@ def test_run_noise_outputs_and_manifest(tmp_path):
     assert set(manifest["outputs"]) == {"noise_a0.5.csv", "noise_a1.0.csv"}
 
 
+def test_run_noise_manifest_records_the_reached_truncation(tmp_path):
+    from ringtoa import DetectorKernel, ModeSpace, noise_curve
+
+    cfg = copy.deepcopy(NOISE_CFG)
+    cfg["grid"]["omega_d_r_max"] = 0.95  # slow enough that a = 0.5 extends the cutoff
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, "noise.json", cfg)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    truncation = manifest["extras"]["truncation"]
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=300)
+    curves = [noise_curve(DetectorKernel.ring_exponential(a=a), ms, np.linspace(0.0, 0.95, 7))
+              for a in (0.5, 1.0)]
+    assert truncation == {"m_max_reached": max(c.m_max_reached for c in curves),
+                          "tail_over_sum": max(c.tail_over_sum for c in curves)}
+    assert truncation["m_max_reached"] > 300
+    assert 0.0 < truncation["tail_over_sum"] < 1e-12
+
+
 def test_run_deterministic_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

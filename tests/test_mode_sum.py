@@ -1,4 +1,5 @@
-"""The block-factorized mode sum on uniform grids against the dense reference."""
+"""The block-factorized mode sum against the dense reference, and the rule
+that drops the terms under one unit roundoff of the sum."""
 
 import math
 from unittest import mock
@@ -9,19 +10,26 @@ from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
+    DetectorKernel,
     ModeSpace,
+    RingState,
     RotationFrame,
     amp_rotating_split,
     amp_state,
     coherent_state,
     from_modes,
+    localization_matrix,
+    pc_density,
     qsymbol,
+    symmetric_superposition,
     timescales,
 )
 from ringtoa import amplitudes
 from ringtoa.modes import omega, rotating_omega
+from ringtoa.probability import _k_norm
 
 EPS = np.finfo(float).eps
+U = 2.0**-53
 
 
 def dense():
@@ -166,3 +174,116 @@ def test_probcoh_late_panels_against_mpmath():
                 want = qsymbol(ms, cp, t, phi)
             err, err_dense = (float(np.max(np.abs(x - ref)) / ref.max()) for x in (got, want))
             assert err <= err_dense < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    massless=st.booleans(),
+    mu=st.floats(0.5, 1500.0),
+    xi=st.floats(-250.0, 250.0),
+    alpha=st.floats(2.0, 20.0),
+    theta=st.floats(-math.pi, math.pi),
+    symmetric=st.booleans(),
+    omega_d_r=st.floats(-0.9, 0.9) | st.none(),
+    uniform=st.booleans(),
+    n=GRID_SIZES,
+    t0=st.floats(0.0, 2000.0),
+    dt=st.floats(1e-4, 0.05),
+    phi0=st.floats(-7.0, 7.0),
+    dphi=st.floats(-0.05, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_significant_terms_match_the_dense_sum_over_all_terms(
+        massless, mu, xi, alpha, theta, symmetric, omega_d_r, uniform, n,
+        t0, dt, phi0, dphi, seed):
+    # the pruned sum, on either path, against _dense_sum over every non-zero
+    # term: within the dropped mass u sum|c| plus the dense roundoff allowance
+    if symmetric:  # the base needs support at m > 0
+        xi = 1.0 + abs(xi)
+    ms = ModeSpace(mu=0.0 if massless else mu, r=1.0,
+                   m_max=int(abs(xi) + 10.0 * alpha) + 2)
+    psi = coherent_state(ms, CoherentParams(theta=theta, xi=xi, alpha=alpha))
+    if symmetric:
+        psi = symmetric_superposition(ms, psi)
+    m = ms.modes()
+    if omega_d_r is None:
+        freq = omega(ms, m)
+    else:
+        freq = rotating_omega(RotationFrame(omega_d=omega_d_r, modespace=ms), m)
+    coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
+    if uniform:
+        j = np.arange(n)
+        t, phi = t0 + j * dt, phi0 + j * dphi
+    else:
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(t0, t0 + n * dt, n))
+        phi = rng.uniform(-7.0, 7.0, n)
+    got = amplitudes._mode_sum(coeffs, m.astype(float), freq, t, phi)
+    nz = coeffs != 0
+    want = amplitudes._dense_sum(coeffs[nz], m[nz].astype(float), freq[nz], t, phi)
+    bound = U * float(np.sum(np.abs(coeffs))) + phase_bound(coeffs, freq, m, t, phi)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mag=st.lists(st.floats(0.0, 1e6) | st.just(0.0) | st.floats(0.0, 1e-10),
+                 max_size=60).map(np.array),
+    decay=st.floats(0.1, 30.0),
+)
+def test_significant_drops_under_one_unit_roundoff_and_keeps_no_zero(mag, decay):
+    # arbitrary magnitudes, and a Gaussian whose tail underflows
+    gauss = np.exp(-((np.arange(-200, 201) / decay) ** 2))
+    for x in (mag, gauss, np.concatenate([gauss, mag])):
+        keep = amplitudes._significant(x)
+        assert keep.dtype == bool and keep.shape == x.shape
+        assert not np.any(keep & (x == 0))
+        total = float(np.sum(x))
+        dropped = float(np.sum(x[~keep]))
+        assert dropped == 0.0 or dropped < U * total
+        assert np.any(keep) == (total > 0.0)
+    assert not np.any(amplitudes._significant(np.zeros(7)))
+    assert amplitudes._significant(np.zeros(0)).size == 0
+
+
+def test_probcoh_state_sums_179_of_its_771_modes():
+    # fig-probcoh: the smallest 592 non-zero terms sum to ~3e-19 of sum|c|
+    ms = ModeSpace(mu=1000.0, r=1.0, m_max=2000)
+    psi = coherent_state(ms, CoherentParams(theta=0.0, xi=1000.0, alpha=10.0))
+    assert np.count_nonzero(psi.coeffs) == 771
+    phi = math.pi - np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    scattered = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 300)
+    with mock.patch.object(amplitudes, "_dense_sum", wraps=amplitudes._dense_sum) as dense_spy, \
+            mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as blocked_spy:
+        amp_state(psi, ms, 5.0, phi)
+        amp_state(psi, ms, 5.0, scattered)
+    assert blocked_spy.call_count == dense_spy.call_count == 1
+    assert blocked_spy.call_args.args[0].size == 179
+    assert dense_spy.call_args.args[0].size == 179
+
+
+def test_mixed_gaussian_double_sum_within_two_unit_roundoffs():
+    # a mixed alpha-4 state whose Gaussian tails the general double sum prunes
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=90)
+    a = coherent_state(ms, CoherentParams(theta=0.4, xi=35.0, alpha=4.0))
+    b = coherent_state(ms, CoherentParams(theta=-1.1, xi=50.0, alpha=4.0))
+    state = RingState(ms, rho=0.6 * a.density_matrix() + 0.4 * b.density_matrix())
+    det = localization_matrix(DetectorKernel.ring_exponential(a=0.05), ms)
+    rng = np.random.default_rng(5)
+    t, phi = rng.uniform(0.0, 40.0, 301), rng.uniform(0.0, 2.0 * math.pi, 301)
+
+    # the full-kernel double sum over every non-zero row
+    m = ms.modes()
+    w = np.sqrt(np.abs(amplitudes._velocities(ms, m)))
+    kernel = state.rho * det.matrix * np.outer(w, w)
+    rows = np.abs(kernel).sum(axis=1)
+    nz = rows > 0
+    assert np.count_nonzero(amplitudes._significant(rows)) < np.count_nonzero(nz)
+    kernel = kernel[np.ix_(nz, nz)]
+    u = np.exp(1j * (m[nz, None] * phi[None, :] - omega(ms, m[nz])[:, None] * t[None, :]))
+    want = _k_norm(ms) * np.einsum("mp,mn,np->p", u, kernel, u.conj()).real
+
+    got = pc_density(state, det, t, phi)
+    total = float(np.sum(np.abs(kernel)))
+    bound = _k_norm(ms) * total * (2.0 * U + 8.0 * EPS * np.count_nonzero(nz))
+    assert np.max(np.abs(got - want)) <= bound

@@ -283,6 +283,15 @@ def test_ring_state_validation():
         RingState(ms, coeffs=c, source_localized=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), math.inf])
+def test_ring_state_rejects_non_finite_coefficients(bad):
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=3)
+    c = np.zeros(7, dtype=complex)
+    c[4], c[5] = bad, 1.0
+    with pytest.raises(StateError, match="not normalized"):
+        RingState(ms, coeffs=c)
+
+
 def _two_mode_rho(n, i, j, off):
     """rho with 1/2 on modes i and j and off-diagonal off (PSD iff |off| <= 1/2)."""
     rho = np.zeros((n, n), dtype=complex)
@@ -324,6 +333,38 @@ def test_ring_state_hermiticity_check_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * rho.nbytes
+
+
+def test_ring_state_occupied_in_bounded_memory():
+    import tracemalloc
+
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=1025)
+    n = 2 * ms.m_max + 1
+    rho = _two_mode_rho(n, 10, 2000, 0.5)
+    state = RingState(ms, rho=rho)
+    tracemalloc.start()
+    try:
+        occ = state.occupied()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.flatnonzero(occ), [10, 2000])
+    assert peak <= 0.01 * rho.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 9])
+def test_ring_state_occupied_blocks_miss_no_entry(monkeypatch, rows):
+    # one tiny entry at every position, so at every block boundary
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
+    n = 9
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 32 * n * rows)
+    for i in range(n):
+        for j in range(n):
+            rho = np.zeros((n, n), dtype=complex)
+            rho[4, 4] = 1.0
+            rho[i, j] += 1e-300j
+            occ = RingState(ms, rho=rho).occupied()
+            assert np.array_equal(np.flatnonzero(occ), sorted({4, i, j}))
 
 
 def _not_hermitian(ms, rho):
