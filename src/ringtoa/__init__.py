@@ -40,8 +40,6 @@ from .amplitudes import (
 )
 from .probability import (
     NORMALIZATION_TAG,
-    ProbabilityGrid,
-    QSymbolField,
     Timescales,
     autocorrelation,
     pc_density,

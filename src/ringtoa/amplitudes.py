@@ -16,9 +16,10 @@ two routes share no code beyond the dispersion relation, which is what makes
 their agreement a real cross-check; line_arrival_amp keeps the scalar
 adaptive quadrature as the reference the panel rule is tested against.
 
-The bare (state-free) amplitude is a distribution; it is only evaluated
-under an explicit smooth momentum taper, and only state-contracted
-amplitudes are physically meaningful.
+The bare (state-free) amplitude amp_ring is a distribution; it is only
+evaluated under a smooth momentum taper, and only state-contracted
+amplitudes are physically meaningful.  Its saddle-point form amp_saddle
+holds deep inside the light cones of a massive field.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ _TWO_PI_LO = 2.4492935982947064e-16
 
 # unit roundoff of float64 (see _significant)
 _UNIT_ROUNDOFF = 2.0**-53
-
 
 def _on_grid(t, phi, fill):
     """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
@@ -181,61 +181,54 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     return _on_grid(t, phi, fill)
 
 
-def amp_state(state: RingState, ms: ModeSpace, t, phi, det=None):
+def amp_state(state: RingState, ms: ModeSpace, t, phi):
     """Arrival amplitude of a pure state under maximum localization.
 
-    det, if supplied, must be a maximum-localization matrix; general
-    localization never factorizes into an amplitude and is handled by the
-    probability module instead.
+    General localization never factorizes into an amplitude; the
+    probability module's pc_density handles it.
     """
     if not state.is_pure:
         raise StateError("amplitudes need a pure state; use pc_density for mixed")
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
-    if det is not None and not det.is_max_localization:
-        raise DomainError(
-            "amp_state is only defined for maximum localization; "
-            "use probability.pc_density for general detectors"
-        )
     m = ms.modes()
     coeffs = state.coeffs * _speed_weights(ms, m)
     return _mode_sum(coeffs, m.astype(float), omega(ms, m), t, phi)
 
 
-def taper_window(m: np.ndarray, m_max: int, taper_frac: float = 0.1) -> np.ndarray:
-    """Cosine taper: 1 up to (1-taper_frac) m_max, smoothly to 0 at m_max."""
-    edge = (1.0 - taper_frac) * m_max
+def taper_window(m: np.ndarray, m_max: int) -> np.ndarray:
+    """Cosine taper: 1 up to 0.9 m_max, smoothly to 0 at m_max."""
+    edge = 0.9 * m_max
     x = np.clip((np.abs(m) - edge) / max(m_max - edge, 1), 0.0, 1.0)
     return np.cos(0.5 * math.pi * x) ** 2
 
 
-def amp_ring(ms: ModeSpace, t, phi, taper_frac: float = 0.1):
+def amp_ring(ms: ModeSpace, t, phi):
     """Bare arrival amplitude sum_{m>0} sqrt(v_m) e^{i m phi - i omega_m t}, tapered.
 
     The untapered series is a distribution (it diverges pointwise); the
-    smooth momentum window over the last ``taper_frac`` of modes stands in
-    for the test function.  Only state-contracted amplitudes are physical.
+    smooth momentum window over the last tenth of the modes (taper_window)
+    stands in for the test function.  Only state-contracted amplitudes are
+    physical.
     """
     m = np.arange(1, ms.m_max + 1)
-    coeffs = _speed_weights(ms, m) * taper_window(m, ms.m_max, taper_frac)
+    coeffs = _speed_weights(ms, m) * taper_window(m, ms.m_max)
     return _mode_sum(coeffs, m.astype(float), omega(ms, m), t, phi)
 
 
-def line_arrival_amp(x: float, t: float, mu: float, profile=None,
-                     k_range=None, rel_tol: float = 1e-10,
-                     taper=None, limit: int = 800) -> complex:
-    """Line-theory arrival amplitude ∫_0^∞ dk sqrt(v_k) psi~(k) e^{i k x - i omega_k t}.
+def line_arrival_amp(x: float, t: float, mu: float, k_range, profile=None,
+                     rel_tol: float = 1e-10, taper=None, limit: int = 800) -> complex:
+    """Line-theory arrival amplitude ∫ dk sqrt(v_k) psi~(k) e^{i k x - i omega_k t} over k_range.
 
     profile: callable k -> psi~(k) (complex); None means the bare amplitude,
-    which requires a k_range (and usually a taper window) for convergence.
-    This is the scalar reference: two adaptive scipy quad runs over a Python
-    integrand, against which the vectorized panel rule of amp_poisson and
-    qsymbol(method="images") is tested.  The convergence gate scales with
-    rel_tol, so loose tolerances are allowed for the strongly oscillatory
-    bare integrand.
+    which converges only with a taper window over the k_range.  This is the
+    scalar reference: two adaptive scipy quad runs over a Python integrand,
+    against which the vectorized panel rule of amp_poisson and
+    qsymbol(method="images") is tested, and the quadrature of one bare
+    image that amp_saddle is tested against.  The convergence gate scales
+    with rel_tol, so loose tolerances are allowed for the strongly
+    oscillatory bare integrand.
     """
-    if k_range is None:
-        raise DomainError("line amplitude quadrature needs an explicit k_range")
     k_lo, k_hi = k_range
 
     def integrand(k, part):
@@ -309,13 +302,12 @@ def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fr
 
 
 def _images(ms: ModeSpace, line: LineState, theta0: float, t: float, phi: float,
-            rel_tol: float, windings=None) -> np.ndarray:
+            rel_tol: float) -> np.ndarray:
     """Line amplitudes of the packet's winding images at (t, phi), unprefixed."""
     p, sigma = line.p, line.sigma
-    if windings is None:
-        v_p = p / math.sqrt(ms.mu**2 + p**2)
-        sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
-        windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
+    v_p = p / math.sqrt(ms.mu**2 + p**2)
+    sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
+    windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
     x = _winding_positions(phi, theta0, windings, ms.r)
     vals, gap = _line_quadrature(
         x, t, ms.mu, lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k),
@@ -336,45 +328,14 @@ def _gate(vals: np.ndarray, gap: np.ndarray, x: list, t: float, rel_tol: float):
         )
 
 
-def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
-                taper_frac: float = 0.1, rel_tol: float = 1e-10,
-                windings=None):
-    """Poisson-resummed amplitude: sum of line-theory winding images.
+def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
+    """Poisson-resummed amplitude of a state: the sum of its line-theory winding images.
 
-    With a state (built from coherent parameters or a line profile), each
-    image is the quadrature amplitude of the corresponding continuum packet.
-    Images are included until the neglected ones carry less than ~1e-12 of
-    the packet weight; an explicit ``windings`` sequence overrides that
-    window unchecked (single-image analysis and the like).
-
-    Without a state, ``windings`` is required: the sum runs over the listed
-    images of the bare amplitude, tapered as in amp_ring, and nothing else.
-    That sum is not amp_ring resummed: at mu = 0 the images decay only like
-    1/x, and the weight's jump at k = 0 adds a half-term the mode sum lacks.
+    The state must carry a continuum profile (coherent parameters or a line
+    profile); each image is the quadrature amplitude of the corresponding
+    continuum packet.  Images are included until the neglected ones carry
+    less than ~1e-12 of the packet weight.
     """
-    if state is None:
-        if windings is None:
-            raise DomainError(
-                "the bare amplitude (state=None) needs explicit windings: "
-                "its images do not resum amp_ring's series"
-            )
-        # the taper is only C^1 at its edge: integrate either side of it
-        k_edge, k_hi = (1.0 - taper_frac) * ms.m_max / ms.r, ms.m_max / ms.r
-        bare_tol = max(rel_tol, 1e-8)
-
-        def weight(k):
-            return _root_speed(k, ms.mu) * taper_window(k * ms.r, ms.m_max, taper_frac)
-
-        def bare(ti, pi_):
-            x = _winding_positions(pi_, 0.0, windings, ms.r)
-            parts = [_line_quadrature(x, ti, ms.mu, weight, lo, hi)
-                     for lo, hi in ((0.0, k_edge), (k_edge, k_hi)) if hi > lo]
-            vals, gap = sum(v for v, _ in parts), sum(g for _, g in parts)
-            _gate(vals, gap, x, ti, bare_tol)
-            return ms.r * vals.sum()
-
-        return _pointwise(t, phi, bare)
-
     if not state.profiles:
         raise StateError(
             "Poisson resummation needs a state with a continuum profile "
@@ -383,25 +344,25 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState | None = None,
     packets = [(weight, *_line_packet(ms, prof)) for weight, prof in state.profiles]
 
     def resummed(ti, pi_):
-        return sum(weight * pref * _images(ms, line, theta0, ti, pi_, rel_tol, windings).sum()
+        return sum(weight * pref * _images(ms, line, theta0, ti, pi_, rel_tol=1e-10).sum()
                    for weight, line, pref, theta0 in packets)
 
     return _pointwise(t, phi, resummed)
 
 
-def amp_saddle(ms: ModeSpace, t, phi, delta_lc: float | None = None):
+def amp_saddle(ms: ModeSpace, t, phi):
     """Saddle-point form of the bare massive amplitude, summed over windings.
 
     Each winding n >= 1 inside the light cone contributes
     sqrt(2 pi i mu r^3 t (phi + 2 pi n)) / [t^2 - (phi+2pi n)^2 r^2]^(3/4)
     exp(-i mu sqrt(t^2 - (phi+2pi n)^2 r^2)), principal branch (sqrt(i) =
-    e^{i pi/4}).  Points within delta_lc of any cone are rejected: the
-    [t^2 - x^2]^(-3/4) divergence there is an artifact of the approximation.
+    e^{i pi/4}).  Points within delta_lc = 10 / mu of any cone are rejected:
+    the [t^2 - x^2]^(-3/4) divergence there is an artifact of the
+    approximation.
     """
     if ms.mu <= 0:
         raise DomainError("saddle-point amplitude requires mu > 0")
-    if delta_lc is None:
-        delta_lc = 10.0 / ms.mu
+    delta_lc = 10.0 / ms.mu
     root_i = cmath.exp(1j * math.pi / 4.0)
 
     def at(ti, pi_):

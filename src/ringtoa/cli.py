@@ -341,7 +341,7 @@ def _run_noise(cfg, out_dir: Path, threads: int):
         cols = {"omega_d_r": curve.omega_d_r, "eta": curve.eta}
         if curve.eta_closed is not None:
             cols["eta_closed"] = curve.eta_closed
-        write_csv(path, cols, _meta(cfg) | {"a": a, "method": curve.method})
+        write_csv(path, cols, _meta(cfg) | {"a": a, "method": "mode-sum"})
         files.append(path)
     return {"outputs": files,
             "truncation": {"m_max_reached": max(c.m_max_reached for _, c in curves),

@@ -9,7 +9,7 @@ the ticks until they merge, which is what ends the clock's useful life.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class TickTrain:
     weights: np.ndarray
     widths: np.ndarray
     grid_step: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -52,8 +51,7 @@ def cumulative(t: np.ndarray, density: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def extract_ticks(t: np.ndarray, density: np.ndarray,
-                  prominence_frac: float = 0.05) -> TickTrain:
+def extract_ticks(t: np.ndarray, density: np.ndarray) -> TickTrain:
     """Locate ticks as density peaks with prominence above 5% of the maximum.
 
     Widths are full width at half maximum (in time units); weights integrate
@@ -68,7 +66,7 @@ def extract_ticks(t: np.ndarray, density: np.ndarray,
     peak = float(density.max(initial=0.0))
     if peak <= 0:
         raise TickError("no ticks found: density vanishes")
-    idx, _, _, _, widths_samples = _prominent_peaks(density, prominence_frac * peak)
+    idx, _, _, _, widths_samples = _prominent_peaks(density, 0.05 * peak)
     if idx.size == 0:
         raise TickError("no ticks found above the prominence threshold")
     widths = widths_samples * dt

@@ -193,19 +193,16 @@ def kernel_from_spec(spec: dict) -> DetectorKernel:
     raise DomainError(f"unknown kernel family {family!r}")
 
 
-def kernel_eval(dk: DetectorKernel, omega_val, m, r: float = 1.0,
-                enforce_support: bool = True) -> np.ndarray | float:
+def kernel_eval(dk: DetectorKernel, omega_val, m, r: float = 1.0) -> np.ndarray | float:
     """Evaluate R(omega, m); zero for omega < 0 or spacelike |m|/r > omega.
 
-    enforce_support=False skips the cone test (rotating-frame convention:
-    the noise ratio evaluates the kernel at omega_m - m Omega_D literally).
+    The rotating-frame noise evaluates the kernel at omega_m - m Omega_D
+    literally, without this cone test: DetectorKernel.raw_value.
     """
     w = np.asarray(omega_val, dtype=float)
     m_arr = np.asarray(m, dtype=float)
-    out = dk.raw_value(w, m_arr, r=r)
-    if enforce_support:
-        ok = (w >= 0) & (np.abs(m_arr) / r <= w * (1.0 + 1e-12))
-        out = np.where(ok, out, 0.0)
+    ok = (w >= 0) & (np.abs(m_arr) / r <= w * (1.0 + 1e-12))
+    out = np.where(ok, dk.raw_value(w, m_arr, r=r), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -277,15 +274,14 @@ class LocalizationMatrix:
                 return False
         return True
 
-    def require_support(self, occupation: np.ndarray, tol: float = 1e-14):
+    def require_support(self, occupation: np.ndarray):
         """Raise SupportError if the state occupies unsupported modes."""
-        _require_support(self.modespace, self.on_support, occupation, tol)
+        _require_support(self.modespace, self.on_support, occupation)
 
 
-def _require_support(ms: ModeSpace, on_support: np.ndarray, occupation: np.ndarray,
-                    tol: float = 1e-14):
-    """Raise SupportError if occupation > tol on a mode outside on_support."""
-    bad = (~on_support) & (occupation > tol)
+def _require_support(ms: ModeSpace, on_support: np.ndarray, occupation: np.ndarray):
+    """Raise SupportError if occupation > 1e-14 on a mode outside on_support."""
+    bad = (~on_support) & (occupation > 1e-14)
     if np.any(bad):
         offenders = ms.modes()[bad]
         raise SupportError(

@@ -48,10 +48,8 @@ class ModeSpace:
         if self.m_max < 1:
             raise DomainError(f"mode cutoff must be >= 1, got m_max={self.m_max}")
 
-    def modes(self, positive_only: bool = False) -> np.ndarray:
-        """Integer lattice [-m_max, m_max], or [1, m_max] if positive_only."""
-        if positive_only:
-            return np.arange(1, self.m_max + 1)
+    def modes(self) -> np.ndarray:
+        """Integer lattice [-m_max, m_max]."""
         return np.arange(-self.m_max, self.m_max + 1)
 
 

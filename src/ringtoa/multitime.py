@@ -32,7 +32,7 @@ trips the degenerate criterion interval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 CS_INTERVAL = (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
+# violation_scan's margin tolerance, relative to the scan-wide density scale
+VIOLATION_TOL = 1e-12
 
 
 def jensen_interval(lam: float) -> tuple[float, float]:
@@ -105,15 +107,6 @@ class TwoParticleState:
         return 2.0 / (1.0 + self.b) - 1.0
 
 
-def _require_max_localization(*dets):
-    for det in dets:
-        if det is not None and not det.is_max_localization:
-            raise DomainError(
-                "multi-time densities are implemented for maximum-localization "
-                "detectors; general kernels factorize through pc_density only"
-            )
-
-
 class _Amps:
     """Amplitudes A1, A2 of a pair at one (t, phi), each evaluated on first use."""
 
@@ -149,7 +142,7 @@ def _p2(tps: TwoParticleState, x: _Amps, y: _Amps):
     return (k**2 / (2.0 * (1.0 + tps.b))) * np.abs(sym) ** 2
 
 
-def p1_single(tps: TwoParticleState, t, phi, factor: int = 1, det=None):
+def p1_single(tps: TwoParticleState, t, phi, factor: int = 1):
     """Single-detection density.
 
     Product states: the rate of the requested factor's own detector,
@@ -157,19 +150,17 @@ def p1_single(tps: TwoParticleState, t, phi, factor: int = 1, det=None):
     (K / 2(1+b)) [|A1|^2 + |A2|^2 + 2 Re(<psi1|psi2> A1 A2*)], normalized
     per detection so that ∫ dt P2 marginalizes onto it.
     """
-    _require_max_localization(det)
     return _p1(tps, _Amps(tps, t, phi), factor)
 
 
-def p2_joint(tps: TwoParticleState, t1, phi1, t2, phi2, det1=None, det2=None):
+def p2_joint(tps: TwoParticleState, t1, phi1, t2, phi2):
     """Joint detection density at (t1, phi1) x (t2, phi2), maximum localization."""
-    _require_max_localization(det1, det2)
     return _p2(tps, _Amps(tps, t1, phi1), _Amps(tps, t2, phi2))
 
 
 def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
                      t2_grid, t1_window: tuple[float, float],
-                     n_t1: int = 4096, det1=None, det2=None) -> dict:
+                     n_t1: int = 4096) -> dict:
     """Marginalize ∫ dt1 P2(t1, phi1; t2, phi2) against P1(t2, phi2).
 
     The t1 window must cover the full support of the t1 profile (massless:
@@ -177,7 +168,6 @@ def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
     periodic there).  Returns the pointwise ratio and the maximum relative
     deviation over the t2 grid.
     """
-    _require_max_localization(det1, det2)
     t2_grid = np.asarray(t2_grid, dtype=float)
     lo, hi = t1_window
     if hi <= lo:
@@ -215,14 +205,13 @@ def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
     }
 
 
-def mi_inequality_j(tps: TwoParticleState, t, phi, det=None) -> dict:
+def mi_inequality_j(tps: TwoParticleState, t, phi) -> dict:
     """Margin and ratio criterion for P1^2 <= P2(t, phi; t, phi).
 
     margin = P2 - P1^2 (negative means violation).  The ratio criterion
     evaluates |A2/A1|^2 against the lambda band; it is only meaningful for
     symmetrized states and requires A1 != 0.
     """
-    _require_max_localization(det)
     x = _Amps(tps, t, phi)
     p1 = np.asarray(_p1(tps, x), dtype=float)
     p2 = np.asarray(_p2(tps, x, x), dtype=float)
@@ -243,14 +232,13 @@ def mi_inequality_j(tps: TwoParticleState, t, phi, det=None) -> dict:
     return out
 
 
-def mi_inequality_cs(tps: TwoParticleState, t1, phi1, t2, phi2, det1=None, det2=None) -> dict:
+def mi_inequality_cs(tps: TwoParticleState, t1, phi1, t2, phi2) -> dict:
     """Margin and ratio criterion for P2(1;2) <= sqrt(P2(1;1) P2(2;2)).
 
     margin = sqrt(P2(1;1) P2(2;2)) - P2(1;2) (negative means violation);
     the ratio criterion tests |A1(1)A2(2)| / |A1(2)A2(1)| against
     [3 - 2 sqrt 2, 3 + 2 sqrt 2].
     """
-    _require_max_localization(det1, det2)
     x, y = _Amps(tps, t1, phi1), _Amps(tps, t2, phi2)
     d1 = np.asarray(_p2(tps, x, x), dtype=float)
     d2 = np.asarray(_p2(tps, y, y), dtype=float)
@@ -281,7 +269,6 @@ class ViolationReport:
     t1_fixed: float | None = None
     margin_cs: np.ndarray | None = None
     violated_cs: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
 
     @property
     def any_violation_j(self) -> bool:
@@ -293,25 +280,23 @@ class ViolationReport:
 
 
 def violation_scan(tps: TwoParticleState, phi: float, t_grid,
-                   t1_fixed: float | None = None,
-                   rel_tol: float = 1e-12, det=None) -> ViolationReport:
+                   t1_fixed: float | None = None) -> ViolationReport:
     """Scan the J margin over t_grid (and the CS margin against t1_fixed).
 
     Violation masks use a strict inequality with relative tolerance against
     the scan-wide density scale: a point counts only when its margin lies
-    below -rel_tol * max(scale over the grid).  Saturated configurations
+    below -VIOLATION_TOL * max(scale over the grid).  Saturated configurations
     (product states, identical factors) then never flag on the roundoff
     noise of amplitude-suppressed tails, while genuine violations, which are
     an order-one fraction of the local density, always do.
     """
-    _require_max_localization(det)
     t_grid = np.asarray(t_grid, dtype=float)
     x = _Amps(tps, t_grid, phi)
     p1 = np.asarray(_p1(tps, x), dtype=float)
     p2 = np.asarray(_p2(tps, x, x), dtype=float)
     margin_j = p2 - p1**2
     scale_j = max(float(np.max(p2)), float(np.max(p1**2)), 1e-300)
-    violated_j = margin_j < -rel_tol * scale_j
+    violated_j = margin_j < -VIOLATION_TOL * scale_j
 
     margin_cs = violated_cs = None
     if t1_fixed is not None:
@@ -321,7 +306,7 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
         geo = np.sqrt(d1 * p2)
         margin_cs = geo - off
         scale_cs = max(float(np.max(geo)), float(np.max(off)), 1e-300)
-        violated_cs = margin_cs < -rel_tol * scale_cs
+        violated_cs = margin_cs < -VIOLATION_TOL * scale_cs
     return ViolationReport(
         t_grid=t_grid,
         margin_j=margin_j,
@@ -330,5 +315,4 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
         t1_fixed=t1_fixed,
         margin_cs=margin_cs,
         violated_cs=violated_cs,
-        params={"phi": phi, "kind": tps.kind, "b": tps.b},
     )

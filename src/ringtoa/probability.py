@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,8 +38,6 @@ from .states import CoherentParams, RingState, coherent_state
 
 __all__ = [
     "NORMALIZATION_TAG",
-    "ProbabilityGrid",
-    "QSymbolField",
     "Timescales",
     "pc_density",
     "qsymbol",
@@ -55,7 +53,6 @@ B_GAMMA = 1.0
 NORMALIZATION_TAG = "B=1;unit-integral-per-period"
 
 REALITY_TOL = 1e-10
-NEGATIVITY_FLOOR = -1e-10
 
 
 def _k_norm(ms: ModeSpace) -> float:
@@ -66,47 +63,6 @@ def _k_norm(ms: ModeSpace) -> float:
 def _density(ms: ModeSpace, amp):
     """Maximum-localization detection density K |A|^2 of an amplitude."""
     return _k_norm(ms) * np.abs(amp) ** 2
-
-
-@dataclass(frozen=True)
-class ProbabilityGrid:
-    """Nonnegative density samples plus provenance.
-
-    Tiny negative entries (roundoff) are clipped to zero with a warning;
-    anything below the floor -1e-10 (relative to the peak) fails the run.
-    """
-
-    t: np.ndarray
-    phi: np.ndarray
-    density: np.ndarray
-    normalization: str = NORMALIZATION_TAG
-    truncation_error: float = 0.0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        d = np.asarray(self.density, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
-        floor = NEGATIVITY_FLOOR * scale
-        if np.any(d < floor):
-            raise DomainError(
-                f"density has negative entries below the floor {floor:.3e}"
-            )
-        if np.any(d < 0.0):
-            warnings.warn("clipping tiny negative density entries to zero",
-                          stacklevel=2)
-            d = np.where(d < 0.0, 0.0, d)
-        object.__setattr__(self, "density", d)
-
-
-@dataclass(frozen=True)
-class QSymbolField:
-    """Q-symbol samples (modulus squared, hence nonnegative)."""
-
-    theta: np.ndarray
-    t: np.ndarray
-    values: np.ndarray
-    alpha: float
-    params: dict = field(default_factory=dict)
 
 
 def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
@@ -130,8 +86,13 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
 
     # L = 1 on support: a pure state's double sum is K |sum_m psi_m w_m e^{...}|^2
     factorized = state.is_pure and det.is_max_localization
-    if factorized and frame is None:
-        return _density(ms, amp_state(state, ms, t, phi))
+    if factorized:
+        # the double sum drops the modes off support (L = 0 there), which
+        # require_support lets through at occupations up to 1e-14
+        if np.any(state.coeffs[~det.on_support]):
+            state = RingState(ms, coeffs=np.where(det.on_support, state.coeffs, 0.0))
+        if frame is None:
+            return _density(ms, amp_state(state, ms, t, phi))
 
     m = ms.modes()
     freq = omega(ms, m) if frame is None else rotating_omega(frame, m)
@@ -172,8 +133,7 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     return _on_grid(t, phi, fill)
 
 
-def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi,
-            method: str = "mode-sum", rel_tol: float = 1e-9):
+def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum"):
     """Q-symbol of the arrival POVM on the coherent state (theta, xi).
 
     Q(t, phi) = |B_t(phi - theta, xi)|^2 / (2 pi r), evaluated through the
@@ -194,15 +154,13 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi,
     line, pref, theta0 = _line_packet(ms, cp)
 
     def at(ti, pi_):
-        images = _images(ms, line, theta0, ti, pi_, rel_tol)
+        images = _images(ms, line, theta0, ti, pi_, rel_tol=1e-9)
         return _k_norm(ms) * float(np.sum(np.abs(pref * images) ** 2))
 
     return _pointwise(t, phi, at, dtype=float)
 
 
-def vacuum_noise(dk: DetectorKernel, ms: ModeSpace,
-                 frame: RotationFrame | None = None,
-                 full_output: bool = False):
+def vacuum_noise(dk: DetectorKernel, ms: ModeSpace, frame: RotationFrame | None = None):
     """State-independent noise P0 = sum_m R(omega_m, m) / (4 pi r omega_m).
 
     With a frame the kernel argument shifts to omega_m - m Omega_D,
@@ -243,8 +201,6 @@ def vacuum_noise(dk: DetectorKernel, ms: ModeSpace,
             f"vacuum noise truncation remainder {remainder:.3e} too large "
             f"fraction of total {total:.3e}; increase m_max"
         )
-    if full_output:
-        return total, remainder
     return total
 
 

@@ -11,7 +11,7 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,21 +78,15 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
         m_max *= 2
 
 
-def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float,
-        full_output: bool = False):
+def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
     """Rotation-induced noise ratio eta = P0(Omega_D) / P0(0).
 
     Requires a timelike frame (|Omega_D r| < 1) and a decaying kernel.  For
     the ring-exponential family at mu = 0 this equals
-    log(1 - e^(-a(1 - Omega_D r))) / log(1 - e^(-a)) analytically.
+    log(1 - e^(-a(1 - Omega_D r))) / log(1 - e^(-a)) analytically
+    (eta_closed_form).
     """
-    value = _eta(dk, ms, omega_d)[0]
-    if full_output:
-        closed = None
-        if dk.family == "ring-exponential" and ms.mu == 0:
-            closed = eta_closed_form(dk.params["a"], omega_d * ms.r)
-        return value, closed
-    return value
+    return _eta(dk, ms, omega_d)[0]
 
 
 def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
@@ -129,10 +123,8 @@ class NoiseCurve:
     omega_d_r: np.ndarray
     eta: np.ndarray
     eta_closed: np.ndarray | None
-    kernel_params: dict
     m_max_reached: int
     tail_over_sum: float
-    method: str = "mode-sum"
 
 
 def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
@@ -149,10 +141,8 @@ def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
         omega_d_r=omega_d_grid * ms.r,
         eta=vals,
         eta_closed=closed,
-        kernel_params=dict(dk.params) if dk.family != "custom" else {"family": "custom"},
         m_max_reached=max((m for _, m, _ in points), default=ms.m_max),
         tail_over_sum=max((tail for _, _, tail in points), default=0.0),
-        method="mode-sum",
     )
 
 
@@ -166,7 +156,6 @@ class SagnacResult:
     pass_weights: np.ndarray
     fringe_frequency: float
     expected_frequency: float
-    params: dict = field(default_factory=dict)
 
 
 def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
@@ -233,7 +222,6 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
         pass_weights=pass_weights,
         fringe_frequency=fringe,
         expected_frequency=expected,
-        params={"phi": phi, "omega_d": rf.omega_d, "xi": xi},
     )
 
 

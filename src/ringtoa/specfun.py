@@ -23,11 +23,11 @@ THETA3_TOL = 1e-15
 THETA3_MAX_TERMS = 10_000
 
 
-def theta3(x: float, y: float, abs_tol: float = THETA3_TOL) -> float:
+def theta3(x: float, y: float) -> float:
     """Jacobi theta_3(x, y) = 1 + 2 sum_{n>=1} y^(n^2) cos(2 n x).
 
-    Requires 0 <= y < 1.  Terms are added until |y^(n^2)| < abs_tol, with a
-    hard cap of 10^4 terms.
+    Requires 0 <= y < 1.  Terms are added until |y^(n^2)| < THETA3_TOL, with
+    a hard cap of 10^4 terms.
     """
     if not 0.0 <= y < 1.0:
         raise DomainError(f"theta3 nome must satisfy 0 <= y < 1, got y={y}")
@@ -36,7 +36,7 @@ def theta3(x: float, y: float, abs_tol: float = THETA3_TOL) -> float:
     total = 1.0
     for n in range(1, THETA3_MAX_TERMS + 1):
         term = y ** (n * n)
-        if term < abs_tol:
+        if term < THETA3_TOL:
             break
         total += 2.0 * term * math.cos(2.0 * n * x)
     return total

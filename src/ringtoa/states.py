@@ -141,7 +141,6 @@ class RingState:
     coeffs: np.ndarray | None = None
     rho: np.ndarray | None = None
     profiles: tuple = ()
-    source_localized: bool = False
 
     def __post_init__(self):
         n = 2 * self.modespace.m_max + 1
@@ -178,15 +177,6 @@ class RingState:
                 lo = float(np.linalg.eigvalsh(rho[np.ix_(occ, occ)])[0])
                 if lo < -1e-10:
                     raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})")
-        if self.source_localized:
-            k0 = self.modespace.m_max
-            occ0 = (
-                abs(self.coeffs[k0]) ** 2
-                if self.coeffs is not None
-                else abs(self.rho[k0, k0])
-            )
-            if occ0 > 1e-12:
-                raise StateError("source-localized state must have no zero-mode occupation")
 
     @property
     def is_pure(self) -> bool:
@@ -388,19 +378,14 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
     return fine, np.abs(coarse - fine)
 
 
-def gaussian_line(
-    ls: LineState,
-    x: float,
-    t: float | None = None,
-    mu: float = 0.0,
-    rel_tol: float = 1e-9,
-) -> complex:
+def gaussian_line(ls: LineState, x: float, t: float | None = None, mu: float = 0.0) -> complex:
     """Line wavefunction at position x; freely evolved when t is given.
 
     The evolved value is the quadrature of (2 pi)^(-1/2) ∫ dk psi~(k)
     exp(ikx - i omega_k t) with omega_k = sqrt(mu^2 + k^2) over p ± 8/sigma
     (_line_quadrature).  This is the line-theory oracle: no stationary-phase
-    or spreading approximation.
+    or spreading approximation.  The n- and 2n-panel rules must agree within
+    max(1e-12, 1e-8 |value|), else QuadratureError.
     """
     if t is None:
         return complex(ls.position_profile(x))
@@ -409,7 +394,7 @@ def gaussian_line(
                                 ls.p - half_width, ls.p + half_width)
     val = complex(val[0]) / math.sqrt(2.0 * math.pi)
     err = float(gap[0]) / math.sqrt(2.0 * math.pi)
-    if err > max(1e-12, 10.0 * rel_tol * abs(val)):
+    if err > max(1e-12, 1e-8 * abs(val)):
         raise QuadratureError(
             f"free evolution quadrature did not converge: value {val!r}, "
             f"error estimate {err:.3e}"

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
-    DetectorKernel,
     LineState,
     ModeSpace,
     RotationFrame,
@@ -20,7 +19,6 @@ from ringtoa import (
     coherent_state,
     from_modes,
     line_to_ring,
-    localization_matrix,
     qsymbol,
     rotating_velocity,
     velocity,
@@ -66,22 +64,6 @@ def test_amp_state_time_reversal_identity():
     a = amp_state(st, ms, 2.3, 0.9)
     b = amp_state(conj, ms, -2.3, -0.9)
     assert b == pytest.approx(a.conjugate(), rel=1e-12)
-
-
-def test_amp_state_rejects_general_localization():
-    ms = ModeSpace(mu=1.0, r=1.0, m_max=30)
-    st = from_modes(ms, {5: 1.0})
-    grid_w = np.linspace(0.0, 40.0, 2)
-    grid_m = np.linspace(-31.0, 31.0, 125)
-    logs = np.zeros(2)[:, None] + (0.3 * grid_m**2)[None, :]
-    dk = DetectorKernel.tabulated(grid_w, grid_m, logs, log_values=True)
-    L = localization_matrix(dk, ms)
-    assert not L.is_max_localization
-    with pytest.raises(DomainError):
-        amp_state(st, ms, 0.0, 0.0, det=L)
-    # max-localization passes through
-    Lmax = localization_matrix(DetectorKernel.max_localization(), ms)
-    amp_state(st, ms, 0.0, 0.0, det=Lmax)
 
 
 def test_massless_peaks_at_windings():
@@ -221,7 +203,9 @@ def test_saddle_matches_quadrature_deep_in_cone():
     ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
     phi, t = 0.5, 12.0
     x1 = phi + 2.0 * math.pi
-    a_quad = amp_poisson(ms, t, phi, state=None, windings=[1])
+    taper = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max))
+    a_quad = ms.r * line_arrival_amp(x1 * ms.r, t, ms.mu, k_range=(0.0, ms.m_max / ms.r),
+                                     rel_tol=1e-8, taper=taper, limit=2000)
     a_sad = amp_saddle(ms, t, phi)
     assert abs(a_sad) / abs(a_quad) == pytest.approx(1.0, abs=0.02)
 
@@ -320,35 +304,13 @@ def test_line_quadrature_matches_scalar_quad(massless, mu, sigma, p_sigma, t, of
     assert np.all(gap <= np.maximum(1e-10, 1e-8 * np.abs(got)))
 
 
-def test_bare_massive_image_matches_scalar_quad():
-    # sqrt(v_k) ~ sqrt(k) at the k = 0 end (graded panel) and the taper edge
-    ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
-    phi, t = 0.5, 12.0
-    taper = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max))
-    want = ms.r * line_arrival_amp((phi + 2.0 * math.pi) * ms.r, t, ms.mu,
-                                   k_range=(0.0, ms.m_max / ms.r), rel_tol=1e-8,
-                                   taper=taper, limit=2000)
-    got = amp_poisson(ms, t, phi, state=None, windings=[1])
-    assert abs(got - want) <= 1e-8 * abs(want)
-
-
-@pytest.mark.parametrize("mu", [0.0, 40.0])
-def test_bare_poisson_needs_explicit_windings(mu):
-    # no window of bare images reproduces amp_ring: at mu = 0 the default
-    # window gave -0.210-0.164j where amp_ring gives -0.541+0.359j
-    with pytest.raises(DomainError, match="windings"):
-        amp_poisson(ModeSpace(mu=mu, r=1.0, m_max=100), 3.0, 0.5)
-
-
-@pytest.mark.parametrize("caller", ["images", "bare", "qsymbol", "gaussian_line"])
+@pytest.mark.parametrize("caller", ["images", "qsymbol", "gaussian_line"])
 def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
     # 8 panels over hundreds of radians of phase: the n and 2n rules disagree
     monkeypatch.setattr(states, "_PANEL_PHASE", 1e9)
     with pytest.raises(QuadratureError):
         if caller == "images":
             amp_poisson(MS0, 9.0, 0.3, state=coherent_state(MS0, COH))
-        elif caller == "bare":
-            amp_poisson(ModeSpace(mu=40.0, r=1.0, m_max=400), 12.0, 0.5, windings=[1])
         elif caller == "qsymbol":
             qsymbol(MS0, COH, 9.0, 0.3, method="images")
         else:
@@ -363,7 +325,6 @@ def test_oracle_never_calls_scalar_quad(monkeypatch):
         monkeypatch.setattr(owner, "quad", refuse)
     st_ = coherent_state(MS0, COH)
     amp_poisson(MS0, np.array([3.5, 9.0]), 0.3, state=st_)
-    amp_poisson(ModeSpace(mu=40.0, r=1.0, m_max=400), 12.0, 0.5, windings=[1])
     qsymbol(MS0, COH, 9.0, np.array([0.2, 0.3]), method="images")
     gaussian_line(LineState(p=20.0, sigma=1.0), 5.0, t=5.0, mu=3.0)
 

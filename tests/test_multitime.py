@@ -205,26 +205,6 @@ def test_product_two_rings_different_mass_radius():
     assert np.isfinite(val) and val >= 0.0
 
 
-def test_detector_arguments_must_be_max_localization():
-    import numpy as np
-    from ringtoa import DetectorKernel, localization_matrix
-    from ringtoa.errors import DomainError
-
-    tps = gaussian_pair("product")
-    grid_w = np.linspace(0.0, 40.0, 2)
-    grid_m = np.linspace(-1101.0, 1101.0, 125)
-    logs = np.zeros(2)[:, None] + (1e-4 * grid_m**2)[None, :]
-    general = localization_matrix(
-        DetectorKernel.tabulated(grid_w, grid_m, logs, log_values=True), MS0
-    )
-    with pytest.raises(DomainError):
-        p2_joint(tps, 1.0, 0.0, 2.0, 0.0, det1=general)
-    with pytest.raises(DomainError):
-        mi_inequality_j(tps, 1.0, 0.0, det=general)
-    maxloc = localization_matrix(DetectorKernel.max_localization(), MS0)
-    p2_joint(tps, 1.0, 0.0, 2.0, 0.0, det1=maxloc, det2=maxloc)
-
-
 def test_violation_scan_massless_gaussian_pair_empty():
     # equal-sigma Gaussians with different momenta: |A1/A2| = 1 near peaks,
     # no violation of either inequality

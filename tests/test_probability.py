@@ -21,7 +21,7 @@ from ringtoa import (
     vacuum_noise,
     velocity,
 )
-from ringtoa.probability import ProbabilityGrid, pgamma_validation
+from ringtoa.probability import pgamma_validation
 from ringtoa.errors import DomainError, SeriesError
 
 
@@ -188,6 +188,24 @@ def test_pc_density_rotating_factorized_matches_double_sum(mu, r, omega_d_r, fam
     assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("omega_d_r", [None, 0.3])
+def test_pc_density_factorized_drops_modes_off_support(omega_d_r):
+    # occupation 1e-16 on m = -5 passes require_support under a chiral
+    # detector; the factorized path must drop it as the double sum does
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=40)
+    rng = np.random.default_rng(5)
+    amps = {m: complex(*rng.normal(size=2)) for m in range(20, 40)}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    pure = from_modes(ms, amps | {-5: 1e-8 * norm})
+    assert pure.occupation()[-5 + ms.m_max] == pytest.approx(1e-16, rel=1e-6)
+    rf = None if omega_d_r is None else RotationFrame(omega_d=omega_d_r, modespace=ms)
+    det = localization_matrix(DetectorKernel.max_localization(chiral=True), ms, frame=rf)
+    t, phi = rng.uniform(0.0, 20.0, 301), rng.uniform(0.0, 2.0 * math.pi, 301)
+    got = pc_density(pure, det, t, phi, frame=rf)
+    want = pc_density(RingState(ms, rho=pure.density_matrix()), det, t, phi, frame=rf)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
 def _full_kernel_sum(state, det, t, phi):
     """The general double sum as it was first written: the full n x n kernel, pruned."""
     from ringtoa.amplitudes import _velocities
@@ -340,15 +358,6 @@ def test_reality_residue_guard():
     rho[1, 2] = 0.3j
     with pytest.raises(Exception):
         RingState(ms, rho=rho)
-
-
-def test_probability_grid_negativity_policy():
-    t = np.linspace(0.0, 1.0, 5)
-    with pytest.warns(UserWarning):
-        g = ProbabilityGrid(t=t, phi=np.zeros(5), density=np.array([0.0, -1e-12, 1.0, 2.0, 0.5]))
-    assert np.all(g.density >= 0.0)
-    with pytest.raises(DomainError):
-        ProbabilityGrid(t=t, phi=np.zeros(5), density=np.array([0.0, -1e-3, 1.0, 2.0, 0.5]))
 
 
 def test_autocorrelation_initial_value_and_period():

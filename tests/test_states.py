@@ -276,11 +276,6 @@ def test_ring_state_validation():
     rho[0, 1] = 0.5  # not Hermitian
     with pytest.raises(StateError):
         RingState(ms, rho=rho)
-    # source-localized flag forbids zero-mode occupation
-    c = np.zeros(7, dtype=complex)
-    c[3] = 1.0
-    with pytest.raises(StateError):
-        RingState(ms, coeffs=c, source_localized=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), math.inf])
