@@ -60,8 +60,15 @@ EXPERIMENTS = (
 # validation
 
 
+def _block(cfg: dict, where: str) -> dict:
+    """The nested object a dotted path such as ``params.state1`` names."""
+    for part in where.split("."):
+        cfg = cfg.get(part, {})
+    return cfg
+
+
 def _require(cfg: dict, key: str, errors: list, kind=float, where: str = "params"):
-    block = cfg.get(where, {})
+    block = _block(cfg, where)
     if key not in block:
         errors.append(f"missing {where}.{key}")
         return None
@@ -93,9 +100,20 @@ def _is_number(val) -> bool:
 
 def _optional(cfg: dict, key: str, errors: list, kind=float, where: str = "grid"):
     """_require for a key that may be absent (None then)."""
-    if key not in cfg.get(where, {}):
+    if key not in _block(cfg, where):
         return None
     return _require(cfg, key, errors, kind, where)
+
+
+def _packet(cfg: dict, errors: list, where: str = "params") -> tuple:
+    """xi and alpha > 0 of a coherent packet (None when invalid); theta optional."""
+    xi = _require(cfg, "xi", errors, where=where)
+    alpha = _require(cfg, "alpha", errors, where=where)
+    _optional(cfg, "theta", errors, where=where)
+    if alpha is not None and alpha <= 0:
+        errors.append(f"{where}.alpha must be > 0")
+        alpha = None
+    return xi, alpha
 
 
 def validate_config(cfg: dict) -> tuple[list, list, dict]:
@@ -127,11 +145,8 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
 
     needs_packet = exp in ("qsymbol", "clock", "sagnac", "amplitude-check")
     if needs_packet:
-        xi = _require(cfg, "xi", errors)
-        alpha = _require(cfg, "alpha", errors)
-        if alpha is not None and alpha <= 0:
-            errors.append("params.alpha must be > 0")
-        elif alpha is not None and alpha < 3 and exp == "qsymbol":
+        xi, alpha = _packet(cfg, errors)
+        if alpha is not None and alpha < 3 and exp == "qsymbol":
             warnings.append(
                 f"alpha={alpha} below recommended alpha >= 3 for Q-symbol scans"
             )
@@ -145,12 +160,21 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
     if m_max is not None and m_max < 1:
         errors.append("params.m_max must be >= 1")
 
+    for key in ("phi", "phi1", "phi2", "t1"):
+        _optional(cfg, key, errors, where="params")
+
+    grid = {}
     for key, (kind, low) in _GRID_KEYS.items():
-        val = _optional(cfg, key, errors, kind)
-        if None not in (val, low) and not val > low:
+        grid[key] = _optional(cfg, key, errors, kind)
+        if None not in (grid[key], low) and not grid[key] > low:
             errors.append(f"grid.{key} must be > {low}")
     if exp in ("clock", "sagnac", "mi-scan", "amplitude-check", "kolmogorov"):
-        _require(cfg, "t_max", errors, where="grid")
+        t_max = _require(cfg, "t_max", errors, where="grid")
+        t_min = grid["t_min"]
+        if t_min is None:  # the runners' defaults
+            t_min = (grid["dt"] or 0.01) if exp == "sagnac" else 0.0
+        if t_max is not None and not t_max > t_min:
+            errors.append(f"grid.t_max must be > grid.t_min ({t_min})")
 
     if exp in ("sagnac",):
         omega_d = _require(cfg, "omega_d", errors)
@@ -186,8 +210,13 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
                     errors.append("t_over_tq/t_over_trec undefined for mu = 0")
     if exp in ("mi-scan", "kolmogorov"):
         for key in ("state1", "state2"):
+            spec = params.get(key)
             if key not in params:
                 errors.append(f"missing params.{key}")
+            elif not isinstance(spec, dict) or "kind" not in spec:
+                errors.append(f"params.{key} must be an object with a 'kind' field")
+            elif spec["kind"] == "coherent":
+                _packet(cfg, errors, where=f"params.{key}")
         if params.get("kind", "symmetrized") not in ("product", "symmetrized"):
             errors.append("params.kind must be product or symmetrized")
 

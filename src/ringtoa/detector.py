@@ -243,9 +243,13 @@ class LocalizationMatrix:
     """Localization operator matrix over the mode lattice.
 
     ``on_support`` marks modes where the on-shell kernel is positive; rows
-    and columns outside support are zero.  ``is_max_localization`` is
-    computed on each access by a bounded scan: true when every supported
-    entry equals 1, which enables the factorized fast paths.
+    and columns outside support are zero.  A full-support maximum
+    localization matrix is a read-only broadcast of one 1.0 (strides (0, 0),
+    no n x n storage); ``np.array(L.matrix)`` gives a writable copy.  Tail
+    supports and tabulated kernels are dense.  ``is_max_localization`` is
+    true when every supported entry equals 1, which enables the factorized
+    fast paths: a broadcast answers from its one stored value, any other
+    matrix by a bounded scan on each access.
     """
 
     modespace: ModeSpace
@@ -261,6 +265,9 @@ class LocalizationMatrix:
         idx = np.flatnonzero(sup)
         if not idx.size:
             return False
+        if not any(self.matrix.strides):
+            # a broadcast of one value, as localization_matrix stores full support
+            return bool(self.matrix.flat[0] == 1.0)
         lo, hi = int(idx[0]), int(idx[-1]) + 1
         cols = sup[lo:hi]
         gaps = not cols.all()
@@ -315,7 +322,10 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
 
     For the analytic families the energy dependence of the ratio cancels in
     the exponent, so the accepted matrices are exactly the support indicator
-    (maximum localization, statically and in rotation): it is written in one
+    (maximum localization, statically and in rotation).  On the full lattice
+    (non-chiral max-localization) it is a read-only broadcast of 1.0 that
+    stores one value; ``np.array(L.matrix)`` gives a writable copy.  The tail
+    supports m > 0 (chiral, ring-exponential) are written densely in one
     pass, with no n x n temporaries.
     """
     m = ms.modes().astype(float)
@@ -325,10 +335,14 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     if dk.family in ("max-localization", "ring-exponential"):
         sup = _kernel_support(dk, ms)
         _check_upper(_analytic_max(dk, ms))
-        # these supports are the tails m >= -m_max or m > 0 of the lattice
-        lo = int(np.argmax(sup))
-        L = np.zeros((m.size, m.size))
-        L[lo:, lo:] = 1.0
+        if sup.all():
+            # identically 1: one stored value stands for all n^2 entries
+            L = np.broadcast_to(np.float64(1.0), (m.size, m.size))
+        else:
+            # the other support is the tail m > 0 of the lattice
+            lo = int(np.argmax(sup))
+            L = np.zeros((m.size, m.size))
+            L[lo:, lo:] = 1.0
         return LocalizationMatrix(ms, L, sup, frame=frame)
 
     energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
@@ -403,7 +417,9 @@ def wigner_weyl(op: LocalizationMatrix, theta_grid, p_grid) -> WignerWeylField:
     n = m.size
     out = np.zeros((p_grid.size, theta_grid.size))
     for d in range(0, n):
-        band = np.diagonal(op.matrix, offset=d)
+        # contiguous, so that the product rounds alike for a dense matrix and
+        # a broadcast view (whose diagonals have stride 0)
+        band = np.ascontiguousarray(np.diagonal(op.matrix, offset=d))
         if not np.any(band != 0.0):
             continue
         centers = m[: n - d] + 0.5 * d

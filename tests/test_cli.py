@@ -205,6 +205,51 @@ def test_run_malformed_setting_exit_2(tmp_path, capsys, monkeypatch, cfg, block,
     assert not out.exists()
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+NOT_A_NUMBER = [None, [], {}]
+
+
+def _probes():
+    # (shipped config, dotted path of the mutated key, value)
+    for name in ("fig-probcoh", "fig-steps", "sagnac", "fig-miviolation"):
+        yield from ((name, "params.phi", v) for v in NOT_A_NUMBER)
+    for name in ("fig-probcoh", "fig-steps"):
+        yield from ((name, "params.theta", v) for v in NOT_A_NUMBER)
+    yield from (("fig-miviolation", "params.t1", v) for v in NOT_A_NUMBER)
+    for state in ("state1", "state2"):
+        for key in ("xi", "alpha", "theta"):
+            yield from (("fig-miviolation", f"params.{state}.{key}", v) for v in NOT_A_NUMBER)
+    yield "fig-miviolation", "params.state2.alpha", 0
+    yield "fig-miviolation", "params.state1.alpha", -1.0
+    yield "fig-miviolation", "params.state1", []
+    yield "fig-miviolation", "params.state2", {}
+    # t_max <= t_min leaves an empty time grid
+    yield "sagnac", "grid.t_max", 0
+    yield "sagnac", "grid.t_max", -1
+    yield "sagnac", "grid.t_min", 1e12
+    yield "fig-steps", "grid.t_max", -1
+    yield "fig-miviolation", "grid.t_max", 40.0
+
+
+@pytest.mark.parametrize("name, path, value", [
+    pytest.param(*probe, id=f"{probe[0]}-{probe[1]}={json.dumps(probe[2])}")
+    for probe in _probes()
+])
+def test_shipped_config_probe_exit_2(tmp_path, capsys, name, path, value):
+    # a shipped config with one key mutated exits 2 with an error naming it
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    *parents, key = path.split(".")
+    block = cfg
+    for part in parents:
+        block = block[part]
+    block[key] = value
+    out = tmp_path / "o"
+    assert main(["run", str(write_config(tmp_path, "bad.json", cfg)), "--out", str(out)]) == 2
+    errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("error: ")]
+    assert any(path in ln for ln in errors), errors
+    assert not out.exists()
+
+
 def test_python_m_ringtoa(tmp_path):
     # the package runs as a module without an installed entry point
     repo = Path(__file__).resolve().parent.parent

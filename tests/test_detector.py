@@ -317,18 +317,102 @@ def test_analytic_localization_raise_threshold_matches(log_gamma1, m_max, r, chi
     _assert_matches_reference(dk, ModeSpace(mu=0.0, r=r, m_max=m_max))
 
 
-def test_analytic_localization_traced_peak_is_the_matrix():
+def _traced_peak(fn):
     import tracemalloc
 
-    ms = ModeSpace(mu=1.0, r=1.0, m_max=1000)
-    dk = DetectorKernel.max_localization()
     tracemalloc.start()
     try:
-        L = localization_matrix(dk, ms)
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_analytic_localization_traced_peak_is_the_matrix():
+    # full support stores no n x n array (a view's nbytes still reads n^2 8);
+    # a tail support's build is its one dense matrix
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=1000)
+    n = 2 * ms.m_max + 1
+    _, peak = _traced_peak(lambda: localization_matrix(DetectorKernel.max_localization(), ms))
+    assert peak < 64 * n
+    L, peak = _traced_peak(
+        lambda: localization_matrix(DetectorKernel.max_localization(chiral=True), ms))
     assert peak <= 1.25 * L.matrix.nbytes
+
+
+def test_max_localization_density_traced_peak_at_m_max_2000():
+    # the fig-probcoh lattice: matrix plus density over 4096 scattered points
+    # stay well under the 128 MB a dense matrix would take
+    from ringtoa import CoherentParams, coherent_state, pc_density
+
+    ms = ModeSpace(mu=1000.0, r=1.0, m_max=2000)
+    state = coherent_state(ms, CoherentParams(theta=0.0, xi=1000.0, alpha=10.0))
+    rng = np.random.default_rng(7)
+    t, phi = rng.uniform(0.0, 3.0, 4096), rng.uniform(0.0, 2.0 * math.pi, 4096)
+
+    def run():
+        L = localization_matrix(DetectorKernel.max_localization(), ms)
+        return pc_density(state, L, t, phi)
+
+    dens, peak = _traced_peak(run)
+    assert dens.shape == (4096,) and peak < 32 * 2**20
+
+
+# -- the full-support matrix is a read-only broadcast view ------------------
+
+
+@pytest.mark.parametrize("omega_d", [None, 0.3])
+def test_full_support_matrix_is_a_read_only_view(omega_d):
+    frame = None if omega_d is None else RotationFrame(omega_d=omega_d, modespace=MS)
+    L = localization_matrix(DetectorKernel.max_localization(gamma0=0.5), MS, frame=frame)
+    assert L.matrix.strides == (0, 0) and not L.matrix.flags.writeable
+    assert L.matrix.shape == (2 * MS.m_max + 1,) * 2 and L.matrix.dtype == np.float64
+    with pytest.raises(ValueError):
+        L.matrix[0, 0] = 0.5
+    dense = np.array(L.matrix)
+    assert dense.flags.writeable and np.all(dense == 1.0)
+    # tail supports stay dense
+    chiral = localization_matrix(DetectorKernel.max_localization(chiral=True), MS, frame=frame)
+    assert chiral.matrix.flags.writeable and chiral.matrix.strides != (0, 0)
+
+
+def _dense_copy(L):
+    from ringtoa.detector import LocalizationMatrix
+
+    return LocalizationMatrix(L.modespace, np.array(L.matrix), L.on_support, frame=L.frame)
+
+
+@pytest.mark.parametrize("omega_d", [None, 0.2])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_view_densities_equal_dense_ones_bitwise(omega_d, mixed):
+    # pure states take the factorized paths, mixed ones the double sum
+    from ringtoa import CoherentParams, RingState, coherent_state, pc_density
+
+    ms = ModeSpace(mu=0.0 if omega_d else 2.0, r=1.0, m_max=60)
+    frame = None if omega_d is None else RotationFrame(omega_d=omega_d, modespace=ms)
+    states = [coherent_state(ms, CoherentParams(theta=th, xi=xi, alpha=4.0))
+              for th, xi in ((0.3, 25.0), (2.0, -18.0))]
+    state = states[0]
+    if mixed:
+        state = RingState(ms, rho=0.7 * states[0].density_matrix()
+                          + 0.3 * states[1].density_matrix())
+    L = localization_matrix(DetectorKernel.max_localization(), ms, frame=frame)
+    dense = _dense_copy(L)
+    assert dense.is_max_localization and L.is_max_localization
+    rng = np.random.default_rng(3)
+    t, phi = rng.uniform(0.0, 8.0, 57), rng.uniform(0.0, 2.0 * math.pi, 57)
+    want = pc_density(state, dense, t, phi, frame=frame)
+    np.testing.assert_array_equal(pc_density(state, L, t, phi, frame=frame), want, strict=True)
+
+
+def test_view_wigner_weyl_equals_dense_bitwise():
+    L = localization_matrix(DetectorKernel.max_localization(), ModeSpace(mu=1.0, r=1.0, m_max=12))
+    theta, p = np.linspace(-math.pi, math.pi, 9), np.linspace(-14.0, 14.0, 23)
+    got, want = wigner_weyl(L, theta, p), wigner_weyl(_dense_copy(L), theta, p)
+    np.testing.assert_array_equal(got.values, want.values, strict=True)
+    np.testing.assert_array_equal(got.marginal_truncation, want.marginal_truncation,
+                                  strict=True)
 
 
 # -- the maximum-localization flag on hand-built matrices -------------------
@@ -378,3 +462,39 @@ def test_is_max_localization_one_ulp_below_one(monkeypatch, budget):
             L = LocalizationMatrix(ms, bad, sup)
             expect = bool(sup.any()) and not (sup[i] and sup[j])
             assert L.is_max_localization == _flag_reference(L) == expect
+
+
+_ENTRY = st.sampled_from([1.0, float(np.nextafter(1.0, 0.0)), 0.0])
+
+
+@st.composite
+def _broadcast_matrices(draw):
+    # broadcasts of one value (strides (0, 0)), of one row (0, 8) or of one
+    # column (8, 0); only the first may be answered without a scan
+    m_max = draw(st.integers(1, 5))
+    n = 2 * m_max + 1
+    support = draw(st.one_of(st.just([True] * n), st.just([False] * n),
+                             st.lists(st.booleans(), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["value", "row", "column"]))
+    if shape == "value":
+        mat = np.broadcast_to(np.float64(draw(_ENTRY)), (n, n))
+    else:
+        line = np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+        mat = np.broadcast_to(line if shape == "row" else line[:, None], (n, n))
+    return ModeSpace(mu=1.0, r=1.0, m_max=m_max), mat, np.array(support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_broadcast_matrices(), budget=st.sampled_from([1, 4, 10**9]))
+def test_is_max_localization_on_broadcast_matrices(case, budget):
+    from ringtoa import detector
+    from ringtoa.detector import LocalizationMatrix
+
+    ms, mat, sup = case
+    saved = detector._CHUNK_BUDGET
+    detector._CHUNK_BUDGET = budget
+    try:
+        L = LocalizationMatrix(ms, mat, sup)
+        assert L.is_max_localization == _flag_reference(L)
+    finally:
+        detector._CHUNK_BUDGET = saved
