@@ -6,10 +6,11 @@ Usage:
 
 A configuration selects one experiment (qsymbol, clock, noise, sagnac,
 mi-scan, amplitude-check, kolmogorov), its physical parameters, and the
-evaluation grid.  Runs write '#'-annotated CSV data files plus a
-run_manifest.json recording parameters, the normalization convention,
-truncation estimates, and wall time.  Pipelines are deterministic: repeated
-runs of the same config produce byte-identical data files.
+evaluation grid; _SCHEMA declares every key each experiment reads.  Runs
+write '#'-annotated CSV data files plus a run_manifest.json recording
+parameters, the normalization convention, truncation estimates, and wall
+time.  Pipelines are deterministic: repeated runs of the same config produce
+byte-identical data files.
 
 Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 I/O failure.
 """
@@ -17,9 +18,9 @@ Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,47 +46,84 @@ from .states import (
     symmetric_superposition,
 )
 
-EXPERIMENTS = (
-    "qsymbol",
-    "clock",
-    "noise",
-    "sagnac",
-    "mi-scan",
-    "amplitude-check",
-    "kolmogorov",
-)
+# --------------------------------------------------------------------------
+# the config schema
+#
+# A table maps each dotted key to (type, range, default).  Types: "float"
+# and "int" (a finite JSON number, not a bool; an int also integral),
+# "numbers" (a nonempty list of floats, the range holding for each),
+# "list" (a nonempty list), "name" (a plain file name), "state" (a state
+# spec, _STATE_KEYS), "modes" (a mode-list's {m: amp | [re, im]}) or a
+# tuple of choices.  A default is a value, _REQUIRED, or a _Derived text.
+
+_REQUIRED = "required"
+
+
+class _Derived(str):
+    """A default worked out when the key is absent: the value of the key it
+    names, else (described by its text) by the code that reads the key."""
+
+
+_RANGES = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           "in [0, 1)": lambda v: 0 <= v < 1}
+
+_STATE_KEYS = {
+    "coherent": {"xi": ("float", "", _REQUIRED), "alpha": ("float", "> 0", _REQUIRED),
+                 "theta": ("float", "", 0.0)},
+    "gaussian-line": {"p": ("float", "", _REQUIRED), "sigma": ("float", "> 0", _REQUIRED),
+                      "family": (("gaussian", "gaussian-times-x"), "", "gaussian"),
+                      "theta0": ("float", "", 0.0)},
+    "mode-list": {"modes": ("modes", "", _REQUIRED)},
+    "symmetric": {"base": ("state", "", _REQUIRED)},
+}
+
+_PACKET = {"params.m_max": ("int", "> 0", _Derived("ceil(abs(xi) + 12 alpha)")),
+           "params.xi": ("float", "", _REQUIRED), "params.alpha": ("float", "> 0", _REQUIRED)}
+_THETA_PHI = {"params.theta": ("float", "", 0.0), "params.phi": ("float", "", math.pi)}
+_T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", _REQUIRED)}
+_PAIR = {"params.kind": (("product", "symmetrized"), "", "symmetrized"),
+         "params.state1": ("state", "", _REQUIRED), "params.state2": ("state", "", _REQUIRED)}
+
+_SCHEMA = {
+    exp: {"params.mu": ("float", ">= 0", _REQUIRED), "params.r": ("float", "> 0", _REQUIRED),
+          "params.m_max": ("int", "> 0", 400)}
+    | keys | {"output.format": (("csv",), "", "csv"),
+              "output.prefix": ("name", "", exp.replace("-", "_"))}
+    for exp, keys in {
+        "qsymbol": _PACKET | _THETA_PHI | {
+            "grid.n_theta": ("int", "> 0", 2048), "times": ("list", "", _REQUIRED)},
+        "clock": _PACKET | _THETA_PHI | _T_RANGE | {
+            "grid.n_t": ("int", "> 0", _Derived("spacing min(tick/40, sigma/(5 v))"))},
+        "noise": {
+            "params.a_values": ("numbers", "> 0", _REQUIRED),
+            "grid.omega_d_r_min": ("float", "", 0.0),
+            "grid.omega_d_r_max": ("float", "in [0, 1)", 0.9), "grid.n": ("int", "> 0", 19)},
+        "sagnac": _PACKET | {
+            "params.omega_d": ("float", "", _REQUIRED), "params.phi": ("float", "", 0.0),
+            "grid.dt": ("float", "> 0", 0.01), "grid.t_min": ("float", "", _Derived("grid.dt")),
+            "grid.t_max": _T_RANGE["grid.t_max"]},
+        "mi-scan": _PAIR | _T_RANGE | {
+            "params.phi": ("float", "", 0.0),
+            "params.t1": ("float", "", _Derived("none: no CS margin")),
+            "grid.n_t": ("int", "> 0", 2001)},
+        "amplitude-check": _PACKET | _THETA_PHI | _T_RANGE | {"grid.n_t": ("int", "> 0", 64)},
+        "kolmogorov": _PAIR | _T_RANGE | {
+            "params.phi1": ("float", "", 0.0), "params.phi2": ("float", "", 0.0),
+            "params.n_t1": ("int", "> 0", 4096),
+            "params.t1_window": ("numbers", "", _Derived("[0, 2 pi r]")),
+            "grid.n_t": ("int", "> 0", 16)},
+    }.items()
+}
+
+EXPERIMENTS = tuple(_SCHEMA)
+
+# a qsymbol `times` entry: key -> (file label, timescale it is in units of)
+_TIME_KEYS = {"t": ("t", None), "t_over_tq": ("tq", "t_quantum"),
+              "t_over_trec": ("trec", "t_recurrence")}
 
 
 # --------------------------------------------------------------------------
 # validation
-
-
-def _block(cfg: dict, where: str) -> dict:
-    """The nested object a dotted path such as ``params.state1`` names."""
-    for part in where.split("."):
-        cfg = cfg.get(part, {})
-    return cfg
-
-
-def _require(cfg: dict, key: str, errors: list, kind=float, where: str = "params"):
-    block = _block(cfg, where)
-    if key not in block:
-        errors.append(f"missing {where}.{key}")
-        return None
-    try:
-        val = kind(block[key])
-    except (TypeError, ValueError, OverflowError):
-        errors.append(f"{where}.{key} must be {kind.__name__}")
-        return None
-    if not math.isfinite(val):
-        errors.append(f"{where}.{key} must be finite")
-        return None
-    return val
-
-
-# optional grid settings: type and exclusive lower bound (None: unbounded)
-_GRID_KEYS = {"t_min": (float, None), "omega_d_r_min": (float, None), "dt": (float, 0),
-              "n": (int, 0), "n_t": (int, 0), "n_theta": (int, 0)}
 
 
 def _is_number(val) -> bool:
@@ -98,132 +136,122 @@ def _is_number(val) -> bool:
         return False
 
 
-def _optional(cfg: dict, key: str, errors: list, kind=float, where: str = "grid"):
-    """_require for a key that may be absent (None then)."""
-    if key not in _block(cfg, where):
-        return None
-    return _require(cfg, key, errors, kind, where)
+_TYPES = {  # type -> (test, what a message says the value must be)
+    "float": (_is_number, "a finite number"),
+    "int": (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
+    "numbers": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+                "a nonempty list of finite numbers"),
+    "list": (lambda v: isinstance(v, list) and bool(v), "a nonempty list"),
+    "name": (lambda v: isinstance(v, str) and v != "" and Path(v).name == v,
+             "a plain file name"),
+    # (a list, not the dict: a JSON kind may be an unhashable list or object)
+    "state": (lambda v: isinstance(v, dict) and v.get("kind") in list(_STATE_KEYS),
+              f"an object whose kind is one of {', '.join(_STATE_KEYS)}"),
+    "modes": (lambda v: isinstance(v, dict) and bool(v) and all(
+        m.removeprefix("-").isdecimal() and (_is_number(a) or isinstance(a, list)
+                                             and len(a) == 2 and all(map(_is_number, a)))
+        for m, a in v.items()),
+        "an object of integer modes to amplitudes (a number or [re, im])"),
+}
 
 
-def _packet(cfg: dict, errors: list, where: str = "params") -> tuple:
-    """xi and alpha > 0 of a coherent packet (None when invalid); theta optional."""
-    xi = _require(cfg, "xi", errors, where=where)
-    alpha = _require(cfg, "alpha", errors, where=where)
-    _optional(cfg, "theta", errors, where=where)
-    if alpha is not None and alpha <= 0:
-        errors.append(f"{where}.alpha must be > 0")
-        alpha = None
-    return xi, alpha
+def _walk(root: dict, table: dict, errors: list, where: str = "") -> None:
+    """Check each key of a table in the object it is rooted at.
+
+    An absent output key takes its default in place, so the manifest records
+    the output block in full; other defaults are read by _get.
+    """
+    for key, (kind, rng, default) in table.items():
+        *parents, name = key.split(".")
+        block = functools.reduce(dict.__getitem__, parents, root)
+        if name not in block:
+            if default is _REQUIRED:
+                errors.append(f"{where}{key} is required")
+            elif parents == ["output"]:
+                block[name] = default
+            continue
+        val = block[name]
+        test, text = _TYPES.get(kind) or ((lambda v: v in kind), f"one of {', '.join(kind)}")
+        if not (test(val) and all(map(_RANGES[rng], val if kind == "numbers" else [val]))):
+            errors.append(f"{where}{key} must be {text} {rng}".rstrip())
+        elif kind == "state":
+            _walk(val, _STATE_KEYS[val["kind"]], errors, f"{where}{key}.")
+
+
+def _get(cfg: dict, key: str):
+    """A validated config value cast to its declared type, or its default."""
+    table = _SCHEMA[cfg["experiment"]]
+    kind, _, default = table[key]
+    *parents, name = key.split(".")
+    block = functools.reduce(dict.__getitem__, parents, cfg)
+    if name not in block:
+        if isinstance(default, _Derived):
+            return _get(cfg, default) if default in table else None
+        return default
+    val = block[name]
+    if kind == "numbers":
+        return [float(v) for v in val]
+    return {"float": float, "int": int}.get(kind, lambda v: v)(val)
 
 
 def validate_config(cfg: dict) -> tuple[list, list, dict]:
     """Schema and physics checks; returns (errors, warnings, normalized cfg).
 
-    Defaults are filled into the returned copy (with warnings when a
-    physically load-bearing value like m_max had to be guessed).
+    Defaults are filled into the returned copy only for the output block and
+    m_max (with a warning: a physically load-bearing value had to be guessed).
     """
-    errors: list[str] = []
-    warnings: list[str] = []
     if not isinstance(cfg, dict):
         return ["config must be a JSON object"], [], {}
     cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
+    errors: list[str] = []
+    warnings: list[str] = []
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
-        errors.append(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}; got {exp!r}"
-        )
+        errors.append(f"experiment must be one of {', '.join(EXPERIMENTS)}; got {exp!r}")
         return errors, warnings, cfg
-    params = cfg.setdefault("params", {})
-    cfg.setdefault("grid", {})
+    for block in ("params", "grid", "output"):
+        if not isinstance(cfg.setdefault(block, {}), dict):
+            errors.append(f"{block} must be an object")
+    if errors:
+        return errors, warnings, cfg
+    table = _SCHEMA[exp]
+    _walk(cfg, table, errors)
+    if errors:
+        return errors, warnings, cfg
 
-    mu = _require(cfg, "mu", errors)
-    r = _require(cfg, "r", errors)
-    if r is not None and r <= 0:
-        errors.append("params.r must be > 0")
-    if mu is not None and mu < 0:
-        errors.append("params.mu must be >= 0")
-
-    needs_packet = exp in ("qsymbol", "clock", "sagnac", "amplitude-check")
-    if needs_packet:
-        xi, alpha = _packet(cfg, errors)
-        if alpha is not None and alpha < 3 and exp == "qsymbol":
-            warnings.append(
-                f"alpha={alpha} below recommended alpha >= 3 for Q-symbol scans"
-            )
-        if "m_max" not in params and None not in (xi, alpha):
-            params["m_max"] = int(math.ceil(abs(xi) + 12 * alpha))
-            warnings.append(f"m_max defaulted to {params['m_max']}")
-    if "m_max" not in params:
-        params["m_max"] = 400
-        warnings.append("m_max defaulted to 400")
-    m_max = _require(cfg, "m_max", errors, int)
-    if m_max is not None and m_max < 1:
-        errors.append("params.m_max must be >= 1")
-
-    for key in ("phi", "phi1", "phi2", "t1"):
-        _optional(cfg, key, errors, where="params")
-
-    grid = {}
-    for key, (kind, low) in _GRID_KEYS.items():
-        grid[key] = _optional(cfg, key, errors, kind)
-        if None not in (grid[key], low) and not grid[key] > low:
-            errors.append(f"grid.{key} must be > {low}")
-    if exp in ("clock", "sagnac", "mi-scan", "amplitude-check", "kolmogorov"):
-        t_max = _require(cfg, "t_max", errors, where="grid")
-        t_min = grid["t_min"]
-        if t_min is None:  # the runners' defaults
-            t_min = (grid["dt"] or 0.01) if exp == "sagnac" else 0.0
-        if t_max is not None and not t_max > t_min:
-            errors.append(f"grid.t_max must be > grid.t_min ({t_min})")
-
-    if exp in ("sagnac",):
-        omega_d = _require(cfg, "omega_d", errors)
-        if omega_d is not None and r is not None and abs(omega_d * r) >= 1:
-            errors.append(f"frame not timelike: |Omega_D * r| = {abs(omega_d * r)} >= 1")
-    if exp == "noise":
-        a_values = params.get("a_values")
-        if not a_values or not isinstance(a_values, list) or not all(
-            _is_number(a) and a > 0 for a in a_values
-        ):
-            errors.append("params.a_values must be a nonempty list of positive finite numbers")
-        top = _optional(cfg, "omega_d_r_max", errors)
-        if top is not None and not 0 <= top < 1:
-            errors.append("grid.omega_d_r_max must lie in [0, 1)")
+    # checks that span several keys
+    get = functools.partial(_get, cfg)
+    if "m_max" not in cfg["params"]:  # load-bearing: recorded, with a warning
+        m_max = table["params.m_max"][2]
+        if isinstance(m_max, _Derived):  # the packet's extent in modes
+            span = abs(get("params.xi")) + 12 * get("params.alpha")
+            if not math.isfinite(span):
+                errors.append(f"params.m_max is required: {m_max} overflows")
+                return errors, warnings, cfg
+            m_max = math.ceil(span)
+        cfg["params"]["m_max"] = m_max
+        warnings.append(f"m_max defaulted to {m_max}")
+    if "grid.t_max" in table and not get("grid.t_max") > get("grid.t_min"):
+        errors.append(f"grid.t_max must be > grid.t_min ({get('grid.t_min')})")
+    if exp == "sagnac" and abs(get("params.omega_d") * get("params.r")) >= 1:
+        errors.append("params.omega_d: frame not timelike: "
+                      f"|Omega_D * r| = {abs(get('params.omega_d') * get('params.r'))} >= 1")
+    window = get("params.t1_window") if exp == "kolmogorov" else None
+    if window is not None and not (len(window) == 2 and window[0] < window[1]):
+        errors.append("params.t1_window must be [t1_min, t1_max] with t1_min < t1_max")
     if exp == "qsymbol":
-        times = cfg.get("times")
-        if not times or not isinstance(times, list):
-            errors.append("qsymbol needs a nonempty 'times' list")
-        else:
-            for spec in times:
-                keys = set(spec) if isinstance(spec, dict) else set()
-                keys &= {"t", "t_over_tq", "t_over_trec"}
-                if len(keys) != 1:
-                    errors.append(
-                        "times entries must be objects with exactly one of "
-                        "t, t_over_tq, t_over_trec"
-                    )
-                    continue
-                (key,) = keys
-                if not _is_number(spec[key]):
-                    errors.append(f"times entry {spec!r}: {key} must be a finite number")
-                elif mu == 0 and key != "t":
-                    errors.append("t_over_tq/t_over_trec undefined for mu = 0")
-    if exp in ("mi-scan", "kolmogorov"):
-        for key in ("state1", "state2"):
-            spec = params.get(key)
-            if key not in params:
-                errors.append(f"missing params.{key}")
-            elif not isinstance(spec, dict) or "kind" not in spec:
-                errors.append(f"params.{key} must be an object with a 'kind' field")
-            elif spec["kind"] == "coherent":
-                _packet(cfg, errors, where=f"params.{key}")
-        if params.get("kind", "symmetrized") not in ("product", "symmetrized"):
-            errors.append("params.kind must be product or symmetrized")
-
-    out = cfg.setdefault("output", {})
-    if out.setdefault("format", "csv") != "csv":
-        errors.append("output.format must be csv")
-    out.setdefault("prefix", exp.replace("-", "_"))
+        if get("params.alpha") < 3:
+            warnings.append(f"alpha={get('params.alpha')} below recommended alpha >= 3 "
+                            "for Q-symbol scans")
+        for spec in get("times"):
+            keys = [k for k in _TIME_KEYS if isinstance(spec, dict) and k in spec]
+            if len(keys) != 1:
+                errors.append("times entries must be objects with exactly one of "
+                              + ", ".join(_TIME_KEYS))
+            elif not _is_number(spec[keys[0]]):
+                errors.append(f"times entry {spec!r}: {keys[0]} must be a finite number")
+            elif get("params.mu") == 0 and keys[0] != "t":
+                errors.append("times: t_over_tq/t_over_trec undefined for mu = 0")
     return errors, warnings, cfg
 
 
@@ -231,14 +259,24 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
 # experiment runners (each returns a dict of extra manifest fields)
 
 
+def _in_threads(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on up to `threads` worker threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _modespace(cfg: dict) -> ModeSpace:
-    p = cfg["params"]
-    return ModeSpace(mu=float(p["mu"]), r=float(p["r"]), m_max=int(p["m_max"]))
+    return ModeSpace(*(_get(cfg, f"params.{k}") for k in ("mu", "r", "m_max")))
 
 
-def _coherent_params(p: dict) -> CoherentParams:
-    return CoherentParams(theta=float(p.get("theta", 0.0)), xi=float(p["xi"]),
-                          alpha=float(p["alpha"]))
+def _coherent_params(cfg: dict) -> CoherentParams:
+    return CoherentParams(*(_get(cfg, f"params.{k}") for k in ("theta", "xi", "alpha")))
+
+
+def _times(cfg: dict) -> np.ndarray:
+    return np.linspace(*(_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "n_t")))
 
 
 def _meta(cfg: dict) -> dict:
@@ -249,41 +287,28 @@ def _meta(cfg: dict) -> dict:
 
 def _run_qsymbol(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
-    p = cfg["params"]
-    cp = _coherent_params(p)
-    phi = float(p.get("phi", math.pi))
+    cp = _coherent_params(cfg)
+    phi = _get(cfg, "params.phi")
     scales = timescales(ms, cp.xi, cp.alpha)
-    n_theta = int(cfg["grid"].get("n_theta", 2048))
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _get(cfg, "grid.n_theta"), endpoint=False)
 
     entries = []
-    for spec in cfg["times"]:
-        if "t" in spec:
-            t_val, label = float(spec["t"]), f"t{format_float(float(spec['t']))}"
-        elif "t_over_tq" in spec:
-            t_val = float(spec["t_over_tq"]) * scales.t_quantum
-            label = f"tq{format_float(float(spec['t_over_tq']))}"
-        else:
-            t_val = float(spec["t_over_trec"]) * scales.t_recurrence
-            label = f"trec{format_float(float(spec['t_over_trec']))}"
-        entries.append((label, t_val))
+    for spec in _get(cfg, "times"):
+        key = next(k for k in _TIME_KEYS if k in spec)
+        label, unit = _TIME_KEYS[key]
+        val = float(spec[key])
+        entries.append((f"{label}{format_float(val)}",
+                        val * getattr(scales, unit) if unit else val))
 
     # Q(theta) at fixed detector angle phi depends on phi - theta only
     cp0 = CoherentParams(0.0, cp.xi, cp.alpha)
 
     def work(entry):
         label, t_val = entry
-        vals = qsymbol(ms, cp0, t_val, phi - theta)
-        return label, t_val, vals
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, entries))
-    else:
-        results = [work(e) for e in entries]
+        return label, t_val, qsymbol(ms, cp0, t_val, phi - theta)
 
     files = []
-    for label, t_val, vals in results:
+    for label, t_val, vals in _in_threads(work, entries, threads):
         path = out_dir / f"{cfg['output']['prefix']}_{label}.csv"
         meta = _meta(cfg) | {"t": t_val, "phi": phi,
                              "t_quantum": scales.t_quantum,
@@ -300,27 +325,21 @@ def _run_qsymbol(cfg, out_dir: Path, threads: int):
 
 def _run_clock(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
-    p = cfg["params"]
-    cp = _coherent_params(p)
-    phi = float(p.get("phi", math.pi))
+    cp = _coherent_params(cfg)
     state = coherent_state(ms, cp)
     _require_support(ms, _kernel_support(DetectorKernel.max_localization(), ms),
                     state.occupation())
     scales = timescales(ms, cp.xi, cp.alpha)
 
-    grid = cfg["grid"]
-    t_min = float(grid.get("t_min", 0.0))
-    t_max = float(grid["t_max"])
-    if "n_t" in grid:
-        n_t = int(grid["n_t"])
-    else:
+    t_min, t_max, n_t = (_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "n_t"))
+    if n_t is None:
         sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
         v = abs(cp.xi) / (math.sqrt(ms.mu**2 + (cp.xi / ms.r) ** 2) * ms.r)
         dt = min(scales.tick / 40.0, sigma / v / 5.0)
         n_t = min(int(math.ceil((t_max - t_min) / dt)) + 1, 500_000)
     t = np.linspace(t_min, t_max, n_t)
     # pc_density under maximum localization, without its n x n matrix
-    density = _density(ms, amp_state(state, ms, t, phi))
+    density = _density(ms, amp_state(state, ms, t, _get(cfg, "params.phi")))
     w = cumulative(t, density)
     ticks = extract_ticks(t, density)
     quality = clock_quality(ticks, tau_expected=scales.tick)
@@ -348,22 +367,13 @@ def _run_clock(cfg, out_dir: Path, threads: int):
 
 def _run_noise(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
-    grid = cfg["grid"]
-    lo = float(grid.get("omega_d_r_min", 0.0))
-    hi = float(grid.get("omega_d_r_max", 0.9))
-    n = int(grid.get("n", 19))
-    omega_d = np.linspace(lo, hi, n) / ms.r
-    a_values = [float(a) for a in cfg["params"]["a_values"]]
+    grid = (_get(cfg, f"grid.{k}") for k in ("omega_d_r_min", "omega_d_r_max", "n"))
+    omega_d = np.linspace(*grid) / ms.r
 
     def work(a):
         return a, noise_curve(DetectorKernel.ring_exponential(a=a), ms, omega_d)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(work, a_values))
-    else:
-        curves = [work(a) for a in a_values]
-
+    curves = _in_threads(work, _get(cfg, "params.a_values"), threads)
     files = []
     for a, curve in curves:
         path = out_dir / f"{cfg['output']['prefix']}_a{format_float(a)}.csv"
@@ -379,16 +389,14 @@ def _run_noise(cfg, out_dir: Path, threads: int):
 
 def _run_sagnac(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
-    p = cfg["params"]
-    cp = _coherent_params(p | {"theta": 0.0})
+    cp = CoherentParams(0.0, _get(cfg, "params.xi"), _get(cfg, "params.alpha"))
     state = symmetric_superposition(ms, coherent_state(ms, cp))
-    rf = RotationFrame(omega_d=float(p["omega_d"]), modespace=ms)
-    grid = cfg["grid"]
-    dt = float(grid.get("dt", 0.01))
-    t = np.arange(float(grid.get("t_min", dt)), float(grid["t_max"]), dt)
-    res = sagnac_scan(state, rf, t, phi=float(p.get("phi", 0.0)))
+    rf = RotationFrame(omega_d=_get(cfg, "params.omega_d"), modespace=ms)
+    phi = _get(cfg, "params.phi")
+    t = np.arange(*(_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "dt")))
+    res = sagnac_scan(state, rf, t, phi=phi)
 
-    envelope = _density(ms, amp_state(state, ms, t, float(p.get("phi", 0.0))))
+    envelope = _density(ms, amp_state(state, ms, t, phi))
     phase = res.fringe_frequency * t if res.fringe_frequency == res.fringe_frequency \
         else np.zeros_like(t)
     prefix = cfg["output"]["prefix"]
@@ -406,21 +414,16 @@ def _run_sagnac(cfg, out_dir: Path, threads: int):
 
 
 def _build_pair(cfg, ms: ModeSpace) -> TwoParticleState:
-    p = cfg["params"]
-    s1 = state_from_spec(ms, p["state1"])
-    s2 = state_from_spec(ms, p["state2"])
-    return TwoParticleState(p.get("kind", "symmetrized"), s1, s2)
+    s1, s2 = (state_from_spec(ms, _get(cfg, f"params.{k}")) for k in ("state1", "state2"))
+    return TwoParticleState(_get(cfg, "params.kind"), s1, s2)
 
 
 def _run_mi_scan(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     tps = _build_pair(cfg, ms)
-    grid = cfg["grid"]
-    t = np.linspace(float(grid.get("t_min", 0.0)), float(grid["t_max"]),
-                    int(grid.get("n_t", 2001)))
-    phi = float(cfg["params"].get("phi", 0.0))
-    t1 = float(cfg["params"]["t1"]) if "t1" in cfg["params"] else None
-    report = violation_scan(tps, phi, t, t1_fixed=t1)
+    t = _times(cfg)
+    t1 = _get(cfg, "params.t1")
+    report = violation_scan(tps, _get(cfg, "params.phi"), t, t1_fixed=t1)
     cols = {
         "t1": np.full(t.size, t1 if t1 is not None else np.nan),
         "t2": t,
@@ -441,13 +444,10 @@ def _run_mi_scan(cfg, out_dir: Path, threads: int):
 
 def _run_amplitude_check(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
-    p = cfg["params"]
-    cp = _coherent_params(p)
+    cp = _coherent_params(cfg)
     state = coherent_state(ms, cp)
-    grid = cfg["grid"]
-    t = np.linspace(float(grid.get("t_min", 0.0)), float(grid["t_max"]),
-                    int(grid.get("n_t", 64)))
-    phi = float(p.get("phi", math.pi))
+    t = _times(cfg)
+    phi = _get(cfg, "params.phi")
     mode = amp_state(state, ms, t, phi)
     pois = amp_poisson(ms, t, phi, state=state)
     scale = float(np.max(np.abs(mode)))
@@ -466,17 +466,9 @@ def _run_amplitude_check(cfg, out_dir: Path, threads: int):
 def _run_kolmogorov(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     tps = _build_pair(cfg, ms)
-    p = cfg["params"]
-    grid = cfg["grid"]
-    t2 = np.linspace(float(grid.get("t_min", 0.0)), float(grid["t_max"]),
-                     int(grid.get("n_t", 16)))
-    window = p.get("t1_window")
-    if window is None:
-        period = 2.0 * math.pi * ms.r
-        window = [0.0, period]
-    report = kolmogorov_check(tps, float(p.get("phi1", 0.0)), float(p.get("phi2", 0.0)),
-                              t2, (float(window[0]), float(window[1])),
-                              n_t1=int(p.get("n_t1", 4096)))
+    window = _get(cfg, "params.t1_window") or [0.0, 2.0 * math.pi * ms.r]
+    report = kolmogorov_check(tps, _get(cfg, "params.phi1"), _get(cfg, "params.phi2"),
+                              _times(cfg), tuple(window), n_t1=_get(cfg, "params.n_t1"))
     rel = np.abs(report["marginal"] - report["p1"]) / float(np.max(report["p1"]))
     path = write_csv(out_dir / f"{cfg['output']['prefix']}.csv",
                      {"t2": report["t2"], "marginal": report["marginal"],
@@ -541,17 +533,12 @@ def cmd_run(args) -> int:
     if code:
         return code
 
-    try:
-        threads = args.threads or int(os.environ.get("RINGTOA_THREADS", "1"))
-    except ValueError:
-        print("error: RINGTOA_THREADS must be an integer")
-        return 2
     out_dir = Path(args.out)
     started = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        extras = RUNNERS[cfg["experiment"]](cfg, out_dir, max(1, threads))
-    except (RingToAError, ValueError, FloatingPointError) as exc:
+        extras = RUNNERS[cfg["experiment"]](cfg, out_dir, max(1, args.threads))
+    except (RingToAError, ValueError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -593,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment configuration (JSON)")
         if name == "run":
             p.add_argument("--out", default=".", help="output directory")
-            p.add_argument("--threads", type=int, default=0,
-                           help="worker threads (default: RINGTOA_THREADS or 1)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads over panels/curves (default 1)")
             p.add_argument("--gnuplot-stub", action="store_true",
                            help="also emit a gnuplot script referencing the CSVs")
         p.set_defaults(func=fn)

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringtoa import cli
 from ringtoa.cli import main, validate_config
 
 
@@ -61,6 +65,10 @@ def test_validate_defaults_m_max_with_warning():
     assert not errors
     assert any("m_max defaulted" in w for w in warnings)
     assert normalized["params"]["m_max"] == 160
+    # a packet too wide for a float is refused, not an OverflowError
+    cfg["params"] |= {"xi": 1e308, "alpha": 1e307}
+    errors, _, _ = validate_config(cfg)
+    assert errors == ["params.m_max is required: ceil(abs(xi) + 12 alpha) overflows"]
 
 
 def test_validate_warns_small_alpha_qsymbol():
@@ -170,6 +178,14 @@ QSYMBOL_CFG = {
 
 CLOCK_NO_M_MAX = {**CLOCK_CFG, "params": {k: v for k, v in CLOCK_CFG["params"].items()
                                           if k != "m_max"}}
+LINE_STATE = {"kind": "gaussian-line", "p": 100.0, "sigma": 1.0 / (math.sqrt(2) * 5)}
+KOLMOGOROV_CFG = {
+    "experiment": "kolmogorov",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "kind": "product",
+               "state1": LINE_STATE, "state2": LINE_STATE | {"family": "gaussian-times-x"},
+               "n_t1": 512},
+    "grid": {"t_min": 5.9, "t_max": 6.7, "n_t": 3},
+}
 
 
 @pytest.mark.parametrize("cfg, block, key, value", [
@@ -179,28 +195,38 @@ CLOCK_NO_M_MAX = {**CLOCK_CFG, "params": {k: v for k, v in CLOCK_CFG["params"].i
     (NOISE_CFG, "grid", "n", 0),
     (QSYMBOL_CFG, "grid", "n_theta", 0),
     (NOISE_CFG, "output", "format", "json"),
-    # block None: a top-level key; block "env": an environment variable
+    # block None: a top-level key
     pytest.param(QSYMBOL_CFG, None, "times", [5], id="times-not-object"),
     pytest.param(CLOCK_NO_M_MAX, "params", "xi", math.inf, id="xi-infinite"),
-    pytest.param(NOISE_CFG, "env", "RINGTOA_THREADS", "abc", id="threads-env"),
     pytest.param(QSYMBOL_CFG, None, "times", [{"t": "abc"}], id="times-value-string"),
     pytest.param(NOISE_CFG, "params", "a_values", [0.5, True], id="a-values-bool"),
     pytest.param(NOISE_CFG, "params", "a_values", [0.5, math.inf], id="a-values-infinite"),
+    *(pytest.param(KOLMOGOROV_CFG, "params", key, value, id=f"kolmogorov-{key}={json.dumps(value)}")
+      for key, value in [("n_t1", None), ("n_t1", -5), ("t1_window", 5), ("t1_window", [1.0]),
+                         ("t1_window", [2.0, 1.0]), ("t1_window", ["a", 1.0])]),
+    *(pytest.param(NOISE_CFG, None, key, value, id=f"{key}-not-object")
+      for key, value in [("params", 5), ("grid", []), ("output", "x")]),
+    # a number is a finite JSON number, not a bool; an integer also integral
+    pytest.param(NOISE_CFG, "params", "m_max", "200", id="m_max-string"),
+    pytest.param(NOISE_CFG, "params", "m_max", 200.7, id="m_max-fraction"),
+    pytest.param(NOISE_CFG, "params", "mu", True, id="mu-bool"),
+    # output files stay plain names inside --out
+    pytest.param(NOISE_CFG, "output", "prefix", None, id="prefix-null"),
+    pytest.param(NOISE_CFG, "output", "prefix", "../esc", id="prefix-escapes"),
+    pytest.param(NOISE_CFG, "output", "prefix", "", id="prefix-empty"),
 ])
-def test_run_malformed_setting_exit_2(tmp_path, capsys, monkeypatch, cfg, block, key, value):
+def test_run_malformed_setting_exit_2(tmp_path, capsys, cfg, block, key, value):
     # a malformed setting is a config error (exit 2 with a message naming
     # the key), never a traceback, a numerical failure or an empty run
     bad = copy.deepcopy(cfg)
-    if block == "env":
-        monkeypatch.setenv(key, value)
-    elif block is None:
+    if block is None:
         bad[key] = value
     else:
         bad.setdefault(block, {})[key] = value
     path = write_config(tmp_path, "bad.json", bad)
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out)]) == 2
-    name = key if block in (None, "env") else f"{block}.{key}"
+    name = key if block is None else f"{block}.{key}"
     assert f"error: {name} " in capsys.readouterr().out
     assert not out.exists()
 
@@ -223,6 +249,12 @@ def _probes():
     yield "fig-miviolation", "params.state1.alpha", -1.0
     yield "fig-miviolation", "params.state1", []
     yield "fig-miviolation", "params.state2", {}
+    line = {"kind": "gaussian-line", "p": 1000.0, "sigma": 0.0707}
+    for spec in (line | {"p": None}, line | {"sigma": None}, line | {"sigma": 0},
+                 line | {"family": "gaussian-times-y"}, {"kind": "gaussian"},
+                 {"kind": "mode-list", "modes": 5}, {"kind": "mode-list", "modes": {"x": 1.0}},
+                 {"kind": "symmetric"}):
+        yield "fig-miviolation", "params.state1", spec
     # t_max <= t_min leaves an empty time grid
     yield "sagnac", "grid.t_max", 0
     yield "sagnac", "grid.t_max", -1
@@ -302,16 +334,14 @@ def test_run_qsymbol_panels_with_threads(tmp_path):
     assert manifest["extras"]["timescales"]["t_quantum"] == pytest.approx(282.84, abs=0.1)
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_match_one_thread_bytes(tmp_path):
     cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
-    monkeypatch.setenv("RINGTOA_THREADS", "2")
-    out = tmp_path / "env_out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    out, ref = tmp_path / "two", tmp_path / "one"
+    assert main(["run", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+    assert main(["run", str(cfg), "--out", str(ref), "--threads", "1"]) == 0
     # same bytes as a single-threaded run: gathering is order-stable
-    ref = tmp_path / "ref_out"
-    monkeypatch.delenv("RINGTOA_THREADS")
-    assert main(["run", str(cfg), "--out", str(ref)]) == 0
-    assert (out / "noise_a1.0.csv").read_bytes() == (ref / "noise_a1.0.csv").read_bytes()
+    for name in ("noise_a0.5.csv", "noise_a1.0.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_run_shipped_probcoh_config(tmp_path):
@@ -363,3 +393,99 @@ def test_run_mi_scan_and_kolmogorov(tmp_path):
     assert main(["run", str(kol_cfg), "--out", str(out2)]) == 0
     manifest2 = json.loads((out2 / "run_manifest.json").read_text())
     assert manifest2["extras"]["max_rel_deviation"] < 1e-5
+
+
+# one small config per experiment (every state-spec kind among them)
+FUZZ_CONFIGS = [
+    QSYMBOL_CFG | {"grid": {"n_theta": 64}}, CLOCK_CFG, NOISE_CFG, KOLMOGOROV_CFG,
+    SAGNAC_CFG | {"params": SAGNAC_CFG["params"] | {"omega_d": 0.01}, "grid": {"t_max": 30.0}},
+    {"experiment": "mi-scan",
+     "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "phi": 0.0, "t1": 3.0,
+                "state1": {"kind": "mode-list", "modes": {"95": 1.0, "-100": [0.5, 0.5]}},
+                "state2": {"kind": "symmetric", "base": {"kind": "coherent", "xi": 100.0,
+                                                         "alpha": 5.0}}},
+     "grid": {"t_min": 2.0, "t_max": 4.0, "n_t": 21}},
+    {"experiment": "amplitude-check",
+     "params": {"mu": 10.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0},
+     "grid": {"t_min": 1.0, "t_max": 2.0, "n_t": 8}},
+]
+FUZZ_VALUES = [None, "x", True, [], {}, [1.0], -1, 0, 0.5, math.nan, math.inf, -math.inf]
+DROP = object()
+
+
+def _key_paths(block, prefix=()):
+    for key, val in block.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # physics warnings of odd values
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_0_2_or_3(data):
+    # one key of a small config dropped or set to a malformed value: the run
+    # succeeds, is refused as a config error, or fails numerically; it never
+    # raises (a traceback and exit 1 from the command line)
+    cfg = copy.deepcopy(data.draw(st.sampled_from(FUZZ_CONFIGS)))
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    value = data.draw(st.sampled_from(FUZZ_VALUES + [DROP]))
+    block = cfg
+    for part in parents:
+        block = block[part]
+    if value is DROP:
+        del block[key]
+    else:
+        block[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "cfg.json", cfg)
+        assert main(["run", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+
+
+def _cell(spec) -> str:
+    """type | range | default of a schema entry, as the README tables print it."""
+    kind, rng, default = spec
+    if not isinstance(kind, str):
+        kind = "one of " + ", ".join(f"`{c}`" for c in kind)
+    if default is cli._REQUIRED or isinstance(default, cli._Derived):
+        default = f"*{default}*"
+    else:
+        default = f"`{json.dumps(default)}`"
+    return f"{kind} | {rng} | {default}"
+
+
+def _reference_rows() -> set:
+    groups = {}
+    for exp, table in cli._SCHEMA.items():
+        for key, spec in table.items():
+            groups.setdefault(f"| `{key}` | {_cell(spec)} |", []).append(exp)
+    rows = {f"{row} {'all' if len(exps) == len(cli._SCHEMA) else ', '.join(exps)} |"
+            for row, exps in groups.items()}
+    return rows | {f"| `{kind}` | `{key}` | {_cell(spec)} |"
+                   for kind, table in cli._STATE_KEYS.items() for key, spec in table.items()}
+
+
+def test_readme_config_reference_matches_the_schema():
+    # README's config reference lists every key, its type, range and default
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    rows = {ln for ln in section.splitlines() if ln.startswith("| `")}
+    assert rows == _reference_rows()
+
+
+STATE_SPECS = {"coherent": {"xi": 100.0, "alpha": 5.0},
+               "gaussian-line": {"p": 100.0, "sigma": 0.1}}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in STATE_SPECS for key, (_, _, default) in cli._STATE_KEYS[kind].items()
+    if default is not cli._REQUIRED])
+def test_state_spec_defaults_are_the_builders(kind, key):
+    # the table's default of an optional state key is the one state_from_spec applies
+    from ringtoa import ModeSpace
+    from ringtoa.states import state_from_spec
+
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=200)
+    spec = {"kind": kind} | STATE_SPECS[kind]
+    given = spec | {key: cli._STATE_KEYS[kind][key][2]}
+    assert np.array_equal(state_from_spec(ms, spec).coeffs, state_from_spec(ms, given).coeffs)
