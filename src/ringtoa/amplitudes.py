@@ -246,12 +246,7 @@ def line_arrival_amp(x: float, t: float, mu: float, k_range, profile=None,
     im, im_err = quad(integrand, k_lo, k_hi, args=(1,), limit=limit,
                       epsabs=1e-13, epsrel=rel_tol)
     val = complex(re, im)
-    err = re_err + im_err
-    if err > max(1e-10, 100.0 * rel_tol * abs(val)):
-        raise QuadratureError(
-            f"line amplitude quadrature poorly converged at x={x}, t={t}: "
-            f"estimate {err:.3e} for |value| {abs(val):.3e}"
-        )
+    _gate(np.array([val]), np.array([re_err + im_err]), [x], t, rel_tol)
     return val
 
 

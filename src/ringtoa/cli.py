@@ -31,12 +31,12 @@ import numpy as np
 from . import __version__
 from .amplitudes import amp_poisson, amp_state
 from .clock import clock_quality, cumulative, extract_ticks
-from .detector import DetectorKernel, _kernel_support, _require_support
+from .detector import DetectorKernel, localization_matrix
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame
 from .multitime import TwoParticleState, kolmogorov_check, violation_scan
-from .probability import NORMALIZATION_TAG, _density, qsymbol, timescales
+from .probability import NORMALIZATION_TAG, pc_density, qsymbol, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
     CoherentParams,
@@ -155,8 +155,11 @@ _TYPES = {  # type -> (test, what a message says the value must be)
 }
 
 
-def _walk(root: dict, table: dict, errors: list, where: str = "") -> None:
-    """Check each key of a table in the object it is rooted at.
+def _walk(root: dict, table: dict, errors: list, warnings: list, where: str = "",
+          tag: str = "experiment") -> None:
+    """Check each key of a table in the object it is rooted at, and warn of
+    each key of the object that neither the table nor `tag` (the key that
+    chose the table) declares.
 
     An absent output key takes its default in place, so the manifest records
     the output block in full; other defaults are read by _get.
@@ -175,7 +178,12 @@ def _walk(root: dict, table: dict, errors: list, where: str = "") -> None:
         if not (test(val) and all(map(_RANGES[rng], val if kind == "numbers" else [val]))):
             errors.append(f"{where}{key} must be {text} {rng}".rstrip())
         elif kind == "state":
-            _walk(val, _STATE_KEYS[val["kind"]], errors, f"{where}{key}.")
+            _walk(val, _STATE_KEYS[val["kind"]], errors, warnings, f"{where}{key}.", "kind")
+    blocks = {key.split(".")[0] for key in table if "." in key}
+    for name, val in root.items():
+        for key in ([f"{name}.{sub}" for sub in val] if name in blocks else [name]):
+            if key not in table and key != tag:
+                warnings.append(f"{where}{key} is not a known key: ignored")
 
 
 def _get(cfg: dict, key: str):
@@ -215,7 +223,7 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
     if errors:
         return errors, warnings, cfg
     table = _SCHEMA[exp]
-    _walk(cfg, table, errors)
+    _walk(cfg, table, errors, warnings)
     if errors:
         return errors, warnings, cfg
 
@@ -327,8 +335,6 @@ def _run_clock(cfg, out_dir: Path, threads: int):
     ms = _modespace(cfg)
     cp = _coherent_params(cfg)
     state = coherent_state(ms, cp)
-    _require_support(ms, _kernel_support(DetectorKernel.max_localization(), ms),
-                    state.occupation())
     scales = timescales(ms, cp.xi, cp.alpha)
 
     t_min, t_max, n_t = (_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "n_t"))
@@ -338,8 +344,8 @@ def _run_clock(cfg, out_dir: Path, threads: int):
         dt = min(scales.tick / 40.0, sigma / v / 5.0)
         n_t = min(int(math.ceil((t_max - t_min) / dt)) + 1, 500_000)
     t = np.linspace(t_min, t_max, n_t)
-    # pc_density under maximum localization, without its n x n matrix
-    density = _density(ms, amp_state(state, ms, t, _get(cfg, "params.phi")))
+    det = localization_matrix(DetectorKernel.max_localization(), ms)
+    density = pc_density(state, det, t, _get(cfg, "params.phi"))
     w = cumulative(t, density)
     ticks = extract_ticks(t, density)
     quality = clock_quality(ticks, tau_expected=scales.tick)
@@ -396,7 +402,8 @@ def _run_sagnac(cfg, out_dir: Path, threads: int):
     t = np.arange(*(_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "dt")))
     res = sagnac_scan(state, rf, t, phi=phi)
 
-    envelope = _density(ms, amp_state(state, ms, t, phi))
+    det = localization_matrix(DetectorKernel.max_localization(), ms)
+    envelope = pc_density(state, det, t, phi)
     phase = res.fringe_frequency * t if res.fringe_frequency == res.fringe_frequency \
         else np.zeros_like(t)
     prefix = cfg["output"]["prefix"]

@@ -128,32 +128,22 @@ class DetectorKernel:
             p = self.params
             out = np.where(m > 0, p["A"] * np.exp(-p["a"] * r * w), 0.0)
         else:
-            pts = np.stack(np.broadcast_arrays(w, m), axis=-1)
-            logs = self.params["interp"](pts)
+            logs = self.log_raw(w, m)
             # half a floor contribution still underflows exp to zero
             out = np.where(logs > 0.25 * self._LOG_FLOOR, np.exp(logs), 0.0)
         return out
 
-    def log_raw(self, omega_val, m, r: float = 1.0):
-        """log of raw_value (literal arguments, no support clipping).
+    def log_raw(self, omega_val, m):
+        """log R of a tabulated kernel at literal arguments (no support clipping).
 
-        Lets the localization builder form midpoint ratios in the exponent,
-        avoiding over/underflow; off-support points come back below
-        _LOG_FLOOR / 2.
+        The table's interpolant, in the broadcast shape of the arguments, so
+        that the localization builder forms midpoint ratios in the exponent;
+        zero cells and points off the table come back below _LOG_FLOOR / 2.
+        The analytic families have no table: their matrices are closed form.
         """
-        w = np.asarray(omega_val, dtype=float)
-        m = np.asarray(m, dtype=float)
-        if self.family == "max-localization":
-            p = self.params
-            logv = math.log(p["A"]) - p["gamma1"] * np.abs(m) / r - p["gamma0"] * w
-            if p["chiral"]:
-                logv = np.where(m > 0, logv, -np.inf)
-            return logv
-        if self.family == "ring-exponential":
-            p = self.params
-            return np.where(m > 0, math.log(p["A"]) - p["a"] * r * w, -np.inf)
-        pts = np.stack(np.broadcast_arrays(w, m), axis=-1)
-        return self.params["interp"](pts)
+        w, m = np.broadcast_arrays(np.asarray(omega_val, dtype=float),
+                                   np.asarray(m, dtype=float))
+        return self.params["interp"](np.stack((w, m), axis=-1)).reshape(w.shape)
 
 
 def kernel_from_spec(spec: dict) -> DetectorKernel:
@@ -282,19 +272,14 @@ class LocalizationMatrix:
         return True
 
     def require_support(self, occupation: np.ndarray):
-        """Raise SupportError if the state occupies unsupported modes."""
-        _require_support(self.modespace, self.on_support, occupation)
-
-
-def _require_support(ms: ModeSpace, on_support: np.ndarray, occupation: np.ndarray):
-    """Raise SupportError if occupation > 1e-14 on a mode outside on_support."""
-    bad = (~on_support) & (occupation > 1e-14)
-    if np.any(bad):
-        offenders = ms.modes()[bad]
-        raise SupportError(
-            f"state occupies modes outside detector support: {offenders[:10].tolist()}"
-            + ("..." if offenders.size > 10 else "")
-        )
+        """Raise SupportError if occupation > 1e-14 on a mode outside on_support."""
+        bad = (~self.on_support) & (occupation > 1e-14)
+        if np.any(bad):
+            offenders = self.modespace.modes()[bad]
+            raise SupportError(
+                f"state occupies modes outside detector support: {offenders[:10].tolist()}"
+                + ("..." if offenders.size > 10 else "")
+            )
 
 
 def _kernel_support(dk: DetectorKernel, ms: ModeSpace) -> np.ndarray:
@@ -348,11 +333,11 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
     mid_m = 0.5 * (m[:, None] + m[None, :])
     mid_w = 0.5 * (energies[:, None] + energies[None, :])
-    logs = np.asarray(dk.log_raw(energies, m, r=ms.r))
+    logs = dk.log_raw(energies, m)
     sup = logs > 0.25 * DetectorKernel._LOG_FLOOR
     if frame is None:
         sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
-    log_mid = np.asarray(dk.log_raw(mid_w, mid_m, r=ms.r))
+    log_mid = dk.log_raw(mid_w, mid_m)
     expo = log_mid - 0.5 * (logs[:, None] + logs[None, :])
     pair = sup[:, None] & sup[None, :]
     with np.errstate(over="ignore"):

@@ -160,48 +160,70 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum")
     return _pointwise(t, phi, at, dtype=float)
 
 
-def vacuum_noise(dk: DetectorKernel, ms: ModeSpace, frame: RotationFrame | None = None):
-    """State-independent noise P0 = sum_m R(omega_m, m) / (4 pi r omega_m).
+ETA_TAIL_TOL = 1e-12
+ETA_HARD_CAP = 2_000_000
 
-    With a frame the kernel argument shifts to omega_m - m Omega_D,
-    evaluated literally (rotating-noise convention); the 1/omega_m weight
-    keeps the static mode energy.  Raises SeriesError when the tail of the
-    sum is not decreasing (e.g. flat kernels) or a term diverges.
+
+def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
+    """(sum, cutoff reached, tail bound / sum) of sum_m R(omega_m - m Omega_D, m) / omega_m.
+
+    The kernel is evaluated at the literal rotating argument (no support
+    clipping).  The cutoff grows until the geometric tail bound drops below
+    1e-12 of the partial sum; non-decaying tails raise SeriesError.
     """
-    m = ms.modes()
-    w_static = omega(ms, m)
-    if frame is None:
-        vals = kernel_eval(dk, w_static, m, r=ms.r)
-    else:
-        if frame.modespace != ms:
-            raise DomainError("frame built over a different mode space")
-        vals = dk.raw_value(rotating_omega(frame, m), m, r=ms.r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            (w_static > 0) & (vals > 0),
-            vals / (4.0 * math.pi * ms.r * w_static),
-            np.where(vals > 0, np.inf, 0.0),
-        )
-    if not np.all(np.isfinite(terms)):
-        raise SeriesError("vacuum noise diverges: kernel does not vanish at omega=0")
-    # tail monotonicity check on the outer decade of retained modes
-    tail_n = max(4, ms.m_max // 10)
-    for side in (terms[-tail_n:], terms[:tail_n][::-1]):
-        nz = side[np.abs(side) > 0]
-        if nz.size >= 3 and not np.all(np.diff(nz) <= 0):
+    m_max = ms.m_max
+    while True:
+        m = np.arange(-m_max, m_max + 1)
+        m = m[m != 0]
+        w = omega(ms, m)
+        vals = dk.raw_value(w - m * omega_d, m, r=ms.r)
+        terms = vals / w
+        total = float(terms.sum())
+        if total <= 0:
+            raise SeriesError("noise sum vanishes: kernel has no supported modes")
+        hi = float(terms[-1])
+        lo = float(terms[0])
+        prev_hi = float(terms[-2])
+        prev_lo = float(terms[1])
+        edge = 0.0
+        for last, prev in ((hi, prev_hi), (lo, prev_lo)):
+            if last <= 0:
+                continue
+            if prev <= 0 or last >= prev:
+                raise SeriesError(
+                    "noise series tail is not decreasing; eta sum diverges"
+                )
+            q = last / prev
+            edge += last * q / (1.0 - q)
+        if edge < ETA_TAIL_TOL * total:
+            return total, m_max, edge / total
+        if 2 * m_max > ETA_HARD_CAP:
             raise SeriesError(
-                "vacuum noise series tail is not decreasing; sum diverges "
-                "or m_max is far too small"
+                f"eta tail bound {edge:.3e} still above tolerance at "
+                f"m_max={m_max}; kernel decays too slowly"
             )
-    total = float(np.sum(terms))
-    last = max(float(terms[0]), float(terms[-1]))
-    remainder = last * 2.0 * tail_n  # last term times comparable-count
-    if total > 0 and remainder > 1e-6 * total:
-        raise SeriesError(
-            f"vacuum noise truncation remainder {remainder:.3e} too large "
-            f"fraction of total {total:.3e}; increase m_max"
-        )
-    return total
+        m_max *= 2
+
+
+def vacuum_noise(dk: DetectorKernel, ms: ModeSpace, frame: RotationFrame | None = None):
+    """State-independent noise P0 = sum_m R(omega_m - m Omega_D, m) / (4 pi r omega_m).
+
+    Omega_D is the frame's angular velocity (0 without a frame); the kernel
+    is evaluated at the literal rotating argument, and the 1/omega_m weight
+    keeps the static mode energy.  The m != 0 terms are _eta_sum's, so the
+    cutoff extends past ms.m_max until the geometric tail bound is under
+    1e-12 of the sum; a tail that does not decay raises SeriesError.  The
+    zero mode adds R(mu, 0) / mu, and at mu = 0 raises SeriesError unless
+    R(0, 0) = 0.
+    """
+    if frame is not None and frame.modespace != ms:
+        raise DomainError("frame built over a different mode space")
+    omega_d = 0.0 if frame is None else frame.omega_d
+    zero = float(dk.raw_value(ms.mu, 0, r=ms.r))
+    if zero > 0 and ms.mu == 0:
+        raise SeriesError("vacuum noise diverges: kernel does not vanish at omega=0")
+    total = _eta_sum(dk, ms, omega_d)[0] + (zero / ms.mu if zero > 0 else 0.0)
+    return total / (4.0 * math.pi * ms.r)
 
 
 @dataclass(frozen=True)
@@ -216,13 +238,14 @@ def timescales(ms: ModeSpace, xi: float, alpha: float) -> Timescales:
 
     T_q = omega_xi^3 r^2 / (mu^2 alpha): semiclassical breakdown;
     T_rec = 4 pi omega_xi^3 r^2 / mu^2 = 4 pi alpha T_q: partial revivals;
-    tau = 2 pi r^2 omega_xi / xi: tick period.  Massless packets disperse
-    not at all: T_q and T_rec are infinite.
+    tau = 2 pi r^2 omega_xi / |xi|: tick period, the same in either direction
+    of travel.  Massless packets disperse not at all: T_q and T_rec are
+    infinite.
     """
     if xi == 0:
         raise DomainError("timescales need xi != 0")
     w_xi = math.sqrt(ms.mu**2 + (xi / ms.r) ** 2)
-    tick = 2.0 * math.pi * ms.r**2 * w_xi / xi
+    tick = 2.0 * math.pi * ms.r**2 * w_xi / abs(xi)
     if ms.mu == 0:
         return Timescales(math.inf, math.inf, tick)
     t_q = w_xi**3 * ms.r**2 / (ms.mu**2 * alpha)

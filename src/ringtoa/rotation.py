@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import amp_rotating_split
-from .errors import DomainError, SeriesError, StateError
-from .modes import ModeSpace, RotationFrame, omega, velocity
+from .errors import DomainError, StateError
+from .modes import ModeSpace, RotationFrame, velocity
 from .detector import DetectorKernel
-from .probability import _density, timescales
+from .probability import _density, _eta_sum, timescales
 from .states import RingState
 
 __all__ = [
@@ -32,51 +32,6 @@ __all__ = [
     "coincidence_winding",
     "coincidence_report",
 ]
-
-ETA_TAIL_TOL = 1e-12
-ETA_HARD_CAP = 2_000_000
-
-
-def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
-    """(sum, cutoff reached, tail bound / sum) of sum_m R(omega_m - m Omega_D, m) / omega_m.
-
-    The kernel is evaluated at the literal rotating argument (no support
-    clipping).  The cutoff grows until the geometric tail bound drops below
-    1e-12 of the partial sum; non-decaying tails raise SeriesError.
-    """
-    m_max = ms.m_max
-    while True:
-        m = np.arange(-m_max, m_max + 1)
-        m = m[m != 0]
-        w = omega(ms, m)
-        vals = dk.raw_value(w - m * omega_d, m, r=ms.r)
-        terms = vals / w
-        total = float(terms.sum())
-        if total <= 0:
-            raise SeriesError("noise sum vanishes: kernel has no supported modes")
-        hi = float(terms[-1])
-        lo = float(terms[0])
-        prev_hi = float(terms[-2])
-        prev_lo = float(terms[1])
-        edge = 0.0
-        for last, prev in ((hi, prev_hi), (lo, prev_lo)):
-            if last <= 0:
-                continue
-            if prev <= 0 or last >= prev:
-                raise SeriesError(
-                    "noise series tail is not decreasing; eta sum diverges"
-                )
-            q = last / prev
-            edge += last * q / (1.0 - q)
-        if edge < ETA_TAIL_TOL * total:
-            return total, m_max, edge / total
-        if 2 * m_max > ETA_HARD_CAP:
-            raise SeriesError(
-                f"eta tail bound {edge:.3e} still above tolerance at "
-                f"m_max={m_max}; kernel decays too slowly"
-            )
-        m_max *= 2
-
 
 def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
     """Rotation-induced noise ratio eta = P0(Omega_D) / P0(0).

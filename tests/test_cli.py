@@ -282,6 +282,29 @@ def test_shipped_config_probe_exit_2(tmp_path, capsys, name, path, value):
     assert not out.exists()
 
 
+def test_validate_warns_once_per_undeclared_key(tmp_path, capsys):
+    # a misspelt key is ignored by the runner, so validate says so (exit 0)
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert validate_config(json.loads(path.read_text()))[:2] == ([], []), path.name
+    cfg = json.loads((CONFIGS / "fig-probcoh.json").read_text())
+    cfg["grid"]["n_thetas"] = 64
+    cfg["note"] = "x"
+    cfg["params"]["xi0"] = 1.0
+    cfg["output"]["dir"] = "out"
+    assert main(["validate", str(write_config(tmp_path, "typo.json", cfg))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"warning: {key} is not a known key: ignored"
+                   for key in ("params.xi0", "grid.n_thetas", "output.dir", "note")] + ["config ok"]
+    pair = json.loads((CONFIGS / "fig-miviolation.json").read_text())
+    pair["params"]["state1"]["sigma"] = 0.1
+    pair["params"]["state2"] = {"kind": "symmetric", "extra": 1,
+                                "base": pair["params"]["state2"] | {"p": 2.0}}
+    errors, warnings, _ = validate_config(pair)
+    assert not errors
+    assert warnings == [f"params.{key} is not a known key: ignored"
+                        for key in ("state1.sigma", "state2.base.p", "state2.extra")]
+
+
 def test_python_m_ringtoa(tmp_path):
     # the package runs as a module without an installed entry point
     repo = Path(__file__).resolve().parent.parent

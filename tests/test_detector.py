@@ -14,7 +14,7 @@ from ringtoa import (
     omega,
     wigner_weyl,
 )
-from ringtoa.detector import _kernel_support, _require_support, kernel_from_spec
+from ringtoa.detector import _kernel_support, kernel_from_spec
 from ringtoa.errors import DomainError, SupportError, UnphysicalKernelError
 
 
@@ -230,16 +230,16 @@ def test_kernel_spec_validation():
     DetectorKernel.ring_exponential(a=0.8),
 ], ids=["max", "max-chiral", "ring-exp"])
 def test_kernel_support_is_the_matrix_support(dk):
-    # the O(n) mask the clock runner checks equals the matrix build's
+    # the O(n) mask equals the matrix build's
     L = localization_matrix(dk, MS)
     np.testing.assert_array_equal(_kernel_support(dk, MS), L.on_support)
     occ = np.zeros(2 * MS.m_max + 1)
     occ[MS.m_max - 2] = 1.0  # mode m = -2
     if L.on_support.all():
-        _require_support(MS, _kernel_support(dk, MS), occ)
+        L.require_support(occ)
     else:
         with pytest.raises(SupportError):
-            _require_support(MS, _kernel_support(dk, MS), occ)
+            L.require_support(occ)
 
 
 # -- analytic families against the elementwise midpoint ratio ---------------

@@ -29,3 +29,14 @@ def test_package_imports_are_defined():
         for alias in node.names:
             assert hasattr(source, alias.name), f"{node.module}.{alias.name} is undefined"
             assert getattr(ringtoa, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+def test_cli_imports_no_private_name():
+    # the command line runs on the library's public names only
+    tree = ast.parse((Path(ringtoa.__file__).parent / "cli.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "ringtoa")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private

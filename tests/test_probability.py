@@ -13,6 +13,7 @@ from ringtoa import (
     amp_state,
     autocorrelation,
     coherent_state,
+    eta,
     from_modes,
     localization_matrix,
     pc_density,
@@ -21,6 +22,7 @@ from ringtoa import (
     vacuum_noise,
     velocity,
 )
+from ringtoa.modes import omega
 from ringtoa.probability import pgamma_validation
 from ringtoa.errors import DomainError, SeriesError
 
@@ -330,6 +332,48 @@ def test_vacuum_noise_rotating_reduces_to_static():
     assert vacuum_noise(dk, ms, frame=rf) == vacuum_noise(dk, ms)
 
 
+@pytest.mark.parametrize("od", [0.3, -0.5])
+@pytest.mark.parametrize("mu", [0.0, 2.0])
+@pytest.mark.parametrize("dk", [
+    DetectorKernel.ring_exponential(a=0.7),
+    DetectorKernel.max_localization(gamma0=0.4, gamma1=0.3, chiral=True),
+], ids=["ring-exp", "chiral"])
+def test_vacuum_noise_ratio_is_eta(dk, mu, od):
+    # P0 is the eta series: for kernels that vanish at m = 0 the ratio is eta
+    ms = ModeSpace(mu=mu, r=1.0, m_max=40)
+    rotating = vacuum_noise(dk, ms, RotationFrame(omega_d=od, modespace=ms))
+    assert rotating / vacuum_noise(dk, ms) == pytest.approx(eta(dk, ms, od), rel=1e-14)
+
+
+def test_vacuum_noise_extends_past_m_max():
+    # the a = 0.3 tail at m = 40 is e^-12 of the head: the sum needs more modes
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=40)
+    p0 = vacuum_noise(DetectorKernel.ring_exponential(a=0.3), ms)
+    assert p0 == pytest.approx(-math.log1p(-math.exp(-0.3)) / (4.0 * math.pi), rel=1e-13)
+
+
+def test_vacuum_noise_tabulated_kernel():
+    # a table of the ring-exponential kernel sums like the closed form
+    og, mg = np.arange(0.0, 101.0), np.arange(-100.0, 101.0)
+    table = DetectorKernel.tabulated(og, mg, np.exp(-og)[:, None] * (mg[None, :] > 0))
+    assert table.raw_value(2.0, 0).shape == ()
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=40)
+    assert vacuum_noise(table, ms) == pytest.approx(
+        vacuum_noise(DetectorKernel.ring_exponential(a=1.0), ms), rel=1e-13)
+
+
+def test_vacuum_noise_zero_mode():
+    # R(mu, 0) / mu joins the sum; at mu = 0 a kernel with R(0, 0) > 0 diverges
+    dk = DetectorKernel.max_localization(gamma0=1.0)
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=40)
+    w = omega(ms, np.arange(-200, 201))
+    direct = math.fsum(np.exp(-w) / w) / (4.0 * math.pi)
+    assert vacuum_noise(dk, ms) == pytest.approx(direct, rel=1e-13)
+    for flat in (dk, DetectorKernel.max_localization()):
+        with pytest.raises(SeriesError, match="omega=0"):
+            vacuum_noise(flat, ModeSpace(mu=0.0, r=1.0, m_max=40))
+
+
 def test_vacuum_noise_monotone_in_decay_constant():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=80)
     vals = [vacuum_noise(DetectorKernel.ring_exponential(a=a), ms) for a in (0.5, 1.0, 2.0)]
@@ -349,6 +393,12 @@ def test_timescales_massless_ideal_clock():
     scales = timescales(ms, 50.0, 5.0)
     assert math.isinf(scales.t_quantum) and math.isinf(scales.t_recurrence)
     assert scales.tick == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1000.0])
+def test_timescales_same_tick_either_direction(mu):
+    ms = ModeSpace(mu=mu, r=1.0, m_max=1100)
+    assert timescales(ms, -1000.0, 10.0) == timescales(ms, 1000.0, 10.0)
 
 
 def test_reality_residue_guard():

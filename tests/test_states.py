@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
+    DetectorKernel,
     LineState,
     ModeSpace,
     RingState,
+    absorption,
     coherent_state,
     from_modes,
     gaussian_line,
@@ -20,7 +22,7 @@ from ringtoa import (
 )
 from ringtoa import states
 from ringtoa.states import state_from_spec
-from ringtoa.errors import CutoffError, StateError
+from ringtoa.errors import CutoffError, DomainError, StateError
 
 
 MS_MASSLESS = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -99,6 +101,21 @@ def test_post_select_two_mode_hand_computation():
     out = post_select(state, a)
     assert out.rho[4, 4] == pytest.approx(0.25, abs=1e-15)
     assert out.rho[5, 5] == pytest.approx(0.75, abs=1e-15)
+
+
+@pytest.mark.parametrize("form", ["pure", "rho"])
+def test_post_select_with_the_absorption_profile(form):
+    # the QTP absorption a(m) as a profile object and as its lattice array
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=60)
+    state = coherent_state(ms, CoherentParams(0.4, 20.0, 3.0))
+    if form == "rho":
+        state = RingState(ms, rho=state.density_matrix())
+    dk = DetectorKernel.ring_exponential(a=0.05)
+    prof = absorption(dk, ms)
+    by_profile, by_array = post_select(state, prof), post_select(state, prof.values)
+    np.testing.assert_array_equal(by_profile.density_matrix(), by_array.density_matrix())
+    with pytest.raises(DomainError):
+        post_select(state, absorption(dk, ModeSpace(mu=1.0, r=1.0, m_max=61)))
 
 
 def test_post_select_normalization_is_idempotent():
