@@ -29,7 +29,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
@@ -52,6 +51,14 @@ __all__ = [
     "amp_rotating_split",
     "line_arrival_amp",
 ]
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: no config reaches it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
 
 # Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
 # n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of

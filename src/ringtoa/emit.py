@@ -5,6 +5,14 @@ normalization convention tag), then a header row, then rows of floats
 written with shortest round-trip formatting.  Outputs are byte-identical
 across runs with the same configuration; the run manifest additionally
 records wall time, which is the single volatile field.
+
+Formatting is the cost of writing, so each distinct column is formatted
+once.  A float column whose values are all bitwise equal costs one repr
+(so -0.0 and 0.0 are never merged).  A column whose dtype and bytes (floats
+as float64) equal those of an earlier column, in the same write_csv call or
+the one before it, reuses that column's cells.  Only the previous call's
+cells are kept, keyed by the exact bytes, not a hash alone, so a column
+changed in place is formatted again and a racing thread can only miss.
 """
 
 from __future__ import annotations
@@ -38,29 +46,44 @@ def _meta_lines(metadata: dict) -> list[str]:
 
 
 def _cells(a: np.ndarray) -> list[str]:
-    """One column's cells: bools as 1/0, integers as is, the rest as format_float.
+    """One 1-D column's cells: bools as 1/0, integers as is, floats as format_float.
 
-    The dtype is checked once per column; repr of a Python float is
-    format_float's form, "nan" included.
+    repr of a Python float is format_float's form, "nan" included.
     """
     if a.dtype.kind == "b":
         return ["1" if v else "0" for v in a.tolist()]
     if a.dtype.kind in "iu":
         return list(map(str, a.tolist()))
-    return list(map(repr, a.astype(float).tolist()))
+    bits = a.view(np.uint64)
+    if bits.size and (bits == bits[0]).all():
+        return [repr(float(a[0]))] * a.size
+    return list(map(repr, a.tolist()))
+
+
+# the cells of the previous write_csv call, keyed by (dtype, bytes)
+_previous: dict[tuple[str, bytes], list[str]] = {}
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Path:
     """Write named columns with metadata comments; returns the path."""
+    global _previous
     path = Path(path)
     names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[k])) for k in names]
+    arrays = [np.atleast_1d(np.asarray(columns[k])).ravel() for k in names]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("all columns must have equal length")
-    rows = [",".join(cells) for cells in zip(*(_cells(a.ravel()) for a in arrays))]
-    text = "\n".join(_meta_lines(metadata) + [",".join(names)] + rows) + "\n"
-    path.write_text(text)
+    earlier, seen, formatted = _previous, {}, []
+    for a in arrays:
+        if a.dtype.kind not in "biu":
+            a = np.asarray(a, dtype=float)
+        key = (a.dtype.str, a.tobytes())
+        if key not in seen:
+            seen[key] = earlier.get(key) or _cells(a)
+        formatted.append(seen[key])
+    _previous = seen
+    lines = [*_meta_lines(metadata), ",".join(names), *map(",".join, zip(*formatted))]
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 

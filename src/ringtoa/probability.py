@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .amplitudes import (
     _CHUNK_BUDGET,
@@ -30,6 +29,7 @@ from .amplitudes import (
     _significant,
     _velocities,
     amp_state,
+    quad,
 )
 from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
 from .errors import DomainError, SeriesError, StateError
@@ -169,8 +169,14 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
 
     The kernel is evaluated at the literal rotating argument (no support
     clipping).  The cutoff grows until the geometric tail bound drops below
-    1e-12 of the partial sum; non-decaying tails raise SeriesError.
+    1e-12 of the partial sum; non-decaying tails raise SeriesError.  The zero
+    mode adds R(mu, 0) / mu, whatever Omega_D, and at mu = 0 raises
+    SeriesError unless R(0, 0) = 0.
     """
+    zero = float(dk.raw_value(ms.mu, 0, r=ms.r))
+    if zero > 0 and ms.mu == 0:
+        raise SeriesError("vacuum noise diverges: kernel does not vanish at omega=0")
+    zero = zero / ms.mu if zero > 0 else 0.0
     m_max = ms.m_max
     while True:
         m = np.arange(-m_max, m_max + 1)
@@ -178,7 +184,7 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
         w = omega(ms, m)
         vals = dk.raw_value(w - m * omega_d, m, r=ms.r)
         terms = vals / w
-        total = float(terms.sum())
+        total = float(terms.sum()) + zero
         if total <= 0:
             raise SeriesError("noise sum vanishes: kernel has no supported modes")
         hi = float(terms[-1])
@@ -210,20 +216,15 @@ def vacuum_noise(dk: DetectorKernel, ms: ModeSpace, frame: RotationFrame | None 
 
     Omega_D is the frame's angular velocity (0 without a frame); the kernel
     is evaluated at the literal rotating argument, and the 1/omega_m weight
-    keeps the static mode energy.  The m != 0 terms are _eta_sum's, so the
-    cutoff extends past ms.m_max until the geometric tail bound is under
-    1e-12 of the sum; a tail that does not decay raises SeriesError.  The
-    zero mode adds R(mu, 0) / mu, and at mu = 0 raises SeriesError unless
-    R(0, 0) = 0.
+    keeps the static mode energy.  The sum is _eta_sum's, so the cutoff
+    extends past ms.m_max until the geometric tail bound is under 1e-12 of
+    the sum; a tail that does not decay raises SeriesError.  The zero mode
+    adds R(mu, 0) / mu, and at mu = 0 raises SeriesError unless R(0, 0) = 0.
     """
     if frame is not None and frame.modespace != ms:
         raise DomainError("frame built over a different mode space")
     omega_d = 0.0 if frame is None else frame.omega_d
-    zero = float(dk.raw_value(ms.mu, 0, r=ms.r))
-    if zero > 0 and ms.mu == 0:
-        raise SeriesError("vacuum noise diverges: kernel does not vanish at omega=0")
-    total = _eta_sum(dk, ms, omega_d)[0] + (zero / ms.mu if zero > 0 else 0.0)
-    return total / (4.0 * math.pi * ms.r)
+    return _eta_sum(dk, ms, omega_d)[0] / (4.0 * math.pi * ms.r)
 
 
 @dataclass(frozen=True)

@@ -36,22 +36,31 @@ __all__ = [
 def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
     """Rotation-induced noise ratio eta = P0(Omega_D) / P0(0).
 
-    Requires a timelike frame (|Omega_D r| < 1) and a decaying kernel.  For
-    the ring-exponential family at mu = 0 this equals
+    Requires a timelike frame (|Omega_D r| < 1) and a decaying kernel; both
+    sums include the zero mode R(mu, 0) / mu, so at mu = 0 a kernel with
+    R(0, 0) > 0 raises SeriesError, as P0 does.  For the ring-exponential
+    family at mu = 0 this equals
     log(1 - e^(-a(1 - Omega_D r))) / log(1 - e^(-a)) analytically
     (eta_closed_form).
     """
-    return _eta(dk, ms, omega_d)[0]
+    return _eta(dk, ms, [omega_d])[0][0]
 
 
-def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
-    """(eta, larger cutoff reached, larger tail bound / sum) of its two sums."""
-    x = omega_d * ms.r
-    if abs(x) >= 1.0:
-        raise DomainError(f"|Omega_D r| = {abs(x)} >= 1: frame is not timelike")
-    num, m_num, tail_num = _eta_sum(dk, ms, omega_d)
-    den, m_den, tail_den = _eta_sum(dk, ms, 0.0)
-    return num / den, max(m_num, m_den), max(tail_num, tail_den)
+def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> list[tuple[float, int, float]]:
+    """Per Omega_D: (eta, larger cutoff reached, larger tail bound / sum) of its two sums.
+
+    The rest-frame sum is the same for every Omega_D and is computed once.
+    """
+    points, rest = [], None
+    for omega_d in omega_d_grid:
+        x = omega_d * ms.r
+        if abs(x) >= 1.0:
+            raise DomainError(f"|Omega_D r| = {abs(x)} >= 1: frame is not timelike")
+        if rest is None:
+            rest = _eta_sum(dk, ms, 0.0)
+        num, m_num, tail_num = _eta_sum(dk, ms, omega_d)
+        points.append((num / rest[0], max(m_num, rest[1]), max(tail_num, rest[2])))
+    return points
 
 
 def eta_closed_form(a: float, omega_d_r: float) -> float:
@@ -85,7 +94,7 @@ class NoiseCurve:
 def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
     """Evaluate the noise ratio over a grid of angular velocities."""
     omega_d_grid = np.asarray(omega_d_grid, dtype=float)
-    points = [_eta(dk, ms, od) for od in omega_d_grid]
+    points = _eta(dk, ms, omega_d_grid)
     vals = np.array([value for value, _, _ in points])
     closed = None
     if dk.family == "ring-exponential" and ms.mu == 0:

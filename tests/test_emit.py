@@ -1,6 +1,24 @@
-import numpy as np
+import json
+import math
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ringtoa import emit
+from ringtoa.cli import main
 from ringtoa.emit import format_float, write_csv
+from ringtoa.probability import NORMALIZATION_TAG
+
+
+def _cell(v):
+    """The per-cell rule: bools as 1/0, integers as is, floats as format_float."""
+    if isinstance(v, np.bool_):
+        return "1" if v else "0"
+    if isinstance(v, np.integer):
+        return str(int(v))
+    return format_float(v)
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -13,17 +31,134 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         "y": np.array([1e-300, -2.5, 1.0 / 3.0, 6.02e23, 0.0], dtype=np.float32),
     }
     path = write_csv(tmp_path / "t.csv", cols, {"note": "n", "scale": 0.5})
-
-    def cell(v):
-        if isinstance(v, np.bool_):
-            return "1" if v else "0"
-        if isinstance(v, np.integer):
-            return str(int(v))
-        return format_float(v)
-
-    rows = [",".join(cell(a[i]) for a in cols.values()) for i in range(5)]
+    rows = [",".join(_cell(a[i]) for a in cols.values()) for i in range(5)]
     expected = "\n".join(["# normalization: B=1;unit-integral-per-period",
                           "# note: n", "# scale: 0.5", ",".join(cols)] + rows) + "\n"
     assert path.read_bytes() == expected.encode()
     assert rows[1] == "0,-3,2,nan,-2.5"
     assert rows[4] == "1,1,5,-0.0,0.0"
+
+
+def _reference(columns: dict) -> bytes:
+    """The file write_csv must produce with no metadata, one cell at a time."""
+    arrays = list(columns.values())
+    rows = [",".join(_cell(a[i]) for a in arrays) for i in range(arrays[0].size)]
+    lines = [f"# normalization: {NORMALIZATION_TAG}", ",".join(columns)] + rows
+    return ("\n".join(lines) + "\n").encode()
+
+
+_F64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# every NaN bit pattern: either sign, quiet or signalling, any payload
+_NAN_BITS = st.integers(1, 2**52 - 1).flatmap(
+    lambda payload: st.sampled_from([0x7FF0 << 48 | payload, 0xFFF0 << 48 | payload]))
+
+
+@st.composite
+def _column(draw, n, earlier):
+    kind = draw(st.sampled_from(["float", "constant", "nan", "signed-zero", "float32",
+                                 "int", "uint8", "bool", "repeat", "reinterpret"]))
+    if kind in ("repeat", "reinterpret") and not earlier:
+        kind = "float"
+    if kind == "float":
+        return np.array(draw(st.lists(_F64, min_size=n, max_size=n)), dtype=float)
+    if kind == "constant":
+        return np.full(n, draw(_F64 | st.sampled_from([0.0, -0.0, math.nan])))
+    if kind == "nan":
+        bits = draw(st.lists(_NAN_BITS, min_size=n, max_size=n))
+        return np.array(bits, dtype=np.uint64).view(np.float64)
+    if kind == "signed-zero":
+        return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+    if kind == "float32":
+        vals = draw(st.lists(st.floats(width=32), min_size=n, max_size=n))
+        return np.array(vals, dtype=np.float32)
+    if kind == "int":
+        vals = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+        return np.array(vals, dtype=np.int64)
+    if kind == "uint8":
+        return np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)),
+                        dtype=np.uint8)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    source = draw(st.sampled_from(earlier))
+    if kind == "repeat":
+        return source
+    # the same bytes under the other 8-byte dtype: int64 <-> float64
+    if source.dtype.itemsize != 8 or source.dtype.kind not in "if":
+        return source
+    return source.view(np.float64 if source.dtype.kind == "i" else np.int64)
+
+
+@st.composite
+def _call(draw):
+    n = draw(st.integers(0, 12))
+    columns = {}
+    for j in range(draw(st.integers(1, 5))):
+        columns[f"c{j}"] = draw(_column(n, list(columns.values())))
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=st.lists(_call(), min_size=1, max_size=3), data=st.data())
+def test_write_csv_bytes_equal_per_cell_reference(tmp_path_factory, calls, data):
+    # constant columns (NaN, -0.0 next to 0.0), float32/int/bool columns, a
+    # column repeated within one call or passed again in the next call,
+    # changed in place between calls, int64/float64 with the same bytes,
+    # and empty columns all write the bytes of the per-cell rules
+    path = tmp_path_factory.mktemp("emit") / "t.csv"
+    last = None
+    for columns in calls:
+        if last is not None and data.draw(st.booleans(), label="pass last call again"):
+            columns = last
+            arrays = [a for a in columns.values() if a.size]
+            if arrays and data.draw(st.booleans(), label="change in place"):
+                a = data.draw(st.sampled_from(arrays), label="changed column")
+                i = data.draw(st.integers(0, a.size - 1), label="changed index")
+                a.view(np.uint8)[i * a.itemsize] ^= 1
+        write_csv(path, columns, {})
+        assert path.read_bytes() == _reference(columns)
+        last = columns
+
+
+QSYMBOL = {
+    "experiment": "qsymbol",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 60, "xi": 20.0, "alpha": 4.0},
+    "times": [{"t": 0.5}, {"t": 1.0}, {"t": 1.5}],
+    "grid": {"n_theta": 64},
+    "output": {"prefix": "q"},
+}
+EARLIER = {
+    "noise": {"experiment": "noise",
+              "params": {"mu": 0.0, "r": 1.0, "m_max": 100, "a_values": [1.0, 2.0]},
+              "grid": {"omega_d_r_min": 0.0, "omega_d_r_max": 0.5, "n": 5}},
+    "clock": {"experiment": "clock",
+              "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0},
+              "grid": {"t_max": 10.0}},
+}
+
+
+@pytest.mark.parametrize("earlier", [None, "noise", "clock"])
+def test_qsymbol_run_formats_each_distinct_column_once(tmp_path, monkeypatch, earlier):
+    # per panel: t is constant (one repr), theta is shared by every panel
+    # (formatted in the first), the values are new; so n_theta (panels + 1)
+    # + panels reprs, whatever the process wrote before
+    if earlier is None:
+        monkeypatch.setattr(emit, "_previous", {})
+    else:
+        cfg = tmp_path / "earlier.json"
+        cfg.write_text(json.dumps(EARLIER[earlier]))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "earlier")]) == 0
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps(QSYMBOL))
+    calls = []
+
+    def counting_repr(x):
+        # the cell formatter's reprs, not those of the metadata lines
+        if sys._getframe(1).f_code is emit._cells.__code__:
+            calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(emit, "repr", counting_repr, raising=False)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "q"), "--threads", "1"]) == 0
+    panels, n_theta = len(QSYMBOL["times"]), QSYMBOL["grid"]["n_theta"]
+    assert len(calls) == n_theta * (panels + 1) + panels
+    assert len(list((tmp_path / "q").glob("q_*.csv"))) == panels
