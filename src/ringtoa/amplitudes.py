@@ -10,11 +10,14 @@ sum over winding images of the line arrival amplitude.  All images of a
 point are evaluated at once by composite Gauss-Legendre panels in k
 (states._line_quadrature), sized from the phase rate |x - v_k t| and gated
 on self-convergence: the n- and 2n-panel rules must agree within each
-caller's tolerance, else QuadratureError.  The nodes are non-uniform on
-purpose: a uniform rule with step 1/r would be the lattice sum itself.  The
-two routes share no code beyond the dispersion relation, which is what makes
-their agreement a real cross-check; line_arrival_amp keeps the scalar
-adaptive quadrature as the reference the panel rule is tested against.
+caller's tolerance, else QuadratureError.  The phase e^{i x k} of a node
+factors into a per-panel and a per-node exponential, so a rule costs
+O(images x (panels + 32)) exponentials and one matrix product, plus the
+node values.  The nodes are non-uniform on purpose: a uniform rule with
+step 1/r would be the lattice sum itself.  The two routes share no code
+beyond the dispersion relation, which is what makes their agreement a real
+cross-check; line_arrival_amp keeps the scalar adaptive quadrature as the
+reference the panel rule is tested against.
 
 The bare (state-free) amplitude amp_ring is a distribution; it is only
 evaluated under a smooth momentum taper, and only state-contracted

@@ -117,6 +117,15 @@ _SCHEMA = {
 
 EXPERIMENTS = tuple(_SCHEMA)
 
+# Memory a run may plan for (bytes): validate_config refuses a config whose
+# O(modes) and O(points) arrays would need more, naming the key that costs
+# most.  Bytes a mode and a point (a time or angle sample, its CSV row
+# included) cost at most; tracemalloc measured 142 a mode (fig-steps) and
+# 444-893 a point (fig-probcoh, fig-steps, sagnac, fig-miviolation).  Mode x
+# point work is chunked (states._CHUNK_BUDGET) and is not counted.
+MEMORY_BUDGET = 1 << 32
+_MODE_BYTES, _POINT_BYTES = 256, 1024
+
 # a qsymbol `times` entry: key -> (file label, timescale it is in units of)
 _TIME_KEYS = {"t": ("t", None), "t_over_tq": ("tq", "t_quantum"),
               "t_over_trec": ("trec", "t_recurrence")}
@@ -239,6 +248,17 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
             m_max = math.ceil(span)
         cfg["params"]["m_max"] = m_max
         warnings.append(f"m_max defaulted to {m_max}")
+    # every int key but m_max counts points; sagnac's come from its step
+    need = {"params.m_max": _MODE_BYTES * (2 * get("params.m_max") + 1)}
+    need |= {key: _POINT_BYTES * get(key) for key, (kind, _, _) in table.items()
+             if kind == "int" and key != "params.m_max" and get(key) is not None}
+    if exp == "sagnac":
+        need["grid.dt (steps from grid.t_min to grid.t_max)"] = (
+            _POINT_BYTES * (get("grid.t_max") - get("grid.t_min")) / get("grid.dt"))
+    if sum(need.values()) > MEMORY_BUDGET:
+        errors.append(f"{max(need, key=need.get)} makes the run too large: about "
+                      f"{sum(need.values()) / 2**30:.3g} GiB, over the "
+                      f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
     if "grid.t_max" in table and not get("grid.t_max") > get("grid.t_min"):
         errors.append(f"grid.t_max must be > grid.t_min ({get('grid.t_min')})")
     if exp == "sagnac" and abs(get("params.omega_d") * get("params.r")) >= 1:

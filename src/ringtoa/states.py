@@ -57,7 +57,8 @@ _MIN_PANELS = 8
 # Geometric grading of the panel next to k = 0 for massive weights
 # ~ sqrt(k): the smallest sub-panel is _GRADE_RATIO**_GRADE_LEVELS of it.
 _GRADE_RATIO, _GRADE_LEVELS = 0.125, 16
-# entries of the images x nodes phase matrix held at once
+# entries of the images x panels phase matrix held at once (the node phases
+# are one images x 32 matrix per panel group)
 _NODE_BUDGET = 1 << 16
 
 
@@ -296,18 +297,21 @@ def line_to_ring(ms: ModeSpace, ls: LineState, theta0: float = 0.0) -> RingState
 
 
 def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
-    """Nodes and weights of n equal Gauss-Legendre panels on [k_lo, k_hi].
+    """Groups (centres, half) of n equal Gauss-Legendre panels on [k_lo, k_hi].
 
-    With grade, the first panel is split geometrically toward k_lo.
+    The panels of a group share the half-width half: their nodes are
+    centres[:, None] + half * _GL_NODES, with weights half * _GL_WEIGHTS.
+    The equal panels form one group; with grade, the first of them is split
+    geometrically toward k_lo instead, each sub-panel a one-panel group.
     """
-    edges = np.linspace(k_lo, k_hi, n + 1)
-    if grade:
-        h = edges[1] - k_lo
-        fine = k_lo + h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
-        edges = np.concatenate(([k_lo], fine, edges[1:]))
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    h = (k_hi - k_lo) / n
+    centres = k_lo + h * (np.arange(n) + 0.5)
+    if not grade:
+        return [(centres, 0.5 * h)]
+    edges = np.concatenate(([k_lo], k_lo + h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1)))
+    return [(centres[1:], 0.5 * h)] + [
+        (np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo)) for lo, hi in zip(edges[:-1], edges[1:])
+    ]
 
 
 def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
@@ -339,15 +343,21 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
     peaks at an end).
     Returns (I_2n, |I_n - I_2n|) as arrays over x; the gap is the
     self-convergence error estimate the callers gate on.  weight maps an
-    array of k (interior nodes only, never an end point) to complex values.
+    array of k (of any shape; interior nodes only, never an end point) to
+    complex values.
 
     The phase is split about the window's midpoint k_c: the large carrier
     k_c x - omega(k_c) t is exact per image (_carrier), and each node carries
-    only (k - k_c) x - (omega_k - omega(k_c)) t, with the energy difference
-    formed without cancellation.  With mu > 0 and k_lo = 0 the first panel is
-    graded toward 0, where weights like sqrt(v_k) ~ sqrt(k) are not smooth;
-    with mu = 0 a window across k = 0, where omega_k = |k| has a kink, is
-    split there.
+    only kappa x - (omega_k - omega(k_c)) t with kappa = k - k_c, the energy
+    difference formed without cancellation.  A node of panel p in a group
+    of _panel_rule is kappa = a_p + b_j (a_p = centre_p - k_c, b_j = half
+    s_j), so e^{i x kappa} = e^{i x a_p} e^{i x b_j}: per group, one
+    images x 32 exponential, one matrix product with the node values and one
+    images x panels exponential, chunked to _NODE_BUDGET entries: about
+    images x (32 + panels) + nodes exponentials a rule, not images x nodes.
+    With mu > 0 and k_lo = 0 the first panel is graded toward 0, where
+    weights like sqrt(v_k) ~ sqrt(k) are not smooth; with mu = 0 a window
+    across k = 0, where omega_k = |k| has a kink, is split there.
     """
     if mu == 0.0 and k_lo < 0.0 < k_hi:
         lo_val, lo_gap = _line_quadrature(x, t, mu, weight, k_lo, 0.0)
@@ -363,14 +373,18 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
     w_c = math.hypot(mu, k_c)
 
     def rule(panels):
-        k, w = _panel_rule(k_lo, k_hi, panels, grade)
-        kappa = k - k_c
-        d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + w_c)
-        f = w * weight(k) * np.exp(-1j * d_omega * t)
         out = np.zeros(xf.size, dtype=complex)
         step = max(1, _NODE_BUDGET // max(xf.size, 1))
-        for i in range(0, k.size, step):
-            out += np.exp(1j * np.outer(xf, kappa[i:i + step])) @ f[i:i + step]
+        for centres, half in _panel_rule(k_lo, k_hi, panels, grade):
+            a, b = centres - k_c, half * _GL_NODES
+            kappa = a[:, None] + b
+            k = k_c + kappa
+            d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + w_c)
+            f = half * _GL_WEIGHTS * weight(k) * np.exp(-1j * d_omega * t)
+            node_phase = np.exp(1j * np.outer(xf, b))
+            for i in range(0, a.size, step):
+                panel_sums = node_phase @ f[i:i + step].T
+                out += (np.exp(1j * np.outer(xf, a[i:i + step])) * panel_sums).sum(axis=1)
         return out
 
     carrier = _carrier(k_c, x_exact, t, mu)

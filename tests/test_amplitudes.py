@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -317,6 +320,76 @@ def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
             gaussian_line(LineState(p=20.0, sigma=0.2), 30.0, t=20.0, mu=5.0)
 
 
+def _dense_fine_rule(x, t: float, mu: float, weight, calls) -> np.ndarray:
+    """The 2n panel rule with one exponential per image per node: the reference.
+
+    calls are the arguments of each _panel_rule call of one _line_quadrature
+    call, the n rule of a window before its 2n rule.
+    """
+    xf = np.array([float(v) for v in x])
+    out = np.zeros(xf.size, dtype=complex)
+    for k_lo, k_hi, n, grade in calls[1::2]:
+        groups = states._panel_rule(k_lo, k_hi, n, grade)
+        k_c = 0.5 * (k_lo + k_hi)
+        kappa = np.concatenate([((c - k_c)[:, None] + h * states._GL_NODES).ravel()
+                                for c, h in groups])
+        w = np.concatenate([np.tile(h * states._GL_WEIGHTS, c.size) for c, h in groups])
+        k = k_c + kappa
+        d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + math.hypot(mu, k_c))
+        f = w * weight(k) * np.exp(-1j * d_omega * t)
+        carrier = states._carrier(k_c, [Fraction(v) for v in xf], t, mu)
+        out += carrier * (np.exp(1j * np.outer(xf, kappa)) @ f)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1000.0, exclude_min=True)),
+    sigma=st.floats(0.05, 1.0),
+    p_sigma=st.floats(2.0, 30.0),  # below 8 the window reaches k = 0
+    t=st.floats(0.0, 100.0),
+    offset=st.floats(-2.0, 2.0),
+    images=st.integers(1, 40),
+)
+def test_line_quadrature_matches_dense_rule(mu, sigma, p_sigma, t, offset, images):
+    # factored phases e^{i x a_p} e^{i x b_j} against e^{i x (a_p + b_j)} per
+    # node; massless windows span p +- 8/sigma (split at k = 0), massive ones
+    # are clipped at k = 0 (graded there)
+    p = p_sigma / sigma
+    ls = LineState(p=p, sigma=sigma)
+    if mu == 0.0:
+        weight, k_lo = ls.momentum_profile, p - 8.0 / sigma
+    else:
+        weight, k_lo = _packet_weight(ls, mu), max(0.0, p - 8.0 / sigma)
+    k_hi = p + 8.0 / sigma
+    x = p / math.hypot(mu, p) * t + offset * sigma + 2.0 * math.pi * np.arange(images)
+    with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
+        got, _ = _line_quadrature(x, t, mu, weight, k_lo, k_hi)
+    calls = [c.args for c in spy.call_args_list]
+    assert len(calls) == (4 if mu == 0.0 and k_lo < 0.0 else 2)
+    want = _dense_fine_rule(x, t, mu, weight, calls)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_line_quadrature_memory_is_bounded():
+    # 200 images over more than 500 panels: an images x panels x 32 phase
+    # array would take 250 MB, an unchunked images x panels one ~30 MB with
+    # its temporaries; what may remain are chunks of _NODE_BUDGET entries and
+    # a few arrays over the nodes
+    ls = LineState(p=30.0, sigma=1.0)
+    x = 2.0 * math.pi * np.arange(200) + 0.3
+    with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
+        tracemalloc.start()
+        try:
+            _line_quadrature(x, 20.0, 5.0, _packet_weight(ls, 5.0), 22.0, 38.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    panels = spy.call_args_list[-1].args[2]
+    assert panels > 500
+    assert peak < 4 * states._NODE_BUDGET * 16 + 6 * 16 * 32 * panels
+
+
 def test_oracle_never_calls_scalar_quad(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.integrate.quad called")
@@ -329,6 +402,19 @@ def test_oracle_never_calls_scalar_quad(monkeypatch):
     gaussian_line(LineState(p=20.0, sigma=1.0), 5.0, t=5.0, mu=3.0)
 
 
+def _lattice_sum_30_digits(mu: float, cp: CoherentParams, t, phi) -> np.ndarray:
+    """Mode sum of a coherent state over m >= 1 within 14 alpha of xi, to 30 digits."""
+    with mpmath.workdps(30):
+        c, alpha, xi = mpmath.mpf(coherent_norm(cp.xi, cp.alpha)), cp.alpha, cp.xi
+        return np.array([complex(mpmath.fsum(
+            c * mpmath.exp(-(m - xi) ** 2 / (2 * alpha**2))
+            * mpmath.sqrt(m / mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2))
+            * mpmath.expj(m * (mpmath.mpf(p_) - cp.theta)
+                          - mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2) * mpmath.mpf(t_))
+            for m in range(max(1, int(xi - 14 * alpha)), int(xi + 14 * alpha) + 1)))
+            for t_, p_ in zip(t, phi)])
+
+
 @pytest.mark.parametrize("mu", [0.0, 1000.0])
 def test_oracle_against_30_digit_lattice_sum(mu):
     # the image positions and carrier phases (~1e5 rad) are exact, so the
@@ -339,14 +425,22 @@ def test_oracle_against_30_digit_lattice_sum(mu):
     v = cp.xi / math.hypot(mu, cp.xi)
     t = np.array([17.0, 17.0, 80.0, 80.0])
     phi = (cp.theta + v * t + np.array([0.0, 0.4, 0.0, 0.4])) % (2.0 * math.pi)
-    with mpmath.workdps(30):
-        c, alpha, xi = mpmath.mpf(coherent_norm(cp.xi, cp.alpha)), cp.alpha, cp.xi
-        want = np.array([complex(mpmath.fsum(
-            c * mpmath.exp(-(m - xi) ** 2 / (2 * alpha**2))
-            * mpmath.sqrt(m / mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2))
-            * mpmath.expj(m * (mpmath.mpf(p_) - cp.theta)
-                          - mpmath.sqrt(mu**2 + mpmath.mpf(m) ** 2) * mpmath.mpf(t_))
-            for m in range(int(xi - 14 * alpha), int(xi + 14 * alpha) + 1)))
-            for t_, p_ in zip(t, phi)])
+    want = _lattice_sum_30_digits(mu, cp, t, phi)
     got = amp_poisson(ms, t, phi, state=st_)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mu, xi, alpha", [(30.0, 50.0, 5.0), (200.0, 40.0, 4.0)])
+def test_graded_oracle_against_30_digit_lattice_sum(mu, xi, alpha):
+    # slow massive packets: the k window p +- 8/sigma = (xi +- 8 sqrt(2) alpha)/r
+    # is clipped at 0 and its first panel graded there; the lattice sum stops
+    # at m = 1, the weight at m <= 0 being below e^-50
+    assert xi < 8.0 * math.sqrt(2.0) * alpha
+    ms = ModeSpace(mu=mu, r=1.0, m_max=int(xi + 13 * alpha))
+    cp = CoherentParams(theta=0.3, xi=xi, alpha=alpha)
+    v = cp.xi / math.hypot(mu, cp.xi)
+    t = np.array([5.0, 5.0, 20.0, 20.0])  # before T_q / 2
+    phi = (cp.theta + v * t + np.array([0.0, 0.4, 0.0, 0.4])) % (2.0 * math.pi)
+    want = _lattice_sum_30_digits(mu, cp, t, phi)
+    got = amp_poisson(ms, t, phi, state=coherent_state(ms, cp))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))

@@ -282,6 +282,24 @@ def test_shipped_config_probe_exit_2(tmp_path, capsys, name, path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("fig-steps", "params.m_max", 4 * 10**8),
+    ("fig-probcoh", "grid.n_theta", 10**10),
+    ("fig-miviolation", "grid.n_t", 10**8),
+    ("sagnac", "grid.t_max", 1e9),
+    ("sagnac", "grid.dt", 1e-8),
+])
+def test_config_too_large_exits_2(tmp_path, capsys, name, path, value):
+    # sizes past cli.MEMORY_BUDGET are refused by validate, which allocates
+    # nothing; no run of them is started
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    block, key = cfg[path.split(".")[0]], path.split(".")[1]
+    block[key] = value
+    assert main(["validate", str(write_config(tmp_path, "big.json", cfg))]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("error: ") and path in line and "memory budget" in line
+
+
 def test_validate_warns_once_per_undeclared_key(tmp_path, capsys):
     # a misspelt key is ignored by the runner, so validate says so (exit 0)
     for path in sorted(CONFIGS.glob("*.json")):
@@ -433,6 +451,8 @@ FUZZ_CONFIGS = [
      "grid": {"t_min": 1.0, "t_max": 2.0, "n_t": 8}},
 ]
 FUZZ_VALUES = [None, "x", True, [], {}, [1.0], -1, 0, 0.5, math.nan, math.inf, -math.inf]
+# passed through validate alone: a run of them may not fit in memory
+HUGE_VALUES = [4 * 10**8, 10**10, 10**300, 1e300]
 DROP = object()
 
 
@@ -451,8 +471,9 @@ def test_fuzzed_config_exits_0_2_or_3(data):
     # succeeds, is refused as a config error, or fails numerically; it never
     # raises (a traceback and exit 1 from the command line)
     cfg = copy.deepcopy(data.draw(st.sampled_from(FUZZ_CONFIGS)))
+    sizes = [k for k, (kind, _, _) in cli._SCHEMA[cfg["experiment"]].items() if kind == "int"]
     *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
-    value = data.draw(st.sampled_from(FUZZ_VALUES + [DROP]))
+    value = data.draw(st.sampled_from(FUZZ_VALUES + HUGE_VALUES + [DROP]))
     block = cfg
     for part in parents:
         block = block[part]
@@ -462,7 +483,12 @@ def test_fuzzed_config_exits_0_2_or_3(data):
         block[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), "cfg.json", cfg)
-        assert main(["run", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+        if any(value is v for v in HUGE_VALUES):
+            # a huge size is refused; any other huge value is only validated
+            refused = ".".join([*parents, key]) in sizes
+            assert main(["validate", str(path)]) in ((2,) if refused else (0, 2))
+        else:
+            assert main(["run", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
 
 
 def _cell(spec) -> str:
