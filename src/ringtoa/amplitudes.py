@@ -12,8 +12,8 @@ point are evaluated at once by composite Gauss-Legendre panels in k
 on self-convergence: the n- and 2n-panel rules must agree within each
 caller's tolerance, else QuadratureError.  The phase e^{i x k} of a node
 factors into a per-panel and a per-node exponential, so a rule costs
-O(images x (panels + 32)) exponentials and one matrix product, plus the
-node values.  The nodes are non-uniform on purpose: a uniform rule with
+O(images x (panels + 32)) exponentials and a matrix product or two, plus
+the node values.  The nodes are non-uniform on purpose: a uniform rule with
 step 1/r would be the lattice sum itself.  The two routes share no code
 beyond the dispersion relation, which is what makes their agreement a real
 cross-check; line_arrival_amp keeps the scalar adaptive quadrature as the
@@ -35,11 +35,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
-from .specfun import coherent_norm
 from .states import (
-    CoherentParams,
     LineProfileOnRing,
-    LineState,
     _CHUNK_BUDGET,
     RingState,
     _line_quadrature,
@@ -105,9 +102,9 @@ def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None
     return v
 
 
-def _speed_weights(ms: ModeSpace, m: np.ndarray) -> np.ndarray:
-    """sqrt(|v_m|) with the zero mode excluded (Theta(0) = 0 convention)."""
-    return np.sqrt(np.abs(_velocities(ms, m)))
+def _speed_weights(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
+    """sqrt(|v_m|), or sqrt(|v~_m|) in a rotating frame, with the zero mode excluded (0)."""
+    return np.sqrt(np.abs(_velocities(ms, m, frame)))
 
 
 def _arithmetic_step(x: np.ndarray) -> float | None:
@@ -268,29 +265,9 @@ def _image_windings(x0_over_r: float, v_p: float, t: float, sigma_t: float,
     return range(math.floor(center - half), math.ceil(center + half) + 1)
 
 
-def _line_packet(ms: ModeSpace, prof) -> tuple[LineState, float, float]:
-    """(line packet, lattice prefactor, entry angle theta0) of a state profile."""
-    if isinstance(prof, CoherentParams):
-        sigma = ms.r / (math.sqrt(2.0) * prof.alpha)
-        line = LineState(p=prof.xi / ms.r, sigma=sigma)
-        pref = (
-            coherent_norm(prof.xi, prof.alpha)
-            * ms.r
-            * (math.pi / (2.0 * sigma**2)) ** 0.25
-        )
-        theta0 = prof.theta
-    elif isinstance(prof, LineProfileOnRing):
-        line, pref, theta0 = prof.line, ms.r / prof.norm, prof.theta0
-    else:
-        raise StateError(f"unsupported profile type {type(prof).__name__}")
-    if line.p <= 0:
-        raise StateError("Poisson images require positive mean momentum")
-    return line, pref, theta0
-
-
 def _root_speed(k: np.ndarray, mu: float) -> np.ndarray:
-    """sqrt(v_k) on the line at quadrature nodes (all k > 0)."""
-    return np.sqrt(k / np.hypot(mu, k))
+    """sqrt(v_k) on the line at quadrature nodes (all k > 0; no overflow at their sizes)."""
+    return np.sqrt(k / np.sqrt(mu * mu + k * k))
 
 
 def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fraction]:
@@ -306,18 +283,21 @@ def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fr
     return [(base + two_pi * Fraction(n)) * Fraction(r) for n in windings]
 
 
-def _images(ms: ModeSpace, line: LineState, theta0: float, t: float, phi: float,
+def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
             rel_tol: float) -> np.ndarray:
-    """Line amplitudes of the packet's winding images at (t, phi), unprefixed."""
+    """Line amplitudes of the packet's winding images at (t, phi), without pref."""
+    line, theta0 = packet.line, packet.theta0
     p, sigma = line.p, line.sigma
+    if p <= 0:
+        raise StateError("Poisson images require positive mean momentum")
     v_p = p / math.sqrt(ms.mu**2 + p**2)
     sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
     windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
     x = _winding_positions(phi, theta0, windings, ms.r)
-    vals, gap = _line_quadrature(
-        x, t, ms.mu, lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k),
-        max(0.0, p - 8.0 / sigma), p + 8.0 / sigma,
-    )
+    # sqrt(v_k) = 1 at every node k > 0 of a massless window
+    weight = line.momentum_profile if ms.mu == 0 else (
+        lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k))
+    vals, gap = _line_quadrature(x, t, ms.mu, weight, max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
     _gate(vals, gap, x, t, rel_tol)
     return vals
 
@@ -336,23 +316,19 @@ def _gate(vals: np.ndarray, gap: np.ndarray, x: list, t: float, rel_tol: float):
 def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
     """Poisson-resummed amplitude of a state: the sum of its line-theory winding images.
 
-    The state must carry a continuum profile (coherent parameters or a line
-    profile); each image is the quadrature amplitude of the corresponding
-    continuum packet.  Images are included until the neglected ones carry
-    less than ~1e-12 of the packet weight.
+    The state must carry a line packet (coherent or line-sampled) and live
+    on ms; each image is the quadrature amplitude of that packet.  Images
+    are included until the neglected ones carry less than ~1e-12 of the
+    packet weight.
     """
-    if not state.profiles:
-        raise StateError(
-            "Poisson resummation needs a state with a continuum profile "
-            "(coherent or line-sampled)"
-        )
-    packets = [(weight, *_line_packet(ms, prof)) for weight, prof in state.profiles]
-
-    def resummed(ti, pi_):
-        return sum(weight * pref * _images(ms, line, theta0, ti, pi_, rel_tol=1e-10).sum()
-                   for weight, line, pref, theta0 in packets)
-
-    return _pointwise(t, phi, resummed)
+    if state.modespace != ms:
+        raise StateError("state lives on a different mode space")
+    packet = state.packet
+    if packet is None:
+        raise StateError("Poisson resummation needs a state with a line packet "
+                         "(coherent or line-sampled)")
+    return _pointwise(t, phi, lambda ti, pi_: packet.pref * _images(
+        ms, packet, ti, pi_, rel_tol=1e-10).sum())
 
 
 def amp_saddle(ms: ModeSpace, t, phi):

@@ -359,9 +359,8 @@ def _run_clock(cfg, out_dir: Path, threads: int):
 
     t_min, t_max, n_t = (_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "n_t"))
     if n_t is None:
-        sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
         v = abs(cp.xi) / (math.sqrt(ms.mu**2 + (cp.xi / ms.r) ** 2) * ms.r)
-        dt = min(scales.tick / 40.0, sigma / v / 5.0)
+        dt = min(scales.tick / 40.0, state.packet.line.sigma / v / 5.0)
         n_t = min(int(math.ceil((t_max - t_min) / dt)) + 1, 500_000)
     t = np.linspace(t_min, t_max, n_t)
     det = localization_matrix(DetectorKernel.max_localization(), ms)

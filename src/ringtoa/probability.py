@@ -22,19 +22,18 @@ import numpy as np
 from .amplitudes import (
     _CHUNK_BUDGET,
     _images,
-    _line_packet,
     _mode_sum,
     _on_grid,
     _pointwise,
     _significant,
-    _velocities,
+    _speed_weights,
     amp_state,
     quad,
 )
 from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
 from .errors import DomainError, SeriesError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega
-from .states import CoherentParams, RingState, coherent_state
+from .states import CoherentParams, RingState, _coherent_packet, coherent_state
 
 __all__ = [
     "NORMALIZATION_TAG",
@@ -96,7 +95,7 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
 
     m = ms.modes()
     freq = omega(ms, m) if frame is None else rotating_omega(frame, m)
-    w = np.sqrt(np.abs(_velocities(ms, m, frame)))
+    w = _speed_weights(ms, m, frame)
     if factorized:
         return _density(ms, _mode_sum(state.coeffs * w, m.astype(float), freq, t, phi))
 
@@ -151,11 +150,11 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum")
     if method != "images":
         raise DomainError(f"unknown qsymbol method {method!r}")
 
-    line, pref, theta0 = _line_packet(ms, cp)
+    packet = _coherent_packet(ms, cp)
 
     def at(ti, pi_):
-        images = _images(ms, line, theta0, ti, pi_, rel_tol=1e-9)
-        return _k_norm(ms) * float(np.sum(np.abs(pref * images) ** 2))
+        images = _images(ms, packet, ti, pi_, rel_tol=1e-9)
+        return _k_norm(ms) * float(np.sum(np.abs(packet.pref * images) ** 2))
 
     return _pointwise(t, phi, at, dtype=float)
 
@@ -254,10 +253,11 @@ def timescales(ms: ModeSpace, xi: float, alpha: float) -> Timescales:
     return Timescales(t_q, t_rec, tick)
 
 
-def autocorrelation(state: RingState, ms: ModeSpace, t):
+def autocorrelation(state: RingState, t):
     """Survival probability F(t) = |<psi| e^{-iHt} |psi>|^2 of a pure state."""
     if not state.is_pure:
         raise StateError("autocorrelation implemented for pure states")
+    ms = state.modespace
     m = ms.modes()
     weights = (np.abs(state.coeffs) ** 2).astype(complex)
     val = _mode_sum(weights, np.zeros(m.size), omega(ms, m), t, 0.0)

@@ -74,10 +74,6 @@ class CoherentParams:
         if self.alpha <= 0:
             raise DomainError(f"coherent spread must be > 0, got alpha={self.alpha}")
 
-    def mirrored(self) -> "CoherentParams":
-        """Parameters of the m -> -m reflected state."""
-        return CoherentParams(theta=-self.theta, xi=-self.xi, alpha=self.alpha)
-
 
 @dataclass(frozen=True)
 class LineState:
@@ -120,28 +116,31 @@ class LineState:
 
 @dataclass(frozen=True)
 class LineProfileOnRing:
-    """A line momentum profile sampled onto the ring lattice at angle theta0."""
+    """The line packet a ring state samples: psi_m = pref / r e^(-i m theta0) psi~(m / r).
+
+    psi~ is line.momentum_profile; pref depends on r, so the packet holds
+    only on the mode space of the state that carries it.
+    """
 
     line: LineState
-    theta0: float = 0.0
-    # lattice normalization constant, filled in by line_to_ring
-    norm: float = 1.0
+    theta0: float
+    pref: float
 
 
 @dataclass(frozen=True)
 class RingState:
     """State on the mode lattice: pure coefficients or a density matrix.
 
-    coeffs is indexed by m + m_max (lattice order -m_max..m_max).  profiles
-    carries the continuum momentum profiles the state was built from, when
-    known, as (weight, CoherentParams | LineProfileOnRing) pairs; resummation
-    paths use them, mode sums never need them.
+    coeffs is indexed by m + m_max (lattice order -m_max..m_max).  packet is
+    the line packet whose samples the coefficients are, for coherent and
+    line-sampled states (None for any other); the Poisson images use it,
+    mode sums never need it.
     """
 
     modespace: ModeSpace
     coeffs: np.ndarray | None = None
     rho: np.ndarray | None = None
-    profiles: tuple = ()
+    packet: LineProfileOnRing | None = None
 
     def __post_init__(self):
         n = 2 * self.modespace.m_max + 1
@@ -239,7 +238,14 @@ def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
             f"alpha={cp.alpha}): tail mass {tail:.3e} > {TAIL_TOL}"
         )
     coeffs = c * gauss * np.exp(-1j * m * cp.theta)
-    return RingState(ms, coeffs=coeffs, profiles=((1.0 + 0j, cp),))
+    return RingState(ms, coeffs=coeffs, packet=_coherent_packet(ms, cp))
+
+
+def _coherent_packet(ms: ModeSpace, cp: CoherentParams) -> LineProfileOnRing:
+    """The Gaussian line packet (p = xi / r, sigma = r / (sqrt(2) alpha)) of a coherent state."""
+    sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
+    pref = coherent_norm(cp.xi, cp.alpha) * ms.r * (math.pi / (2.0 * sigma**2)) ** 0.25
+    return LineProfileOnRing(LineState(p=cp.xi / ms.r, sigma=sigma), cp.theta, pref)
 
 
 def coherent_tail_mass(ms: ModeSpace, cp: CoherentParams) -> float:
@@ -289,11 +295,7 @@ def line_to_ring(ms: ModeSpace, ls: LineState, theta0: float = 0.0) -> RingState
         )
     norm = float(np.linalg.norm(prof))
     coeffs = prof / norm * np.exp(-1j * m * theta0)
-    return RingState(
-        ms,
-        coeffs=coeffs,
-        profiles=((1.0 + 0j, LineProfileOnRing(ls, theta0, norm)),),
-    )
+    return RingState(ms, coeffs=coeffs, packet=LineProfileOnRing(ls, theta0, ms.r / norm))
 
 
 def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
@@ -314,6 +316,19 @@ def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
     ]
 
 
+def _product_err(x: np.ndarray, a: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    """x_i a_p - xa[i, p] exactly, for xa = np.outer(x, a) (Dekker's TwoProduct)."""
+    (xh, xl), (ah, al) = _split(x), _split(a)
+    return ((np.outer(xh, ah) - xa) + np.outer(xh, al) + np.outer(xl, ah)) + np.outer(xl, al)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split v = hi + lo, each with at most 26 significant bits."""
+    hi = 134217729.0 * v  # 2^27 + 1
+    hi -= hi - v
+    return hi, v - hi
+
+
 def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
     """e^{i(k_c x - omega(k_c) t)} for each exact x, to about an ulp.
 
@@ -321,26 +336,27 @@ def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
     rationals, with omega(k_c) refined by one Newton step past its float
     rounding, and only then split into a float and a remainder for the exp.
     """
-    w_c = math.hypot(mu, k_c)
+    k_exact, w_c = Fraction(k_c), math.hypot(mu, k_c)
     omega_c = Fraction(w_c)
     if w_c > 0.0:
-        omega_c += (Fraction(mu) ** 2 + Fraction(k_c) ** 2 - omega_c**2) / (2 * omega_c)
+        omega_c += (Fraction(mu) ** 2 + k_exact**2 - omega_c**2) / (2 * omega_c)
+    omega_t = omega_c * Fraction(t)
     out = np.empty(len(x), dtype=complex)
     for i, xi in enumerate(x):
-        phase = Fraction(k_c) * xi - omega_c * Fraction(t)
+        phase = k_exact * xi - omega_t
         hi = float(phase)
         out[i] = cmath.exp(1j * hi) * cmath.exp(1j * float(phase - Fraction(hi)))
     return out
 
 
-def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
+def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float, k_hi: float):
     """∫_{k_lo}^{k_hi} weight(k) e^{i(k x - omega_k t)} dk at every image position x.
 
-    omega_k = sqrt(mu^2 + k^2); x is a float or a sequence of floats or exact
-    Fractions (see amplitudes._winding_positions).  Composite Gauss-Legendre
-    panels, one rule for all of x: the panel count n is sized from the
-    largest phase rate |x - v_k t| over the window (v_k is monotone, so it
-    peaks at an end).
+    omega_k = sqrt(mu^2 + k^2); x is a sequence of exact Fractions (see
+    amplitudes._winding_positions), which the carrier phase needs exact.
+    Composite Gauss-Legendre panels, one rule for all of x: the panel count
+    n is sized from the largest phase rate |x - v_k t| over the window (v_k
+    is monotone, so it peaks at an end).
     Returns (I_2n, |I_n - I_2n|) as arrays over x; the gap is the
     self-convergence error estimate the callers gate on.  weight maps an
     array of k (of any shape; interior nodes only, never an end point) to
@@ -350,11 +366,15 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
     k_c x - omega(k_c) t is exact per image (_carrier), and each node carries
     only kappa x - (omega_k - omega(k_c)) t with kappa = k - k_c, the energy
     difference formed without cancellation.  A node of panel p in a group
-    of _panel_rule is kappa = a_p + b_j (a_p = centre_p - k_c, b_j = half
-    s_j), so e^{i x kappa} = e^{i x a_p} e^{i x b_j}: per group, one
-    images x 32 exponential, one matrix product with the node values and one
+    of _panel_rule is kappa = fl(a_p + b_j) (a_p = centre_p - k_c, b_j = half
+    s_j), so e^{i x (a_p + b_j)} = e^{i x a_p} e^{i x b_j}: per group, one
+    images x 32 exponential, a matrix product with the node values and one
     images x panels exponential, chunked to _NODE_BUDGET entries: about
     images x (32 + panels) + nodes exponentials a rule, not images x nodes.
+    The returned 2n rule keeps each phase on its node: it adds -i x e_pj for
+    the residual e_pj = a_p + b_j - kappa, and forms x a_p, which a panel's
+    32 nodes share, exactly (_product_err).  Each moves the sum by up to
+    ~2e-13 of its peak, under the gap's gates: the n rule skips them.
     With mu > 0 and k_lo = 0 the first panel is graded toward 0, where
     weights like sqrt(v_k) ~ sqrt(k) are not smooth; with mu = 0 a window
     across k = 0, where omega_k = |k| has a kink, is split there.
@@ -363,8 +383,7 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
         lo_val, lo_gap = _line_quadrature(x, t, mu, weight, k_lo, 0.0)
         hi_val, hi_gap = _line_quadrature(x, t, mu, weight, 0.0, k_hi)
         return lo_val + hi_val, lo_gap + hi_gap
-    x_exact = [Fraction(xi) for xi in np.ravel(x)]
-    xf = np.array([float(xi) for xi in x_exact])
+    xf = np.array([float(xi) for xi in x])
     v_ends = [k / math.hypot(mu, k) if k or mu else 0.0 for k in (k_lo, k_hi)]
     rate = max(float(np.max(np.abs(xf - v * t), initial=0.0)) for v in v_ends)
     n = max(_MIN_PANELS, math.ceil(rate * (k_hi - k_lo) / _PANEL_PHASE))
@@ -372,7 +391,7 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
     k_c = 0.5 * (k_lo + k_hi)
     w_c = math.hypot(mu, k_c)
 
-    def rule(panels):
+    def rule(panels, exact):
         out = np.zeros(xf.size, dtype=complex)
         step = max(1, _NODE_BUDGET // max(xf.size, 1))
         for centres, half in _panel_rule(k_lo, k_hi, panels, grade):
@@ -380,15 +399,24 @@ def _line_quadrature(x, t: float, mu: float, weight, k_lo: float, k_hi: float):
             kappa = a[:, None] + b
             k = k_c + kappa
             d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + w_c)
-            f = half * _GL_WEIGHTS * weight(k) * np.exp(-1j * d_omega * t)
+            f = half * _GL_WEIGHTS * weight(k) * np.exp(-1j * (d_omega * t))
             node_phase = np.exp(1j * np.outer(xf, b))
+            if exact:
+                # Fast2Sum residual, exact while |a_p| >= |b_j|: the 2n rule's
+                # panel count is even, so |a_p| >= h / 2 > |b_j|
+                f_resid = f * (b - (kappa - a[:, None]))
             for i in range(0, a.size, step):
-                panel_sums = node_phase @ f[i:i + step].T
-                out += (np.exp(1j * np.outer(xf, a[i:i + step])) * panel_sums).sum(axis=1)
+                sl = slice(i, i + step)
+                xa = np.outer(xf, a[sl])
+                panel_sums, panel_phase = node_phase @ f[sl].T, np.exp(1j * xa)
+                if exact:
+                    panel_sums -= 1j * xf[:, None] * (node_phase @ f_resid[sl].T)
+                    panel_phase *= 1.0 + 1j * _product_err(xf, a[sl], xa)
+                out += (panel_phase * panel_sums).sum(axis=1)
         return out
 
-    carrier = _carrier(k_c, x_exact, t, mu)
-    coarse, fine = carrier * rule(n), carrier * rule(2 * n)
+    carrier = _carrier(k_c, x, t, mu)
+    coarse, fine = carrier * rule(n, exact=False), carrier * rule(2 * n, exact=True)
     return fine, np.abs(coarse - fine)
 
 
@@ -404,7 +432,7 @@ def gaussian_line(ls: LineState, x: float, t: float | None = None, mu: float = 0
     if t is None:
         return complex(ls.position_profile(x))
     half_width = 8.0 / ls.sigma
-    val, gap = _line_quadrature(x, t, mu, ls.momentum_profile,
+    val, gap = _line_quadrature([Fraction(x)], t, mu, ls.momentum_profile,
                                 ls.p - half_width, ls.p + half_width)
     val = complex(val[0]) / math.sqrt(2.0 * math.pi)
     err = float(gap[0]) / math.sqrt(2.0 * math.pi)
@@ -505,10 +533,4 @@ def symmetric_superposition(ms: ModeSpace, base: RingState) -> RingState:
     if float(np.sum(np.abs(pos) ** 2)) == 0.0:
         raise StateError("base state has no support at m > 0")
     sym = base.coeffs + base.coeffs[::-1]
-    norm = np.linalg.norm(sym)
-    profiles = ()
-    if base.profiles and all(isinstance(p, CoherentParams) for _, p in base.profiles):
-        scaled = [(w / norm, p) for w, p in base.profiles]
-        mirrored = [(w / norm, p.mirrored()) for w, p in base.profiles]
-        profiles = tuple(scaled + mirrored)
-    return RingState(ms, coeffs=sym / norm, profiles=profiles)
+    return RingState(ms, coeffs=sym / np.linalg.norm(sym))

@@ -115,7 +115,7 @@ def test_criterion_2_qsymbol_regimes(ring_massive):
     # (c) partial revival near T_rec
     state = coherent_state(ms, cp0)
     t_c = np.arange(0.95 * scales.t_recurrence, 1.05 * scales.t_recurrence, 0.2)
-    f = autocorrelation(state, ms, t_c)
+    f = autocorrelation(state, t_c)
     assert float(f.max()) > 0.5
     report("2 qsymbol regimes",
            f"FWHM/pred={width / predicted:.3f}, deep-quantum lobe="

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
@@ -24,6 +24,7 @@ from ringtoa import (
     line_to_ring,
     qsymbol,
     rotating_velocity,
+    symmetric_superposition,
     velocity,
 )
 from ringtoa import amplitudes, probability, states
@@ -142,6 +143,19 @@ def test_poisson_needs_profile():
     st = from_modes(ms, {3: 1.0, 5: 0.2})
     with pytest.raises(StateError):
         amp_poisson(ms, 1.0, 0.5, state=st)
+
+
+def test_poisson_needs_a_packet_on_its_own_mode_space():
+    # the mirror half of a symmetric state has p < 0: the state has no packet
+    sym = symmetric_superposition(MS0, coherent_state(MS0, COH))
+    assert sym.packet is None
+    with pytest.raises(StateError, match="line packet"):
+        amp_poisson(MS0, 1.0, 0.5, state=sym)
+    # the packet's pref holds only for the state's own r and lattice
+    st_ = coherent_state(MS0, COH)
+    for ms in (ModeSpace(mu=1000.0, r=1.0, m_max=1100), ModeSpace(mu=0.0, r=2.0, m_max=1100)):
+        with pytest.raises(StateError, match="different mode space"):
+            amp_poisson(ms, 1.0, 0.5, state=st_)
 
 
 def test_poisson_line_image_matches_evolved_gaussian():
@@ -275,6 +289,11 @@ def test_sagnac_factorization_of_split():
     assert phase % math.pi == pytest.approx(expected, abs=2e-3)
 
 
+def _exact(x) -> list[Fraction]:
+    """Image positions as the exact rationals _line_quadrature takes."""
+    return [Fraction(v) for v in x]
+
+
 def _packet_weight(ls: LineState, mu: float):
     """sqrt(v_k) psi~(k): the integrand weight of a packet's winding images."""
     return lambda k: np.sqrt(k / np.hypot(mu, k)) * ls.momentum_profile(k)
@@ -299,7 +318,7 @@ def test_line_quadrature_matches_scalar_quad(massless, mu, sigma, p_sigma, t, of
     ls = LineState(p=p, sigma=sigma, family="gaussian-times-x" if partner else "gaussian")
     k_lo, k_hi = max(0.0, p - 8.0 / sigma), p + 8.0 / sigma
     x = p / math.hypot(mu, p) * t + offset + 2.0 * math.pi * np.arange(-1, 2)
-    got, gap = _line_quadrature(x, t, mu, _packet_weight(ls, mu), k_lo, k_hi)
+    got, gap = _line_quadrature(_exact(x), t, mu, _packet_weight(ls, mu), k_lo, k_hi)
     want = np.array([line_arrival_amp(xi, t, mu, profile=ls.momentum_profile,
                                       k_range=(k_lo, k_hi)) for xi in x])
     assert got.shape == gap.shape == x.shape
@@ -320,11 +339,27 @@ def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
             gaussian_line(LineState(p=20.0, sigma=0.2), 30.0, t=20.0, mu=5.0)
 
 
+def _exp_i_product(x: float, kappa: np.ndarray) -> np.ndarray:
+    """e^{i x kappa}, x kappa taken exactly: Dekker's product hi + lo, then e^{i hi} (1 + i lo)."""
+    def halves(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    hi = x * kappa
+    (xh, xl), (kh, kl) = halves(np.float64(x)), halves(kappa)
+    lo = ((xh * kh - hi) + xh * kl + xl * kh) + xl * kl
+    return np.exp(1j * hi) * (1.0 + 1j * lo)
+
+
 def _dense_fine_rule(x, t: float, mu: float, weight, calls) -> np.ndarray:
     """The 2n panel rule with one exponential per image per node: the reference.
 
     calls are the arguments of each _panel_rule call of one _line_quadrature
-    call, the n rule of a window before its 2n rule.
+    call, the n rule of a window before its 2n rule.  Phase, weight and
+    energy are all evaluated on the float node k_c + fl(a_p + b_j), and the
+    phase x kappa is formed exactly: rounded to a float, it would move the
+    rule by up to ~1e-13 of the peak where |x kappa| reaches 1e4.
     """
     xf = np.array([float(v) for v in x])
     out = np.zeros(xf.size, dtype=complex)
@@ -337,8 +372,8 @@ def _dense_fine_rule(x, t: float, mu: float, weight, calls) -> np.ndarray:
         k = k_c + kappa
         d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + math.hypot(mu, k_c))
         f = w * weight(k) * np.exp(-1j * d_omega * t)
-        carrier = states._carrier(k_c, [Fraction(v) for v in xf], t, mu)
-        out += carrier * (np.exp(1j * np.outer(xf, kappa)) @ f)
+        carrier = states._carrier(k_c, _exact(xf), t, mu)
+        out += carrier * np.array([_exp_i_product(xi, kappa) @ f for xi in xf])
     return out
 
 
@@ -351,6 +386,11 @@ def _dense_fine_rule(x, t: float, mu: float, weight, calls) -> np.ndarray:
     offset=st.floats(-2.0, 2.0),
     images=st.integers(1, 40),
 )
+# with the factored phases rounded apart from the node of the weight and
+# energy, these cases were 2.1e-13 (no TwoSum residual) and 1.6e-13 (x a_p
+# rounded) of the peak off the dense rule
+@example(mu=0.0, sigma=0.05, p_sigma=2.0, t=2.0, offset=2.0, images=30)
+@example(mu=0.0, sigma=0.05, p_sigma=2.0, t=50.0, offset=-2.0, images=40)
 def test_line_quadrature_matches_dense_rule(mu, sigma, p_sigma, t, offset, images):
     # factored phases e^{i x a_p} e^{i x b_j} against e^{i x (a_p + b_j)} per
     # node; massless windows span p +- 8/sigma (split at k = 0), massive ones
@@ -364,7 +404,7 @@ def test_line_quadrature_matches_dense_rule(mu, sigma, p_sigma, t, offset, image
     k_hi = p + 8.0 / sigma
     x = p / math.hypot(mu, p) * t + offset * sigma + 2.0 * math.pi * np.arange(images)
     with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
-        got, _ = _line_quadrature(x, t, mu, weight, k_lo, k_hi)
+        got, _ = _line_quadrature(_exact(x), t, mu, weight, k_lo, k_hi)
     calls = [c.args for c in spy.call_args_list]
     assert len(calls) == (4 if mu == 0.0 and k_lo < 0.0 else 2)
     want = _dense_fine_rule(x, t, mu, weight, calls)
@@ -377,7 +417,7 @@ def test_line_quadrature_memory_is_bounded():
     # its temporaries; what may remain are chunks of _NODE_BUDGET entries and
     # a few arrays over the nodes
     ls = LineState(p=30.0, sigma=1.0)
-    x = 2.0 * math.pi * np.arange(200) + 0.3
+    x = _exact(2.0 * math.pi * np.arange(200) + 0.3)
     with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
         tracemalloc.start()
         try:

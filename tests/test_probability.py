@@ -419,11 +419,23 @@ def test_reality_residue_guard():
 
 def test_autocorrelation_initial_value_and_period():
     st = coherent_state(MS0, COH)
-    f0 = autocorrelation(st, MS0, 0.0)
+    f0 = autocorrelation(st, 0.0)
     assert f0 == pytest.approx(1.0, rel=1e-12)
     # massless: exact revival every circulation
-    f1 = autocorrelation(st, MS0, 2.0 * math.pi)
+    f1 = autocorrelation(st, 2.0 * math.pi)
     assert f1 == pytest.approx(1.0, rel=1e-10)
+
+
+def test_autocorrelation_reads_the_state_mode_space():
+    # the energies are those of the state's own (massive) lattice, and no
+    # other mode space can be passed beside the state
+    ms = ModeSpace(mu=3.0, r=1.0, m_max=200)
+    st = coherent_state(ms, CoherentParams(theta=0.0, xi=100.0, alpha=5.0))
+    t = np.array([0.0, 2.0 * math.pi, 1.3])
+    want = np.abs(np.exp(-1j * np.outer(t, omega(ms, ms.modes()))) @ st.occupation()) ** 2
+    np.testing.assert_allclose(autocorrelation(st, t), want, rtol=0, atol=1e-13)
+    with pytest.raises(TypeError):
+        autocorrelation(st, MS0, 0.0)
 
 
 def test_pgamma_regularized_normalization_validation():

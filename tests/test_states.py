@@ -215,6 +215,39 @@ def test_line_packet_dispersion_matches_quadrature_variance():
     assert math.sqrt(var) == pytest.approx(predicted, rel=0.05)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["coherent", "gaussian", "gaussian-times-x"]),
+    mu=st.floats(0.0, 50.0),
+    r=st.floats(0.5, 3.0),
+    xi=st.floats(-40.0, 40.0),
+    alpha=st.floats(0.5, 6.0),
+    theta=st.floats(-7.0, 7.0),
+)
+def test_packet_invariant(kind, mu, r, xi, alpha, theta):
+    # coherent and line-sampled states sample their packet:
+    # psi_m = pref / r e^{-i m theta0} psi~(m / r)
+    ms = ModeSpace(mu=mu, r=r, m_max=int(abs(xi) + 12.0 * alpha) + 2)
+    if kind == "coherent":
+        st_ = coherent_state(ms, CoherentParams(theta=theta, xi=xi, alpha=alpha))
+    else:
+        ls = LineState(p=xi / r, sigma=r / (math.sqrt(2.0) * alpha), family=kind)
+        st_ = line_to_ring(ms, ls, theta0=theta)
+    pk = st_.packet
+    m = ms.modes()
+    want = pk.pref / r * np.exp(-1j * m * pk.theta0) * pk.line.momentum_profile(m / r)
+    assert np.max(np.abs(st_.coeffs - want)) <= 1e-13 * np.max(np.abs(st_.coeffs))
+
+
+def test_states_without_a_line_packet():
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=30)
+    base = coherent_state(ms, CoherentParams(theta=0.2, xi=5.0, alpha=2.0))
+    assert base.packet is not None
+    assert symmetric_superposition(ms, base).packet is None
+    assert post_select(base, np.ones(2 * ms.m_max + 1)).packet is None
+    assert from_modes(ms, {3: 1.0}).packet is None
+
+
 def test_symmetric_superposition_single_mode():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=10)
     base = from_modes(ms, {5: 1.0})
