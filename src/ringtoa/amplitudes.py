@@ -1,4 +1,4 @@
-"""Detection amplitudes: mode sums, Poisson-resummed images, saddle points.
+"""Detection amplitudes and lattice sums: mode sums, double sums, Poisson images, saddles.
 
 The arrival amplitude of a state psi on the ring is the mode sum
 
@@ -35,13 +35,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
-from .states import (
-    LineProfileOnRing,
-    _CHUNK_BUDGET,
-    RingState,
-    _line_quadrature,
-    spread_at_time,
-)
+from . import states
+from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature, spread_at_time
 
 __all__ = [
     "amp_state",
@@ -76,6 +71,8 @@ _TWO_PI_LO = 2.4492935982947064e-16
 
 # unit roundoff of float64 (see _significant)
 _UNIT_ROUNDOFF = 2.0**-53
+# imaginary residue a double sum may keep (see _double_sum)
+REALITY_TOL = 1e-10
 
 def _on_grid(t, phi, fill):
     """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
@@ -134,16 +131,16 @@ def _significant(mag: np.ndarray) -> np.ndarray:
     return mag > _UNIT_ROUNDOFF * mag.sum() / max(np.count_nonzero(mag), 1)
 
 
+def _phases(m, w, t, phi):
+    """exp(i(m phi - w t)) as a modes x points matrix: the one lattice phase formula."""
+    return np.exp(1j * (m[:, None] * phi[None, :] - w[:, None] * t[None, :]))
+
+
 def _dense_sum(c, mm, ww, tf, pf):
     """The reference evaluation: one complex exp per mode x point, chunked over modes."""
     out = np.zeros(tf.size, dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(tf.size, 1))
-    for i in range(0, c.size, chunk):
-        sl = slice(i, i + chunk)
-        phase = np.exp(
-            1j * (mm[sl, None] * pf[None, :] - ww[sl, None] * tf[None, :])
-        )
-        out += c[sl] @ phase
+    for sl in _chunks(c.size, tf.size):
+        out += c[sl] @ _phases(mm[sl], ww[sl], tf, pf)
     return out
 
 
@@ -152,17 +149,14 @@ def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
 
     Point b*B + k of block b has phase theta_m(b*B) + k beta_m, beta_m =
     m dp - omega_m dt: the block-start phases come from the grid values by
-    the dense formula, the in-block steps from one modes x B table that
-    also carries the coefficients.
+    _phases, the in-block steps from one modes x B table that also carries
+    the coefficients.
     """
-    starts = np.arange(0, tf.size, _BLOCK)
+    heads_t, heads_p = tf[::_BLOCK], pf[::_BLOCK]
     steps = c[:, None] * np.exp(1j * np.outer(mm * dp - ww * dt, np.arange(_BLOCK)))
-    out = np.empty((starts.size, _BLOCK), dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(c.size, 1))
-    for i in range(0, starts.size, chunk):
-        s = starts[i:i + chunk]
-        head = np.exp(1j * (mm[:, None] * pf[s] - ww[:, None] * tf[s]))
-        out[i:i + chunk] = head.T @ steps
+    out = np.empty((heads_t.size, _BLOCK), dtype=complex)
+    for sl in _chunks(heads_t.size, c.size):
+        out[sl] = _phases(mm, ww, heads_t[sl], heads_p[sl]).T @ steps
     return out.ravel()[:tf.size]
 
 
@@ -179,11 +173,38 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
 
     def fill(tf, pf):
         # the blocked path holds its modes x _BLOCK step table whole
-        if tf.size >= _MIN_UNIFORM and c.size * _BLOCK <= _CHUNK_BUDGET:
+        if tf.size >= _MIN_UNIFORM and c.size * _BLOCK <= states._CHUNK_BUDGET:
             dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
             if dt is not None and dp is not None:
                 return _blocked_sum(c, mm, ww, tf, pf, dt, dp)
         return _dense_sum(c, mm, ww, tf, pf)
+
+    return _on_grid(t, phi, fill)
+
+
+def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
+    """The real sum_{j,k} kernel_jk exp(i((m_j - m_k) phi - (freq_j - freq_k) t)) on a grid.
+
+    Rows and columns whose row sums of |kernel| fall under _significant are
+    dropped (at most 2 u sum|kernel|).  kernel must be Hermitian: an
+    imaginary residue above REALITY_TOL of max(1, max|real|) raises DomainError.
+    """
+    active = _significant(np.abs(kernel).sum(axis=1))
+    kernel = kernel[np.ix_(active, active)]
+    ma, wa = m[active], freq[active]
+
+    def fill(tf, pf):
+        vals = np.empty(tf.size, dtype=complex)
+        for sl in _chunks(tf.size, ma.size):
+            u = _phases(ma, wa, tf[sl], pf[sl])
+            vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+        scale = max(float(np.max(np.abs(vals.real))), 1e-300)
+        if resid > REALITY_TOL * max(scale, 1.0):
+            raise DomainError(
+                f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
+            )
+        return vals.real
 
     return _on_grid(t, phi, fill)
 

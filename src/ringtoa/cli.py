@@ -65,7 +65,7 @@ class _Derived(str):
 
 
 _RANGES = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-           "in [0, 1)": lambda v: 0 <= v < 1}
+           "!= 0": lambda v: v != 0, "in [0, 1)": lambda v: 0 <= v < 1}
 
 _STATE_KEYS = {
     "coherent": {"xi": ("float", "", _REQUIRED), "alpha": ("float", "> 0", _REQUIRED),
@@ -79,6 +79,8 @@ _STATE_KEYS = {
 
 _PACKET = {"params.m_max": ("int", "> 0", _Derived("ceil(abs(xi) + 12 alpha)")),
            "params.xi": ("float", "", _REQUIRED), "params.alpha": ("float", "> 0", _REQUIRED)}
+_MOVING = {"params.xi": ("float", "!= 0", _REQUIRED)}  # a tick needs a moving packet
+_FORWARD = {"params.xi": ("float", "> 0", _REQUIRED)}  # Poisson images need p > 0
 _THETA_PHI = {"params.theta": ("float", "", 0.0), "params.phi": ("float", "", math.pi)}
 _T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", _REQUIRED)}
 _PAIR = {"params.kind": (("product", "symmetrized"), "", "symmetrized"),
@@ -90,9 +92,9 @@ _SCHEMA = {
     | keys | {"output.format": (("csv",), "", "csv"),
               "output.prefix": ("name", "", exp.replace("-", "_"))}
     for exp, keys in {
-        "qsymbol": _PACKET | _THETA_PHI | {
+        "qsymbol": _PACKET | _MOVING | _THETA_PHI | {
             "grid.n_theta": ("int", "> 0", 2048), "times": ("list", "", _REQUIRED)},
-        "clock": _PACKET | _THETA_PHI | _T_RANGE | {
+        "clock": _PACKET | _MOVING | _THETA_PHI | _T_RANGE | {
             "grid.n_t": ("int", "> 0", _Derived("spacing min(tick/40, sigma/(5 v))"))},
         "noise": {
             "params.a_values": ("numbers", "> 0", _REQUIRED),
@@ -106,7 +108,8 @@ _SCHEMA = {
             "params.phi": ("float", "", 0.0),
             "params.t1": ("float", "", _Derived("none: no CS margin")),
             "grid.n_t": ("int", "> 0", 2001)},
-        "amplitude-check": _PACKET | _THETA_PHI | _T_RANGE | {"grid.n_t": ("int", "> 0", 64)},
+        "amplitude-check": _PACKET | _FORWARD | _THETA_PHI | _T_RANGE | {
+            "grid.n_t": ("int", "> 0", 64)},
         "kolmogorov": _PAIR | _T_RANGE | {
             "params.phi1": ("float", "", 0.0), "params.phi2": ("float", "", 0.0),
             "params.n_t1": ("int", "> 0", 4096),

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitudes import _CHUNK_BUDGET
 from .errors import DomainError, SupportError, UnphysicalKernelError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega
 from .specfun import sinc
+from .states import _chunks
 
 __all__ = [
     "DetectorKernel",
@@ -111,7 +111,7 @@ class DetectorKernel:
         )
         return cls("custom", {"interp": interp})
 
-    def raw_value(self, omega_val, m, r: float = 1.0) -> np.ndarray:
+    def raw_value(self, omega_val, m, r: float) -> np.ndarray:
         """Kernel functional form at literal arguments, no support clipping.
 
         This is the evaluation used for rotating-frame energies, where the
@@ -183,7 +183,7 @@ def kernel_from_spec(spec: dict) -> DetectorKernel:
     raise DomainError(f"unknown kernel family {family!r}")
 
 
-def kernel_eval(dk: DetectorKernel, omega_val, m, r: float = 1.0) -> np.ndarray | float:
+def kernel_eval(dk: DetectorKernel, omega_val, m, r: float) -> np.ndarray | float:
     """Evaluate R(omega, m); zero for omega < 0 or spacelike |m|/r > omega.
 
     The rotating-frame noise evaluates the kernel at omega_m - m Omega_D
@@ -249,8 +249,8 @@ class LocalizationMatrix:
 
     @property
     def is_max_localization(self) -> bool:
-        # row chunks of about _CHUNK_BUDGET entries, views of the bounding
-        # box of the support; entries off support are masked, not copied out
+        # row chunks (states._chunks) of views of the bounding box of the
+        # support; entries off support are masked, not copied out
         sup = self.on_support
         idx = np.flatnonzero(sup)
         if not idx.size:
@@ -259,14 +259,12 @@ class LocalizationMatrix:
             # a broadcast of one value, as localization_matrix stores full support
             return bool(self.matrix.flat[0] == 1.0)
         lo, hi = int(idx[0]), int(idx[-1]) + 1
-        cols = sup[lo:hi]
+        box, cols = self.matrix[lo:hi, lo:hi], sup[lo:hi]
         gaps = not cols.all()
-        rows = max(1, _CHUNK_BUDGET // (hi - lo))
-        for i in range(lo, hi, rows):
-            j = min(i + rows, hi)
-            ok = self.matrix[i:j, lo:hi] == 1.0
+        for rows in _chunks(hi - lo, hi - lo):
+            ok = box[rows] == 1.0
             if gaps:
-                ok |= ~(sup[i:j, None] & cols[None, :])
+                ok |= ~(cols[rows, None] & cols[None, :])
             if not ok.all():
                 return False
         return True

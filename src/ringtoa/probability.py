@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
-    _CHUNK_BUDGET,
+    _double_sum,
     _images,
     _mode_sum,
-    _on_grid,
     _pointwise,
-    _significant,
     _speed_weights,
     amp_state,
     quad,
@@ -50,8 +48,6 @@ __all__ = [
 # massless positive-momentum packets.
 B_GAMMA = 1.0
 NORMALIZATION_TAG = "B=1;unit-integral-per-period"
-
-REALITY_TOL = 1e-10
 
 
 def _k_norm(ms: ModeSpace) -> float:
@@ -99,9 +95,7 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     if factorized:
         return _density(ms, _mode_sum(state.coeffs * w, m.astype(float), freq, t, phi))
 
-    # the kernel on the occupied, supported block with w > 0 (entries outside
-    # it are zero); dropping the rows and columns whose row sums of |K| fall
-    # under _significant changes the sum by at most 2 u sum|K|
+    # the kernel on the occupied, supported block with w > 0 (zero outside it)
     blk = np.flatnonzero(state.occupied() & det.on_support & (w > 0.0))
     if state.is_pure:
         c = state.coeffs[blk]
@@ -110,26 +104,7 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
         rho = state.rho[np.ix_(blk, blk)]
     wb = w[blk]
     kernel = rho * det.matrix[np.ix_(blk, blk)] * np.outer(wb, wb)
-    active = _significant(np.abs(kernel).sum(axis=1))
-    kernel = kernel[np.ix_(active, active)]
-    ma, wa = m[blk][active].astype(float), freq[blk][active]
-
-    def fill(tf, pf):
-        vals = np.empty(tf.size, dtype=complex)
-        chunk = max(1, _CHUNK_BUDGET // max(ma.size, 1))
-        for i in range(0, tf.size, chunk):
-            sl = slice(i, i + chunk)
-            u = np.exp(1j * (ma[:, None] * pf[None, sl] - wa[:, None] * tf[None, sl]))
-            vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
-        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-        scale = max(float(np.max(np.abs(vals.real))), 1e-300)
-        if resid > REALITY_TOL * max(scale, 1.0):
-            raise DomainError(
-                f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
-            )
-        return _k_norm(ms) * vals.real
-
-    return _on_grid(t, phi, fill)
+    return _k_norm(ms) * _double_sum(kernel, m[blk].astype(float), freq[blk], t, phi)
 
 
 def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum"):

@@ -40,7 +40,7 @@ __all__ = [
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
 # entries of the temporaries one chunked loop holds at once (modes x points
-# for the mode sums' phase matrices)
+# for the mode sums' phase matrices); the one copy, read by _chunks
 _CHUNK_BUDGET = 4_000_000
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
@@ -127,6 +127,16 @@ class LineProfileOnRing:
     pref: float
 
 
+def _chunks(n: int, width: int, budget: int | None = None) -> list[slice]:
+    """Slices of range(n), each of about budget entries of width each (at least one item).
+
+    budget defaults to _CHUNK_BUDGET, read at call time: every chunked loop
+    of the package sizes its chunks here, so one patched value reaches all.
+    """
+    step = max(1, (_CHUNK_BUDGET if budget is None else budget) // max(width, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 @dataclass(frozen=True)
 class RingState:
     """State on the mode lattice: pure coefficients or a density matrix.
@@ -158,8 +168,9 @@ class RingState:
             rho = np.asarray(self.rho, dtype=complex)
             if rho.shape != (n, n):
                 raise StateError(f"rho must have shape ({n},{n}), got {rho.shape}")
+            # about 40 bytes an entry: _CHUNK_BUDGET / 32 entries a block is ~5 MB
             if not all(np.allclose(rho[b], rho[:, b].conj().T, atol=1e-12)
-                       for b in _row_blocks(n)):
+                       for b in _chunks(n, 32 * n)):
                 raise StateError("rho is not Hermitian")
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:
@@ -193,7 +204,7 @@ class RingState:
         if self.coeffs is not None:
             return self.coeffs != 0
         occ = np.zeros(self.rho.shape[0], dtype=bool)
-        for b in _row_blocks(occ.size):
+        for b in _chunks(occ.size, 32 * occ.size):
             nz = self.rho[b] != 0
             occ[b] |= nz.any(axis=1)
             occ |= nz.any(axis=0)
@@ -210,16 +221,6 @@ class RingState:
         if not (self.is_pure and other.is_pure):
             raise StateError("overlap requires pure states")
         return complex(np.vdot(self.coeffs, other.coeffs))
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Row slices of an n x n matrix, _CHUNK_BUDGET / 32 entries each.
-
-    A blocked comparison holds about 40 bytes of temporaries an entry, so a
-    block keeps them near 5 MB at any size.
-    """
-    rows = max(1, _CHUNK_BUDGET // (32 * n))
-    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
@@ -393,7 +394,6 @@ def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float
 
     def rule(panels, exact):
         out = np.zeros(xf.size, dtype=complex)
-        step = max(1, _NODE_BUDGET // max(xf.size, 1))
         for centres, half in _panel_rule(k_lo, k_hi, panels, grade):
             a, b = centres - k_c, half * _GL_NODES
             kappa = a[:, None] + b
@@ -405,8 +405,7 @@ def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float
                 # Fast2Sum residual, exact while |a_p| >= |b_j|: the 2n rule's
                 # panel count is even, so |a_p| >= h / 2 > |b_j|
                 f_resid = f * (b - (kappa - a[:, None]))
-            for i in range(0, a.size, step):
-                sl = slice(i, i + step)
+            for sl in _chunks(a.size, xf.size, _NODE_BUDGET):
                 xa = np.outer(xf, a[sl])
                 panel_sums, panel_phase = node_phase @ f[sl].T, np.exp(1j * xa)
                 if exact:
@@ -529,6 +528,8 @@ def symmetric_superposition(ms: ModeSpace, base: RingState) -> RingState:
     """Normalized state with psi_(-m) = psi_m, as used in the Sagnac analysis."""
     if not base.is_pure:
         raise StateError("symmetric superposition needs a pure base state")
+    if base.modespace != ms:
+        raise StateError("base state lives on a different mode space")
     pos = base.coeffs[ms.m_max + 1 :]
     if float(np.sum(np.abs(pos) ** 2)) == 0.0:
         raise StateError("base state has no support at m > 0")

@@ -174,6 +174,11 @@ QSYMBOL_CFG = {
     "params": {"mu": 0.0, "r": 1.0, "m_max": 60, "xi": 20.0, "alpha": 4.0},
     "times": [{"t": 1.0}],
 }
+AMPLITUDE_CHECK_CFG = {
+    "experiment": "amplitude-check",
+    "params": {"mu": 10.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0},
+    "grid": {"t_min": 1.0, "t_max": 2.0, "n_t": 8},
+}
 
 
 CLOCK_NO_M_MAX = {**CLOCK_CFG, "params": {k: v for k, v in CLOCK_CFG["params"].items()
@@ -201,6 +206,11 @@ KOLMOGOROV_CFG = {
     pytest.param(QSYMBOL_CFG, None, "times", [{"t": "abc"}], id="times-value-string"),
     pytest.param(NOISE_CFG, "params", "a_values", [0.5, True], id="a-values-bool"),
     pytest.param(NOISE_CFG, "params", "a_values", [0.5, math.inf], id="a-values-infinite"),
+    # a tick needs a moving packet, the Poisson images a positive mean momentum
+    pytest.param(QSYMBOL_CFG, "params", "xi", 0.0, id="qsymbol-xi-0"),
+    pytest.param(CLOCK_CFG, "params", "xi", 0.0, id="clock-xi-0"),
+    *(pytest.param(AMPLITUDE_CHECK_CFG, "params", "xi", xi, id=f"amplitude-check-xi={xi}")
+      for xi in (0.0, -50.0)),
     *(pytest.param(KOLMOGOROV_CFG, "params", key, value, id=f"kolmogorov-{key}={json.dumps(value)}")
       for key, value in [("n_t1", None), ("n_t1", -5), ("t1_window", 5), ("t1_window", [1.0]),
                          ("t1_window", [2.0, 1.0]), ("t1_window", ["a", 1.0])]),
@@ -446,9 +456,7 @@ FUZZ_CONFIGS = [
                 "state2": {"kind": "symmetric", "base": {"kind": "coherent", "xi": 100.0,
                                                          "alpha": 5.0}}},
      "grid": {"t_min": 2.0, "t_max": 4.0, "n_t": 21}},
-    {"experiment": "amplitude-check",
-     "params": {"mu": 10.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0},
-     "grid": {"t_min": 1.0, "t_max": 2.0, "n_t": 8}},
+    AMPLITUDE_CHECK_CFG,
 ]
 FUZZ_VALUES = [None, "x", True, [], {}, [1.0], -1, 0, 0.5, math.nan, math.inf, -math.inf]
 # passed through validate alone: a run of them may not fit in memory

@@ -447,10 +447,10 @@ def test_is_max_localization_non_contiguous_support():
 @pytest.mark.parametrize("budget", [1, 3, 7, 13, 10**9])
 def test_is_max_localization_one_ulp_below_one(monkeypatch, budget):
     # every supported entry is scanned, at every chunk edge
-    from ringtoa import detector
+    from ringtoa import states
     from ringtoa.detector import LocalizationMatrix
 
-    monkeypatch.setattr(detector, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", budget)
     below = np.nextafter(1.0, 0.0)
     for support in ((-4, -3, -1, 2, 3, 5), tuple(range(-5, 6)), (1, 2, 3, 4, 5), (0,), ()):
         ms, sup, mat = _hand_built(support=support)
@@ -487,14 +487,14 @@ def _broadcast_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_broadcast_matrices(), budget=st.sampled_from([1, 4, 10**9]))
 def test_is_max_localization_on_broadcast_matrices(case, budget):
-    from ringtoa import detector
+    from ringtoa import states
     from ringtoa.detector import LocalizationMatrix
 
     ms, mat, sup = case
-    saved = detector._CHUNK_BUDGET
-    detector._CHUNK_BUDGET = budget
+    saved = states._CHUNK_BUDGET
+    states._CHUNK_BUDGET = budget
     try:
         L = LocalizationMatrix(ms, mat, sup)
         assert L.is_max_localization == _flag_reference(L)
     finally:
-        detector._CHUNK_BUDGET = saved
+        states._CHUNK_BUDGET = saved

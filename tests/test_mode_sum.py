@@ -2,6 +2,7 @@
 that drops the terms under one unit roundoff of the sum."""
 
 import math
+import sys
 from unittest import mock
 
 import mpmath
@@ -24,7 +25,7 @@ from ringtoa import (
     symmetric_superposition,
     timescales,
 )
-from ringtoa import amplitudes
+from ringtoa import amplitudes, states
 from ringtoa.modes import omega, rotating_omega
 from ringtoa.probability import _k_norm
 
@@ -99,7 +100,7 @@ def test_structured_matches_dense(massless, mu, r, m_max, omega_d_r, rotating, a
     # the smallest budget that still takes the structured path puts a chunk
     # boundary every 64 blocks (4096 points)
     budget = np.count_nonzero(coeffs) * amplitudes._BLOCK if min_budget else None
-    with mock.patch.object(amplitudes, "_CHUNK_BUDGET", budget or amplitudes._CHUNK_BUDGET):
+    with mock.patch.object(states, "_CHUNK_BUDGET", budget or states._CHUNK_BUDGET):
         got = evaluate()
     with dense():
         want = evaluate()
@@ -287,3 +288,52 @@ def test_mixed_gaussian_double_sum_within_two_unit_roundoffs():
     total = float(np.sum(np.abs(kernel)))
     bound = _k_norm(ms) * total * (2.0 * U + 8.0 * EPS * np.count_nonzero(nz))
     assert np.max(np.abs(got - want)) <= bound
+
+
+def test_one_budget_reaches_every_chunked_loop(monkeypatch):
+    # patching states._CHUNK_BUDGET once splits the work of each budget user
+    # into several chunks, and each result agrees with the default budget's
+    from ringtoa import detector
+
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
+    psi = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7})
+    rho = 0.6 * psi.density_matrix() + 0.4 * from_modes(ms, {5: 1.0, -2: 1.0}).density_matrix()
+    rng = np.random.default_rng(3)
+    scattered = rng.uniform(0.0, 20.0, 301), rng.uniform(-1.0, 2.0, 301)
+    uniform = np.linspace(0.0, 20.0, 5000), 0.7
+    chiral = localization_matrix(DetectorKernel.max_localization(chiral=True), ms)
+    assert all(chiral.matrix.strides)  # dense: its flag needs the scan
+
+    def run():
+        return (amp_state(psi, ms, *scattered), amp_state(psi, ms, *uniform),
+                pc_density(RingState(ms, rho=rho), localization_matrix(
+                    DetectorKernel.max_localization(), ms), *scattered),
+                RingState(ms, rho=rho).occupied(), chiral.is_max_localization)
+
+    want = run()
+    chunks = {}
+    real = states._chunks
+
+    def spy(n, width, budget=None):
+        out = real(n, width, budget)
+        caller = sys._getframe(1).f_code.co_name
+        chunks.setdefault(caller, []).append(len(out))
+        return out
+
+    for mod in (states, amplitudes, detector):
+        monkeypatch.setattr(mod, "_chunks", spy)
+    # 3 modes x 64: the blocked path is still admitted, 64 blocks a chunk
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * amplitudes._BLOCK)
+    got = run()
+    # "fill" is the double sum's grid fill
+    users = ("_dense_sum", "_blocked_sum", "fill", "__post_init__", "occupied",
+             "is_max_localization")
+    assert {user: min(chunks.get(user, [1])) > 1 for user in users} == dict.fromkeys(users, True)
+
+    m = ms.modes()
+    coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
+    for grid, a, b in zip((scattered, uniform), want, got):
+        t, phi = np.broadcast_arrays(*grid)
+        assert np.max(np.abs(a - b)) <= phase_bound(coeffs, omega(ms, m), m, t, phi)
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-13, atol=0)
+    assert np.array_equal(got[3], want[3]) and got[4] is want[4] is True

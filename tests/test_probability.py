@@ -99,7 +99,7 @@ def test_pc_density_general_localization_damps_interference():
 
 def test_pc_density_general_sum_chunks_over_points(monkeypatch):
     # the double sum holds at most _CHUNK_BUDGET active modes x points at once
-    from ringtoa import probability
+    from ringtoa import states
 
     ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
     st = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7, 13: 0.2})
@@ -109,7 +109,7 @@ def test_pc_density_general_sum_chunks_over_points(monkeypatch):
     t = np.linspace(0.0, 20.0, 301)
     phi = np.linspace(-1.0, 2.0, 301)
     whole = pc_density(mixed, det, t, phi)
-    monkeypatch.setattr(probability, "_CHUNK_BUDGET", 6 * 40)  # 6 active modes: 40 points a chunk
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 6 * 40)  # 6 active modes: 40 points a chunk
     np.testing.assert_allclose(pc_density(mixed, det, t, phi), whole, rtol=1e-13, atol=0)
 
 
@@ -342,7 +342,7 @@ def test_vacuum_noise_rotating_reduces_to_static():
 def test_vacuum_noise_ratio_is_eta(dk, mu, od):
     # P0 is the eta series, zero mode R(mu, 0) / mu included: the ratio is eta
     ms = ModeSpace(mu=mu, r=1.0, m_max=40)
-    if dk.raw_value(mu, 0) > 0 and mu == 0:
+    if dk.raw_value(mu, 0, r=1.0) > 0 and mu == 0:
         # P0 diverges, and so does eta
         for f in (lambda: vacuum_noise(dk, ms), lambda: eta(dk, ms, od)):
             with pytest.raises(SeriesError):
@@ -363,7 +363,7 @@ def test_vacuum_noise_tabulated_kernel():
     # a table of the ring-exponential kernel sums like the closed form
     og, mg = np.arange(0.0, 101.0), np.arange(-100.0, 101.0)
     table = DetectorKernel.tabulated(og, mg, np.exp(-og)[:, None] * (mg[None, :] > 0))
-    assert table.raw_value(2.0, 0).shape == ()
+    assert table.raw_value(2.0, 0, r=1.0).shape == ()
     ms = ModeSpace(mu=0.0, r=1.0, m_max=40)
     assert vacuum_noise(table, ms) == pytest.approx(
         vacuum_noise(DetectorKernel.ring_exponential(a=1.0), ms), rel=1e-13)

@@ -276,6 +276,18 @@ def test_symmetric_superposition_idempotent_up_to_normalization():
     np.testing.assert_allclose(again.coeffs, base.coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize("other", [ModeSpace(mu=5.0, r=2.0, m_max=60),
+                                   ModeSpace(mu=0.0, r=1.0, m_max=61)],
+                         ids=["massive-ring", "larger-cutoff"])
+def test_symmetric_superposition_rejects_another_mode_space(other):
+    # the coefficients belong to the base's ring: on another ring they would
+    # describe a different state (or not fit its lattice)
+    base = coherent_state(ModeSpace(mu=0.0, r=1.0, m_max=60),
+                          CoherentParams(theta=0.2, xi=20.0, alpha=3.0))
+    with pytest.raises(StateError, match="different mode space"):
+        symmetric_superposition(other, base)
+
+
 def test_symmetric_superposition_needs_positive_support():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=10)
     base = from_modes(ms, {-4: 1.0})
