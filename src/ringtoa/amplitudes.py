@@ -6,9 +6,10 @@ The arrival amplitude of a state psi on the ring is the mode sum
 
 absolutely convergent for normalizable states.  The same quantity can be
 rebuilt from line theory: Poisson resummation turns the lattice sum into a
-sum over winding images of the line arrival amplitude.  All images of a
-point are evaluated at once by composite Gauss-Legendre panels in k
-(states._line_quadrature), sized from the phase rate |x - v_k t| and gated
+sum over winding images of the line arrival amplitude.  The images the
+packet's momenta can reach (_images) are evaluated at once by composite
+Gauss-Legendre panels in k (states._line_quadrature), sized from the phase
+rate |x - v_k t| and gated
 on self-convergence: the n- and 2n-panel rules must agree within each
 caller's tolerance, else QuadratureError.  The phase e^{i x k} of a node
 factors into a per-panel and a per-node exponential, so a rule costs
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
 from . import states
-from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature, spread_at_time
+from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature
 
 __all__ = [
     "amp_state",
@@ -68,6 +70,13 @@ _UNIFORM_ULPS = 8
 
 # 2 pi - float(2 pi): the second term of the image spacing (_winding_positions)
 _TWO_PI_LO = 2.4492935982947064e-16
+
+# An image is integrated only within _REACH_SIGMAS initial widths of the
+# positions v_k t the packet's momentum window can carry it to (_reach_windings).
+_REACH_SIGMAS = 14.0
+# p sigma below which the packet's momentum profile at k = 0, e^{-(p sigma)^2}
+# of its peak, exceeds 1e-12: the k >= 0 window then drops real content
+_REACH_P_SIGMA = math.sqrt(12.0 * math.log(10.0))
 
 # unit roundoff of float64 (see _significant)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -278,12 +287,17 @@ def line_arrival_amp(x: float, t: float, mu: float, k_range, profile=None,
     return val
 
 
-def _image_windings(x0_over_r: float, v_p: float, t: float, sigma_t: float,
+def _reach_windings(x0_over_r: float, v_lo: float, v_hi: float, t: float, sigma: float,
                     r: float) -> range:
-    """Winding indices whose image can reach weight above ~1e-12."""
-    center = (v_p * t / r - x0_over_r) / (2.0 * math.pi)
-    half = (14.0 * sigma_t / r) / (2.0 * math.pi) + 1
-    return range(math.floor(center - half), math.ceil(center + half) + 1)
+    """Windings n whose image x_n = (x0_over_r + 2 pi n) r lies in the packet's reach.
+
+    The reach is [v_lo t - 14 sigma, v_hi t + 14 sigma]: the positions the
+    momenta of the window, at speeds in [v_lo, v_hi], carry the packet to,
+    padded by its initial Gaussian width sigma.  The range may be empty.
+    """
+    lo = ((v_lo * t - _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
+    hi = ((v_hi * t + _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
+    return range(math.ceil(lo), math.floor(hi) + 1)
 
 
 def _root_speed(k: np.ndarray, mu: float) -> np.ndarray:
@@ -306,19 +320,32 @@ def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fr
 
 def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
             rel_tol: float) -> np.ndarray:
-    """Line amplitudes of the packet's winding images at (t, phi), without pref."""
+    """Line amplitudes of the packet's winding images at (t, phi), without pref.
+
+    Only the images in the reach of the momentum window [max(0, p - 8/sigma),
+    p + 8/sigma] are integrated (_reach_windings, with v(0) = 0): none at a
+    point out of every image's reach.  Every other image is under 1e-12 of
+    the peak image unless p sigma < _REACH_P_SIGMA, where the window's cut
+    at k = 0 drops more than that; a UserWarning then names p sigma.
+    """
     line, theta0 = packet.line, packet.theta0
     p, sigma = line.p, line.sigma
     if p <= 0:
         raise StateError("Poisson images require positive mean momentum")
-    v_p = p / math.sqrt(ms.mu**2 + p**2)
-    sig_t = spread_at_time(line, ms, t) if ms.mu > 0 else sigma
-    windings = _image_windings(phi - theta0, v_p, t, sig_t, ms.r)
+    if p * sigma < _REACH_P_SIGMA:
+        warnings.warn(
+            f"Poisson images drop the packet's momenta k < 0 (p*sigma = {p * sigma:.3g} "
+            f"< {_REACH_P_SIGMA:.3g}): not a 1e-12 reference", stacklevel=2)
+    k_lo, k_hi = max(0.0, p - 8.0 / sigma), p + 8.0 / sigma
+    v_lo, v_hi = (k / math.hypot(ms.mu, k) if k else 0.0 for k in (k_lo, k_hi))
+    windings = _reach_windings(phi - theta0, v_lo, v_hi, t, sigma, ms.r)
+    if not windings:
+        return np.zeros(0, dtype=complex)
     x = _winding_positions(phi, theta0, windings, ms.r)
     # sqrt(v_k) = 1 at every node k > 0 of a massless window
     weight = line.momentum_profile if ms.mu == 0 else (
         lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k))
-    vals, gap = _line_quadrature(x, t, ms.mu, weight, max(0.0, p - 8.0 / sigma), p + 8.0 / sigma)
+    vals, gap = _line_quadrature(x, t, ms.mu, weight, k_lo, k_hi)
     _gate(vals, gap, x, t, rel_tol)
     return vals
 
@@ -338,9 +365,12 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
     """Poisson-resummed amplitude of a state: the sum of its line-theory winding images.
 
     The state must carry a line packet (coherent or line-sampled) and live
-    on ms; each image is the quadrature amplitude of that packet.  Images
-    are included until the neglected ones carry less than ~1e-12 of the
-    packet weight.
+    on ms; each image is the quadrature amplitude of that packet.  Only
+    the images within the packet's reach [v_lo t - 14 sigma, v_hi t + 14
+    sigma] are integrated (_images): the rest are under 1e-12 of the peak
+    image, and a point out of every image's reach is exactly 0.  Below
+    p sigma ~ 5.26 the k >= 0 window drops more than that, and a UserWarning
+    naming p sigma says the result is no 1e-12 reference.
     """
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")

@@ -22,7 +22,6 @@ from ringtoa import (
     amp_poisson,
     amp_state,
     autocorrelation,
-    clock_quality,
     coherent_state,
     cumulative,
     eta,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,6 @@ from ringtoa import (
     amp_state,
     coherent_state,
     from_modes,
-    line_to_ring,
     qsymbol,
     rotating_velocity,
     symmetric_superposition,
@@ -31,7 +31,7 @@ from ringtoa import amplitudes, probability, states
 from ringtoa.amplitudes import line_arrival_amp, taper_window
 from ringtoa.errors import DomainError, QuadratureError, StateError
 from ringtoa.specfun import coherent_norm
-from ringtoa.states import _line_quadrature, gaussian_line
+from ringtoa.states import LineProfileOnRing, _line_quadrature, gaussian_line, spread_at_time
 
 
 MS0 = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -328,13 +328,17 @@ def test_line_quadrature_matches_scalar_quad(massless, mu, sigma, p_sigma, t, of
 
 @pytest.mark.parametrize("caller", ["images", "qsymbol", "gaussian_line"])
 def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
-    # 8 panels over hundreds of radians of phase: the n and 2n rules disagree
+    # 8 panels over hundreds of radians of phase: the n and 2n rules disagree;
+    # 2 rad ahead of a massive packet, inside the reach of its speeds at t = 80
     monkeypatch.setattr(states, "_PANEL_PHASE", 1e9)
+    ms = ModeSpace(mu=1000.0, r=1.0, m_max=1130)
+    t = 80.0
+    phi = (COH.theta + velocity(ms, COH.xi) * t + 2.0) % (2.0 * math.pi)
     with pytest.raises(QuadratureError):
         if caller == "images":
-            amp_poisson(MS0, 9.0, 0.3, state=coherent_state(MS0, COH))
+            amp_poisson(ms, t, phi, state=coherent_state(ms, COH))
         elif caller == "qsymbol":
-            qsymbol(MS0, COH, 9.0, 0.3, method="images")
+            qsymbol(ms, COH, t, phi, method="images")
         else:
             gaussian_line(LineState(p=20.0, sigma=0.2), 30.0, t=20.0, mu=5.0)
 
@@ -437,8 +441,9 @@ def test_oracle_never_calls_scalar_quad(monkeypatch):
     for owner in (scipy.integrate, amplitudes, probability):
         monkeypatch.setattr(owner, "quad", refuse)
     st_ = coherent_state(MS0, COH)
-    amp_poisson(MS0, np.array([3.5, 9.0]), 0.3, state=st_)
-    qsymbol(MS0, COH, 9.0, np.array([0.2, 0.3]), method="images")
+    # points near the packet, where images are integrated
+    amp_poisson(MS0, np.array([3.5, 9.0]), np.array([3.4, 2.9]), state=st_)
+    qsymbol(MS0, COH, 9.0, np.array([2.6, 2.8]), method="images")
     gaussian_line(LineState(p=20.0, sigma=1.0), 5.0, t=5.0, mu=3.0)
 
 
@@ -484,3 +489,79 @@ def test_graded_oracle_against_30_digit_lattice_sum(mu, xi, alpha):
     want = _lattice_sum_30_digits(mu, cp, t, phi)
     got = amp_poisson(ms, t, phi, state=coherent_state(ms, cp))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _spread_windings(x0_over_r: float, v_p: float, t: float, sigma_t: float, r: float) -> range:
+    """Windings within 14 sigma_t of the packet centre v_p t plus one on each side."""
+    center = (v_p * t / r - x0_over_r) / (2.0 * math.pi)
+    half = (14.0 * sigma_t / r) / (2.0 * math.pi) + 1
+    return range(math.floor(center - half), math.ceil(center + half) + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.one_of(st.just(0.0), st.floats(1.0, 1000.0)),
+    sigma=st.floats(0.03, 1.0),
+    p_sigma=st.floats(6.0, 30.0),
+    t_frac=st.floats(0.0, 1.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+)
+@example(mu=0.0, sigma=0.07, p_sigma=30.0, t_frac=0.009, phi=2.7)
+@example(mu=1000.0, sigma=0.07, p_sigma=30.0, t_frac=0.5, phi=1.0)
+def test_reach_window_drops_only_roundoff_images(mu, sigma, p_sigma, t_frac, phi):
+    # every image a window of 14 dispersed widths sigma_t plus a winding would
+    # integrate and the reach window of _images leaves out is at roundoff
+    p, theta0 = p_sigma / sigma, 0.3
+    ms = ModeSpace(mu=mu, r=1.0, m_max=10)
+    line = LineState(p=p, sigma=sigma)
+    w_p = math.hypot(mu, p)
+    t_q = math.inf if mu == 0 else w_p**3 * math.sqrt(2.0) * sigma / mu**2
+    t = t_frac * min(t_q / 2.0, 1e3)
+    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
+        amplitudes._images(ms, LineProfileOnRing(line, theta0, 1.0), t, phi, rel_tol=1e-10)
+    kept = spy.call_args.args[0] if spy.called else []
+    sigma_t = spread_at_time(line, ms, t) if mu > 0 else sigma
+    wide = amplitudes._winding_positions(
+        phi, theta0, _spread_windings(phi - theta0, p / w_p, t, sigma_t, ms.r), ms.r)
+    dropped = [x for x in wide if x not in kept]
+    # the last position is the packet centre, where the peak image sits
+    vals, _ = _line_quadrature(dropped + [Fraction(p / w_p * t)], t, mu,
+                               _packet_weight(line, mu), max(0.0, p - 8.0 / sigma),
+                               p + 8.0 / sigma)
+    assert np.all(np.abs(vals[:-1]) <= 1e-12 * abs(vals[-1]))
+
+
+def test_point_out_of_reach_integrates_no_image():
+    # at t = 9 the massless packet is at phi = 9 - 2 pi ~ 2.7, 2.4 rad from
+    # phi = 0.3: past 14 sigma ~ 1 rad, so no image is integrated at all
+    st_ = coherent_state(MS0, COH)
+    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
+        assert amp_poisson(MS0, 9.0, 0.3, state=st_) == 0.0
+        assert qsymbol(MS0, COH, 9.0, 0.3, method="images") == 0.0
+    assert not spy.called
+    want = _lattice_sum_30_digits(0.0, COH, [9.0, 9.0], [0.3, 9.0 - 2.0 * math.pi])
+    assert abs(want[0]) < 1e-12 * abs(want[1])
+
+
+def test_packet_centre_integrates_one_image():
+    t = 9.0
+    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
+        amp_poisson(MS0, t, t - 2.0 * math.pi, state=coherent_state(MS0, COH))
+    assert [len(call.args[0]) for call in spy.call_args_list] == [1]
+
+
+@pytest.mark.parametrize("mu", [0.0, 30.0])
+def test_images_warn_below_reach_p_sigma(mu):
+    # p sigma = xi / (sqrt(2) alpha) = 4: the profile at k = 0 is e^-16 of its
+    # peak, far above 1e-12, and the k >= 0 window cuts it off there
+    ms = ModeSpace(mu=mu, r=1.0, m_max=120)
+    cp = CoherentParams(theta=0.0, xi=40.0, alpha=40.0 / (4.0 * math.sqrt(2.0)))
+    t = 2.0
+    phi = velocity(ms, cp.xi) * t
+    with pytest.warns(UserWarning, match=r"p\*sigma = 4 "):
+        amp_poisson(ms, t, phi, state=coherent_state(ms, cp))
+    with pytest.warns(UserWarning, match=r"p\*sigma = 4 "):
+        qsymbol(ms, cp, t, phi, method="images")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp_poisson(MS0, 9.0, 9.0 - 2.0 * math.pi, state=coherent_state(MS0, COH))

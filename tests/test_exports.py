@@ -40,3 +40,30 @@ def test_cli_imports_no_private_name():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private
+
+
+SOURCES = sorted(Path(ringtoa.__file__).parent.glob("*.py")) + sorted(
+    Path(__file__).parent.glob("*.py"))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports but never reads, save __future__ and its __all__."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return sorted(bound - used - exported)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    # the package's __init__ imports only to re-export
+    assert not _unused_imports(path), f"{path.name} imports unused names"

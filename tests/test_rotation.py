@@ -14,7 +14,6 @@ from ringtoa import (
     coincidence_winding,
     eta,
     eta_closed_form,
-    from_modes,
     noise_curve,
     sagnac_scan,
     symmetric_superposition,
