@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
 from . import states
-from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature
+from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature, _window_speeds
 
 __all__ = [
     "amp_state",
@@ -291,12 +291,14 @@ def _reach_windings(x0_over_r: float, v_lo: float, v_hi: float, t: float, sigma:
                     r: float) -> range:
     """Windings n whose image x_n = (x0_over_r + 2 pi n) r lies in the packet's reach.
 
-    The reach is [v_lo t - 14 sigma, v_hi t + 14 sigma]: the positions the
-    momenta of the window, at speeds in [v_lo, v_hi], carry the packet to,
-    padded by its initial Gaussian width sigma.  The range may be empty.
+    The reach is the span of v_lo t and v_hi t, padded by 14 sigma: the
+    positions the momenta of the window, at speeds in [v_lo, v_hi], carry
+    the packet to in time t (of either sign), padded by its initial
+    Gaussian width sigma.  The range may be empty.
     """
-    lo = ((v_lo * t - _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
-    hi = ((v_hi * t + _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
+    a, b = sorted((v_lo * t, v_hi * t))
+    lo = ((a - _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
+    hi = ((b + _REACH_SIGMAS * sigma) / r - x0_over_r) / (2.0 * math.pi)
     return range(math.ceil(lo), math.floor(hi) + 1)
 
 
@@ -323,21 +325,18 @@ def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
     """Line amplitudes of the packet's winding images at (t, phi), without pref.
 
     Only the images in the reach of the momentum window [max(0, p - 8/sigma),
-    p + 8/sigma] are integrated (_reach_windings, with v(0) = 0): none at a
-    point out of every image's reach.  Every other image is under 1e-12 of
-    the peak image unless p sigma < _REACH_P_SIGMA, where the window's cut
-    at k = 0 drops more than that; a UserWarning then names p sigma.
+    p + 8/sigma] are integrated (_reach_windings, at the window's end speeds
+    states._window_speeds): none at a point out of every image's reach.
+    Every other image is under 1e-12 of the peak image unless p sigma <
+    _REACH_P_SIGMA, where the window's cut at k = 0 drops more than that
+    (_warn_below_reach, which the public callers run once per call).
     """
     line, theta0 = packet.line, packet.theta0
     p, sigma = line.p, line.sigma
     if p <= 0:
         raise StateError("Poisson images require positive mean momentum")
-    if p * sigma < _REACH_P_SIGMA:
-        warnings.warn(
-            f"Poisson images drop the packet's momenta k < 0 (p*sigma = {p * sigma:.3g} "
-            f"< {_REACH_P_SIGMA:.3g}): not a 1e-12 reference", stacklevel=2)
     k_lo, k_hi = max(0.0, p - 8.0 / sigma), p + 8.0 / sigma
-    v_lo, v_hi = (k / math.hypot(ms.mu, k) if k else 0.0 for k in (k_lo, k_hi))
+    v_lo, v_hi = _window_speeds(ms.mu, k_lo, k_hi)
     windings = _reach_windings(phi - theta0, v_lo, v_hi, t, sigma, ms.r)
     if not windings:
         return np.zeros(0, dtype=complex)
@@ -348,6 +347,18 @@ def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
     vals, gap = _line_quadrature(x, t, ms.mu, weight, k_lo, k_hi)
     _gate(vals, gap, x, t, rel_tol)
     return vals
+
+
+def _warn_below_reach(packet: LineProfileOnRing):
+    """UserWarning naming p sigma when it is below _REACH_P_SIGMA (see _images).
+
+    Filed at the line that called the public function calling this one.
+    """
+    p_sigma = packet.line.p * packet.line.sigma
+    if p_sigma < _REACH_P_SIGMA:
+        warnings.warn(
+            f"Poisson images drop the packet's momenta k < 0 (p*sigma = {p_sigma:.3g} "
+            f"< {_REACH_P_SIGMA:.3g}): not a 1e-12 reference", stacklevel=3)
 
 
 def _gate(vals: np.ndarray, gap: np.ndarray, x: list, t: float, rel_tol: float):
@@ -366,11 +377,12 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
 
     The state must carry a line packet (coherent or line-sampled) and live
     on ms; each image is the quadrature amplitude of that packet.  Only
-    the images within the packet's reach [v_lo t - 14 sigma, v_hi t + 14
-    sigma] are integrated (_images): the rest are under 1e-12 of the peak
-    image, and a point out of every image's reach is exactly 0.  Below
-    p sigma ~ 5.26 the k >= 0 window drops more than that, and a UserWarning
-    naming p sigma says the result is no 1e-12 reference.
+    the images within the packet's reach, the span of v_lo t and v_hi t
+    padded by 14 sigma, are integrated (_images): the rest are under 1e-12
+    of the peak image, and a point out of every image's reach is exactly 0.
+    Below p sigma ~ 5.26 the k >= 0 window drops more than that, and one
+    UserWarning a call, naming p sigma, says the result is no 1e-12
+    reference.
     """
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
@@ -378,6 +390,7 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
     if packet is None:
         raise StateError("Poisson resummation needs a state with a line packet "
                          "(coherent or line-sampled)")
+    _warn_below_reach(packet)
     return _pointwise(t, phi, lambda ti, pi_: packet.pref * _images(
         ms, packet, ti, pi_, rel_tol=1e-10).sum())
 

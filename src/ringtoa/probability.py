@@ -25,6 +25,7 @@ from .amplitudes import (
     _mode_sum,
     _pointwise,
     _speed_weights,
+    _warn_below_reach,
     amp_state,
     quad,
 )
@@ -126,6 +127,7 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum")
         raise DomainError(f"unknown qsymbol method {method!r}")
 
     packet = _coherent_packet(ms, cp)
+    _warn_below_reach(packet)
 
     def at(ti, pi_):
         images = _images(ms, packet, ti, pi_, rel_tol=1e-9)

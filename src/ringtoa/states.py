@@ -350,6 +350,19 @@ def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
     return out
 
 
+def _window_speeds(mu: float, k_lo: float, k_hi: float) -> tuple[float, float]:
+    """Group speeds v_k = d omega_k / dk at the ends of the window [k_lo, k_hi].
+
+    v_k = k / sqrt(mu^2 + k^2) is monotone, so every momentum of the window
+    moves at a speed between the two.  At mu = 0 the window must not cross
+    k = 0: v_k is then sign(k) on its side of 0, the end at 0 included.
+    """
+    if mu == 0.0:
+        v = 1.0 if k_hi > 0.0 else -1.0
+        return v, v
+    return k_lo / math.hypot(mu, k_lo), k_hi / math.hypot(mu, k_hi)
+
+
 def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float, k_hi: float):
     """∫_{k_lo}^{k_hi} weight(k) e^{i(k x - omega_k t)} dk at every image position x.
 
@@ -385,8 +398,8 @@ def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float
         hi_val, hi_gap = _line_quadrature(x, t, mu, weight, 0.0, k_hi)
         return lo_val + hi_val, lo_gap + hi_gap
     xf = np.array([float(xi) for xi in x])
-    v_ends = [k / math.hypot(mu, k) if k or mu else 0.0 for k in (k_lo, k_hi)]
-    rate = max(float(np.max(np.abs(xf - v * t), initial=0.0)) for v in v_ends)
+    rate = max(float(np.max(np.abs(xf - v * t), initial=0.0))
+               for v in _window_speeds(mu, k_lo, k_hi))
     n = max(_MIN_PANELS, math.ceil(rate * (k_hi - k_lo) / _PANEL_PHASE))
     grade = mu > 0.0 and k_lo == 0.0
     k_c = 0.5 * (k_lo + k_hi)

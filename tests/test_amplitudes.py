@@ -503,11 +503,13 @@ def _spread_windings(x0_over_r: float, v_p: float, t: float, sigma_t: float, r: 
     mu=st.one_of(st.just(0.0), st.floats(1.0, 1000.0)),
     sigma=st.floats(0.03, 1.0),
     p_sigma=st.floats(6.0, 30.0),
-    t_frac=st.floats(0.0, 1.0),
+    t_frac=st.floats(-1.0, 1.0),
     phi=st.floats(0.0, 2.0 * math.pi),
 )
 @example(mu=0.0, sigma=0.07, p_sigma=30.0, t_frac=0.009, phi=2.7)
 @example(mu=1000.0, sigma=0.07, p_sigma=30.0, t_frac=0.5, phi=1.0)
+@example(mu=10.0, sigma=0.1414, p_sigma=14.14, t_frac=-0.2, phi=1.0)
+@example(mu=0.0, sigma=0.177, p_sigma=7.0, t_frac=-0.02, phi=0.5)
 def test_reach_window_drops_only_roundoff_images(mu, sigma, p_sigma, t_frac, phi):
     # every image a window of 14 dispersed widths sigma_t plus a winding would
     # integrate and the reach window of _images leaves out is at roundoff
@@ -543,11 +545,29 @@ def test_point_out_of_reach_integrates_no_image():
     assert abs(want[0]) < 1e-12 * abs(want[1])
 
 
-def test_packet_centre_integrates_one_image():
-    t = 9.0
+@pytest.mark.parametrize("xi, alpha, t", [(1000.0, 10.0, 9.0), (40.0, 4.0, 100.0),
+                                          (40.0, 4.0, -100.0)])
+def test_packet_centre_integrates_one_image(xi, alpha, t):
+    # p sigma = 7 (xi 40): the window reaches k = 0, where a massless
+    # momentum still moves at speed 1, so the reach stays one winding wide
+    cp = CoherentParams(theta=0.0, xi=xi, alpha=alpha)
     with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
-        amp_poisson(MS0, t, t - 2.0 * math.pi, state=coherent_state(MS0, COH))
+        amp_poisson(MS0, t, t % (2.0 * math.pi), state=coherent_state(MS0, cp))
     assert [len(call.args[0]) for call in spy.call_args_list] == [1]
+
+
+@pytest.mark.parametrize("mu, xi, alpha", [(10.0, 100.0, 5.0), (0.0, 40.0, 4.0)])
+def test_oracle_at_negative_times_against_30_digit_lattice_sum(mu, xi, alpha):
+    # the reach runs from v_hi t to v_lo t when t < 0; the massless packet has
+    # p sigma = 7, so its window is clipped at k = 0
+    ms = ModeSpace(mu=mu, r=1.0, m_max=int(xi + 13 * alpha))
+    cp = CoherentParams(theta=0.3, xi=xi, alpha=alpha)
+    v = cp.xi / math.hypot(mu, cp.xi)
+    t = np.array([-200.0, -200.0, -20.0, -20.0])
+    phi = (cp.theta + v * t + np.array([0.0, 0.4, 0.0, 0.4])) % (2.0 * math.pi)
+    want = _lattice_sum_30_digits(mu, cp, t, phi)
+    got = amp_poisson(ms, t, phi, state=coherent_state(ms, cp))
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mu", [0.0, 30.0])
@@ -558,10 +578,13 @@ def test_images_warn_below_reach_p_sigma(mu):
     cp = CoherentParams(theta=0.0, xi=40.0, alpha=40.0 / (4.0 * math.sqrt(2.0)))
     t = 2.0
     phi = velocity(ms, cp.xi) * t
-    with pytest.warns(UserWarning, match=r"p\*sigma = 4 "):
-        amp_poisson(ms, t, phi, state=coherent_state(ms, cp))
-    with pytest.warns(UserWarning, match=r"p\*sigma = 4 "):
-        qsymbol(ms, cp, t, phi, method="images")
+    # one warning a call, at the caller's line, however many points
+    for call in (lambda: amp_poisson(ms, t, [phi, phi + 0.1], state=coherent_state(ms, cp)),
+                 lambda: qsymbol(ms, cp, t, [phi, phi + 0.1], method="images")):
+        with pytest.warns(UserWarning, match=r"p\*sigma = 4 ") as record:
+            call()
+        reach = [w for w in record if "p*sigma" in str(w.message)]
+        assert len(reach) == 1 and reach[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         amp_poisson(MS0, 9.0, 9.0 - 2.0 * math.pi, state=coherent_state(MS0, COH))
