@@ -31,14 +31,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, StateError
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
-from . import states
-from .states import LineProfileOnRing, RingState, _chunks, _line_quadrature, _window_speeds
+from .states import (LineProfileOnRing, RingState, _chunks, _line_quadrature, _ratio,
+                     _window_speeds)
 
 __all__ = [
     "amp_state",
@@ -141,8 +140,15 @@ def _significant(mag: np.ndarray) -> np.ndarray:
 
 
 def _phases(m, w, t, phi):
-    """exp(i(m phi - w t)) as a modes x points matrix: the one lattice phase formula."""
-    return np.exp(1j * (m[:, None] * phi[None, :] - w[:, None] * t[None, :]))
+    """exp(i(m phi - w t)) as a modes x points matrix: the one lattice phase formula.
+
+    Formed in one buffer: the same products, difference and exp as
+    np.exp(1j * (m phi - w t)) elementwise, so the same bits.
+    """
+    x = np.multiply.outer(m, phi)
+    x -= np.multiply.outer(w, t)
+    x = x * 1j
+    return np.exp(x, out=x)
 
 
 def _dense_sum(c, mm, ww, tf, pf):
@@ -154,18 +160,20 @@ def _dense_sum(c, mm, ww, tf, pf):
 
 
 def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
-    """The same sum on a uniform grid, one GEMM per chunk of blocks.
+    """The same sum on a uniform grid, one GEMM per chunk of modes and of blocks.
 
     Point b*B + k of block b has phase theta_m(b*B) + k beta_m, beta_m =
     m dp - omega_m dt: the block-start phases come from the grid values by
-    _phases, the in-block steps from one modes x B table that also carries
-    the coefficients.
+    _phases, the in-block steps from a modes x B table that also carries
+    the coefficients, formed a chunk of modes at a time.
     """
     heads_t, heads_p = tf[::_BLOCK], pf[::_BLOCK]
-    steps = c[:, None] * np.exp(1j * np.outer(mm * dp - ww * dt, np.arange(_BLOCK)))
-    out = np.empty((heads_t.size, _BLOCK), dtype=complex)
-    for sl in _chunks(heads_t.size, c.size):
-        out[sl] = _phases(mm, ww, heads_t[sl], heads_p[sl]).T @ steps
+    out = np.zeros((heads_t.size, _BLOCK), dtype=complex)
+    for part in _chunks(c.size, _BLOCK):
+        m_, w_ = mm[part], ww[part]
+        steps = c[part, None] * np.exp(1j * np.outer(m_ * dp - w_ * dt, np.arange(_BLOCK)))
+        for sl in _chunks(heads_t.size, m_.size):
+            out[sl] += _phases(m_, w_, heads_t[sl], heads_p[sl]).T @ steps
     return out.ravel()[:tf.size]
 
 
@@ -181,8 +189,7 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     c, mm, ww = coeffs[active], m[active], freq[active]
 
     def fill(tf, pf):
-        # the blocked path holds its modes x _BLOCK step table whole
-        if tf.size >= _MIN_UNIFORM and c.size * _BLOCK <= states._CHUNK_BUDGET:
+        if tf.size >= _MIN_UNIFORM:
             dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
             if dt is not None and dp is not None:
                 return _blocked_sum(c, mm, ww, tf, pf, dt, dp)
@@ -228,8 +235,9 @@ def amp_state(state: RingState, ms: ModeSpace, t, phi):
         raise StateError("amplitudes need a pure state; use pc_density for mixed")
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
-    m = ms.modes()
-    coeffs = state.coeffs * _speed_weights(ms, m)
+    nz = np.flatnonzero(state.coeffs)  # a zero coefficient is never summed
+    m = ms.modes()[nz]
+    coeffs = state.coeffs[nz] * _speed_weights(ms, m)
     return _mode_sum(coeffs, m.astype(float), omega(ms, m), t, phi)
 
 
@@ -307,17 +315,21 @@ def _root_speed(k: np.ndarray, mu: float) -> np.ndarray:
     return np.sqrt(k / np.sqrt(mu * mu + k * k))
 
 
-def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[Fraction]:
-    """Image positions (phi - theta0 + 2 pi n) r as exact rationals.
+def _winding_positions(phi: float, theta0: float, windings, r: float) -> list[tuple[int, int]]:
+    """Image positions (phi - theta0 + 2 pi n) r as exact integer pairs (num, den).
 
     2 pi is carried to two float terms (error ~1e-32).  In floats the
     position of winding n errs by up to n ulps of 2 pi r plus its own
     rounding: a phase error of ~1e-12 rad at k ~ 1e3, as large as the
-    mode sum's own roundoff.
+    mode sum's own roundoff.  The pairs are those of states._ratio: sums
+    and products over a common denominator, never reduced.
     """
-    two_pi = Fraction(2.0 * math.pi) + Fraction(_TWO_PI_LO)
-    base = Fraction(phi) - Fraction(theta0)
-    return [(base + two_pi * Fraction(n)) * Fraction(r) for n in windings]
+    (hn, hd), (ln, ld) = _ratio(2.0 * math.pi), _ratio(_TWO_PI_LO)
+    (pn, pd), (tn, td), (rn, rd) = _ratio(phi), _ratio(theta0), _ratio(r)
+    two_pi_n, two_pi_d = hn * ld + ln * hd, hd * ld
+    base_n, base_d = pn * td - tn * pd, pd * td
+    return [((base_n * two_pi_d + two_pi_n * n * base_d) * rn, base_d * two_pi_d * rd)
+            for n in windings]
 
 
 def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
@@ -345,7 +357,7 @@ def _images(ms: ModeSpace, packet: LineProfileOnRing, t: float, phi: float,
     weight = line.momentum_profile if ms.mu == 0 else (
         lambda k: _root_speed(k, ms.mu) * line.momentum_profile(k))
     vals, gap = _line_quadrature(x, t, ms.mu, weight, k_lo, k_hi)
-    _gate(vals, gap, x, t, rel_tol)
+    _gate(vals, gap, [n / d for n, d in x], t, rel_tol)
     return vals
 
 
@@ -367,7 +379,7 @@ def _gate(vals: np.ndarray, gap: np.ndarray, x: list, t: float, rel_tol: float):
     if bad.size:
         i = bad[0]
         raise QuadratureError(
-            f"line amplitude quadrature poorly converged at x={float(x[i])}, t={t}: "
+            f"line amplitude quadrature poorly converged at x={x[i]}, t={t}: "
             f"estimate {gap[i]:.3e} for |value| {abs(vals[i]):.3e}"
         )
 

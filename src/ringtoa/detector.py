@@ -309,7 +309,9 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     (non-chiral max-localization) it is a read-only broadcast of 1.0 that
     stores one value; ``np.array(L.matrix)`` gives a writable copy.  The tail
     supports m > 0 (chiral, ring-exponential) are written densely in one
-    pass, with no n x n temporaries.
+    pass, with no n x n temporaries.  A tabulated kernel's matrix is built
+    in row blocks (states._chunks), each formed from its first row's column
+    on and mirrored: the build holds the matrix and one block's temporaries.
     """
     m = ms.modes().astype(float)
     if frame is not None and frame.modespace != ms:
@@ -329,21 +331,31 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
         return LocalizationMatrix(ms, L, sup, frame=frame)
 
     energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
-    mid_m = 0.5 * (m[:, None] + m[None, :])
-    mid_w = 0.5 * (energies[:, None] + energies[None, :])
     logs = dk.log_raw(energies, m)
     sup = logs > 0.25 * DetectorKernel._LOG_FLOOR
     if frame is None:
         sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
-    log_mid = dk.log_raw(mid_w, mid_m)
-    expo = log_mid - 0.5 * (logs[:, None] + logs[None, :])
-    pair = sup[:, None] & sup[None, :]
-    with np.errstate(over="ignore"):
-        L = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),
-                     np.exp(np.where(pair, expo, 0.0)), 0.0)
-    np.fill_diagonal(L, np.where(sup, 1.0, 0.0))
-    _check_upper(float(L.max(initial=0.0)))
-    np.clip(L, 0.0, 1.0, out=L)
+    n = m.size
+    L = np.empty((n, n))
+    worst = 0.0
+    # the ratio is symmetric to the bit (its sums commute), so each row block
+    # forms its columns from the block's first row on and mirrors them
+    for rows in _chunks(n, 16 * n):
+        c = slice(rows.start, n)
+        mid_m = 0.5 * (m[rows, None] + m[None, c])
+        mid_w = 0.5 * (energies[rows, None] + energies[None, c])
+        expo = dk.log_raw(mid_w, mid_m) - 0.5 * (logs[rows, None] + logs[None, c])
+        pair = sup[rows, None] & sup[None, c]
+        with np.errstate(over="ignore"):
+            blk = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),
+                           np.exp(np.where(pair, expo, 0.0)), 0.0)
+        diag = np.arange(blk.shape[0])
+        blk[diag, diag] = np.where(sup[rows], 1.0, 0.0)
+        worst = max(worst, float(blk.max(initial=0.0)))
+        np.clip(blk, 0.0, 1.0, out=blk)
+        L[rows, c] = blk
+        L[c, rows] = blk.T
+    _check_upper(worst)
     return LocalizationMatrix(ms, L, sup, frame=frame)
 
 

@@ -14,7 +14,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,8 +39,9 @@ __all__ = [
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
 # entries of the temporaries one chunked loop holds at once (modes x points
-# for the mode sums' phase matrices); the one copy, read by _chunks
-_CHUNK_BUDGET = 4_000_000
+# for the mode sums' phase matrices): 4 MB of complex values, which stay in
+# cache while a chunk is formed and summed; the one copy, read by _chunks
+_CHUNK_BUDGET = 1 << 18
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
 EIGENCHECK_MAX_MODES = 2049
@@ -168,26 +168,26 @@ class RingState:
             rho = np.asarray(self.rho, dtype=complex)
             if rho.shape != (n, n):
                 raise StateError(f"rho must have shape ({n},{n}), got {rho.shape}")
-            # about 40 bytes an entry: _CHUNK_BUDGET / 32 entries a block is ~5 MB
-            if not all(np.allclose(rho[b], rho[:, b].conj().T, atol=1e-12)
-                       for b in _chunks(n, 32 * n)):
+            object.__setattr__(self, "rho", rho)
+            # every non-zero entry lies in the occupied block, so rho is
+            # Hermitian iff the block is, and the block carries every
+            # eigenvalue of rho that is not 0
+            occ = self.occupied()
+            k = int(np.count_nonzero(occ))
+            blk = rho if k == n else rho[np.ix_(occ, occ)]
+            # about 40 bytes an entry: _CHUNK_BUDGET / 2 entries a row block is ~5 MB
+            if not all(np.allclose(blk[b], blk[:, b].conj().T, atol=1e-12)
+                       for b in _chunks(k, 2 * k)):
                 raise StateError("rho is not Hermitian")
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:
                 raise StateError(f"rho trace must be 1, got {tr!r}")
-            object.__setattr__(self, "rho", rho)
-            # rows and columns outside the occupied block are zero, so the
-            # block carries every eigenvalue of rho that is not 0
-            occ = self.occupied()
-            k = int(np.count_nonzero(occ))
             if k > EIGENCHECK_MAX_MODES:
                 warnings.warn(
                     f"rho positivity check skipped: occupied block of {k} modes "
                     f"exceeds {EIGENCHECK_MAX_MODES}", stacklevel=3)
             else:
-                lo = float(np.linalg.eigvalsh(rho[np.ix_(occ, occ)])[0])
-                if lo < -1e-10:
-                    raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})")
+                _check_positive(blk)
 
     @property
     def is_pure(self) -> bool:
@@ -204,7 +204,7 @@ class RingState:
         if self.coeffs is not None:
             return self.coeffs != 0
         occ = np.zeros(self.rho.shape[0], dtype=bool)
-        for b in _chunks(occ.size, 32 * occ.size):
+        for b in _chunks(occ.size, 2 * occ.size):
             nz = self.rho[b] != 0
             occ[b] |= nz.any(axis=1)
             occ |= nz.any(axis=0)
@@ -221,6 +221,22 @@ class RingState:
         if not (self.is_pure and other.is_pure):
             raise StateError("overlap requires pure states")
         return complex(np.vdot(self.coeffs, other.coeffs))
+
+
+def _check_positive(blk: np.ndarray):
+    """StateError unless the Hermitian blk has no eigenvalue below -1e-10.
+
+    blk + 1e-10 I has a Cholesky factor iff it is positive definite; only a
+    failed factorization pays for the eigenvalues, to name the least.
+    """
+    shifted = blk.copy()
+    shifted.flat[:: blk.shape[0] + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(blk)[0])
+        if lo < -1e-10:
+            raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})") from None
 
 
 def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
@@ -333,21 +349,37 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
     """e^{i(k_c x - omega(k_c) t)} for each exact x, to about an ulp.
 
-    The phase (~1e5 rad at the oracle's sizes) is formed exactly in
-    rationals, with omega(k_c) refined by one Newton step past its float
-    rounding, and only then split into a float and a remainder for the exp.
+    The phase (~1e5 rad at the oracle's sizes) is formed exactly, as an
+    integer pair (num, den) (see _ratio), with omega(k_c) refined by one
+    Newton step past its float rounding, and only then split into a float
+    and a remainder for the exp.
     """
-    k_exact, w_c = Fraction(k_c), math.hypot(mu, k_c)
-    omega_c = Fraction(w_c)
+    (kn, kd), w_c = _ratio(k_c), math.hypot(mu, k_c)
+    wn, wd = _ratio(w_c)
     if w_c > 0.0:
-        omega_c += (Fraction(mu) ** 2 + k_exact**2 - omega_c**2) / (2 * omega_c)
-    omega_t = omega_c * Fraction(t)
+        # omega += (mu^2 + k^2 - omega^2) / (2 omega), over the denominator d
+        mn, md = _ratio(mu)
+        d = md * kd * wd
+        res = (mn * kd * wd) ** 2 + (kn * md * wd) ** 2 - (wn * md * kd) ** 2
+        wn, wd = 2 * wn * wn * d * d + res * wd * wd, 2 * wn * wd * d * d
+    tn, td = _ratio(t)
+    wtn, wtd = wn * tn, wd * td
     out = np.empty(len(x), dtype=complex)
-    for i, xi in enumerate(x):
-        phase = k_exact * xi - omega_t
-        hi = float(phase)
-        out[i] = cmath.exp(1j * hi) * cmath.exp(1j * float(phase - Fraction(hi)))
+    for i, (xn, xd) in enumerate(x):
+        pn, pd = kn * xn * wtd - wtn * kd * xd, kd * xd * wtd
+        hi = pn / pd
+        hn, hd = hi.as_integer_ratio()
+        out[i] = cmath.exp(1j * hi) * cmath.exp(1j * ((pn * hd - hn * pd) / (pd * hd)))
     return out
+
+
+def _ratio(v: float) -> tuple[int, int]:
+    """v as an exact integer pair (num, den), den > 0.
+
+    The oracle's exact arithmetic: pairs add and multiply without gcd
+    reduction, and num / den is the correctly rounded float of the pair.
+    """
+    return float(v).as_integer_ratio()
 
 
 def _window_speeds(mu: float, k_lo: float, k_hi: float) -> tuple[float, float]:
@@ -363,11 +395,13 @@ def _window_speeds(mu: float, k_lo: float, k_hi: float) -> tuple[float, float]:
     return k_lo / math.hypot(mu, k_lo), k_hi / math.hypot(mu, k_hi)
 
 
-def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float, k_hi: float):
+def _line_quadrature(x: list[tuple[int, int]], t: float, mu: float, weight, k_lo: float,
+                     k_hi: float):
     """∫_{k_lo}^{k_hi} weight(k) e^{i(k x - omega_k t)} dk at every image position x.
 
-    omega_k = sqrt(mu^2 + k^2); x is a sequence of exact Fractions (see
-    amplitudes._winding_positions), which the carrier phase needs exact.
+    omega_k = sqrt(mu^2 + k^2); x is a sequence of exact (num, den) integer
+    pairs (_ratio; see amplitudes._winding_positions), which the carrier
+    phase needs exact.
     Composite Gauss-Legendre panels, one rule for all of x: the panel count
     n is sized from the largest phase rate |x - v_k t| over the window (v_k
     is monotone, so it peaks at an end).
@@ -397,7 +431,7 @@ def _line_quadrature(x: list[Fraction], t: float, mu: float, weight, k_lo: float
         lo_val, lo_gap = _line_quadrature(x, t, mu, weight, k_lo, 0.0)
         hi_val, hi_gap = _line_quadrature(x, t, mu, weight, 0.0, k_hi)
         return lo_val + hi_val, lo_gap + hi_gap
-    xf = np.array([float(xi) for xi in x])
+    xf = np.array([n / d for n, d in x])
     rate = max(float(np.max(np.abs(xf - v * t), initial=0.0))
                for v in _window_speeds(mu, k_lo, k_hi))
     n = max(_MIN_PANELS, math.ceil(rate * (k_hi - k_lo) / _PANEL_PHASE))
@@ -444,7 +478,7 @@ def gaussian_line(ls: LineState, x: float, t: float | None = None, mu: float = 0
     if t is None:
         return complex(ls.position_profile(x))
     half_width = 8.0 / ls.sigma
-    val, gap = _line_quadrature([Fraction(x)], t, mu, ls.momentum_profile,
+    val, gap = _line_quadrature([_ratio(x)], t, mu, ls.momentum_profile,
                                 ls.p - half_width, ls.p + half_width)
     val = complex(val[0]) / math.sqrt(2.0 * math.pi)
     err = float(gap[0]) / math.sqrt(2.0 * math.pi)

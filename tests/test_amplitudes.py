@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -289,9 +290,53 @@ def test_sagnac_factorization_of_split():
     assert phase % math.pi == pytest.approx(expected, abs=2e-3)
 
 
-def _exact(x) -> list[Fraction]:
-    """Image positions as the exact rationals _line_quadrature takes."""
-    return [Fraction(v) for v in x]
+def _exact(x) -> list[tuple[int, int]]:
+    """Image positions as the exact integer pairs (num, den) _line_quadrature takes."""
+    return [float(v).as_integer_ratio() for v in x]
+
+
+def _fraction_positions(phi, theta0, windings, r) -> list[Fraction]:
+    """The reference of amplitudes._winding_positions, in reduced Fractions."""
+    two_pi = Fraction(2.0 * math.pi) + Fraction(amplitudes._TWO_PI_LO)
+    base = Fraction(phi) - Fraction(theta0)
+    return [(base + two_pi * n) * Fraction(r) for n in windings]
+
+
+def _fraction_carrier(k_c, x, t, mu) -> np.ndarray:
+    """The reference of states._carrier, in reduced Fractions."""
+    k_exact, w_c = Fraction(k_c), math.hypot(mu, k_c)
+    omega_c = Fraction(w_c)
+    if w_c > 0.0:
+        omega_c += (Fraction(mu) ** 2 + k_exact**2 - omega_c**2) / (2 * omega_c)
+    out = []
+    for xi in x:
+        phase = k_exact * xi - omega_c * Fraction(t)
+        hi = float(phase)
+        out.append(cmath.exp(1j * hi) * cmath.exp(1j * float(phase - Fraction(hi))))
+    return np.array(out, dtype=complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=st.floats(-7.0, 7.0),
+    theta0=st.floats(-7.0, 7.0),
+    r=st.floats(0.01, 100.0),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+    k_c=st.one_of(st.just(0.0), st.floats(0.0, 2000.0)),
+    t=st.floats(-1e5, 1e5),
+    first=st.integers(-20, 20),
+)
+@example(phi=0.3, theta0=1e-300, r=1.0, mu=0.0, k_c=0.0, t=0.0, first=0)
+def test_integer_pairs_are_the_exact_rationals(phi, theta0, r, mu, k_c, t, first):
+    # the unreduced integer pairs of the oracle hold the same rationals as
+    # Fractions do, and give the same positions and carrier to the bit
+    windings = range(first, first + 7)
+    pairs = amplitudes._winding_positions(phi, theta0, windings, r)
+    exact = _fraction_positions(phi, theta0, windings, r)
+    assert [Fraction(n, d) for n, d in pairs] == exact
+    assert [n / d for n, d in pairs] == [float(x) for x in exact]
+    got, want = states._carrier(k_c, pairs, t, mu), _fraction_carrier(k_c, exact, t, mu)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _packet_weight(ls: LineState, mu: float):
@@ -527,7 +572,7 @@ def test_reach_window_drops_only_roundoff_images(mu, sigma, p_sigma, t_frac, phi
         phi, theta0, _spread_windings(phi - theta0, p / w_p, t, sigma_t, ms.r), ms.r)
     dropped = [x for x in wide if x not in kept]
     # the last position is the packet centre, where the peak image sits
-    vals, _ = _line_quadrature(dropped + [Fraction(p / w_p * t)], t, mu,
+    vals, _ = _line_quadrature(dropped + [(p / w_p * t).as_integer_ratio()], t, mu,
                                _packet_weight(line, mu), max(0.0, p - 8.0 / sigma),
                                p + 8.0 / sigma)
     assert np.all(np.abs(vals[:-1]) <= 1e-12 * abs(vals[-1]))

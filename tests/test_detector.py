@@ -14,7 +14,9 @@ from ringtoa import (
     omega,
     wigner_weyl,
 )
+from ringtoa import states
 from ringtoa.detector import _kernel_support, kernel_from_spec
+from ringtoa.modes import rotating_omega
 from ringtoa.errors import DomainError, SupportError, UnphysicalKernelError
 
 
@@ -99,6 +101,81 @@ def test_localization_gaussian_counterexample_rejected():
     dk = DetectorKernel.tabulated(grid_w, grid_m, vals)
     with pytest.raises(UnphysicalKernelError):
         localization_matrix(dk, MS)
+
+
+def _reference_custom(dk, ms, frame=None):
+    """A tabulated kernel's midpoint-ratio matrix in one unchunked n x n pass.
+
+    Returns (L, on_support), or the message of the UnphysicalKernelError.
+    """
+    m = ms.modes().astype(float)
+    energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
+    logs = dk.log_raw(energies, m)
+    floor = 0.25 * DetectorKernel._LOG_FLOOR
+    sup = logs > floor
+    if frame is None:
+        sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
+    log_mid = dk.log_raw(0.5 * (energies[:, None] + energies[None, :]),
+                         0.5 * (m[:, None] + m[None, :]))
+    expo = log_mid - 0.5 * (logs[:, None] + logs[None, :])
+    pair = sup[:, None] & sup[None, :]
+    with np.errstate(over="ignore"):
+        L = np.where(pair & (expo > floor), np.exp(np.where(pair, expo, 0.0)), 0.0)
+    np.fill_diagonal(L, np.where(sup, 1.0, 0.0))
+    worst = float(L.max(initial=0.0))
+    if worst > 1.0 + 1e-12:
+        return f"localization matrix exceeds 1 (max {worst!r})"
+    np.clip(L, 0.0, 1.0, out=L)
+    return L, sup
+
+
+def _custom_kernel(kappa, gap=True):
+    """log R = 0.01 omega^2 + kappa m^2 on half-integer m, zero on m in [-3, -1] if gap.
+
+    Convex in omega and bilinearly interpolated on a coarse omega grid, so
+    the ratios are neither 1 nor a closed form; kappa < 0 exceeds 1.
+    """
+    w_grid, m_grid = np.linspace(-20.0, 60.0, 9), np.arange(-70, 71) / 2.0
+    vals = np.exp(0.01 * w_grid[:, None] ** 2 + kappa * m_grid[None, :] ** 2)
+    if gap:
+        vals[:, (m_grid >= -3.0) & (m_grid <= -1.0)] = 0.0
+    return DetectorKernel.tabulated(w_grid, m_grid, vals)
+
+
+@pytest.mark.parametrize("blocks", ["one", "two", "rows"])
+@pytest.mark.parametrize("omega_d", [None, 0.3])
+@pytest.mark.parametrize("kappa", [0.003, -0.002])
+def test_custom_localization_matches_unchunked_formula(monkeypatch, blocks, omega_d, kappa):
+    # row blocks on one triangle, mirrored: the same bits as the n x n pass
+    ms = MS
+    n = 2 * ms.m_max + 1
+    rows = {"one": n, "two": (n + 1) // 2, "rows": 1}[blocks]
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 16 * n * rows)
+    frame = None if omega_d is None else RotationFrame(omega_d=omega_d, modespace=ms)
+    dk = _custom_kernel(kappa)
+    want = _reference_custom(dk, ms, frame)
+    if isinstance(want, str):
+        with pytest.raises(UnphysicalKernelError) as err:
+            localization_matrix(dk, ms, frame=frame)
+        assert str(err.value).startswith(want + ":")
+        return
+    got = localization_matrix(dk, ms, frame=frame)
+    np.testing.assert_array_equal(got.matrix, want[0], strict=True)
+    np.testing.assert_array_equal(got.on_support, want[1], strict=True)
+    assert 0.0 < want[0][want[0] < 1.0].max() and not want[1].all()
+
+
+def test_custom_localization_traced_peak_is_the_matrix_and_a_block():
+    # m_max 1000: the unchunked pass held about 10 n x n temporaries (328 MB
+    # for a 32 MB matrix); the row blocks hold about 16 entries of temporaries
+    # per entry of a block of _CHUNK_BUDGET / 16 entries
+    ms = ModeSpace(mu=50.0, r=1.0, m_max=1000)
+    w_grid, m_grid = np.array([49.0, math.hypot(50.0, 1000.0) + 1.0]), np.arange(-2000, 2001) / 2
+    dk = DetectorKernel.tabulated(w_grid, m_grid, -0.05 * w_grid[:, None]
+                                  + 0.002 * m_grid[None, :] ** 2, log_values=True)
+    L, peak = _traced_peak(lambda: localization_matrix(dk, ms))
+    assert L.on_support.all()
+    assert peak <= 1.25 * L.matrix.nbytes + 8 * states._CHUNK_BUDGET
 
 
 def test_rotating_localization_max_family_stays_one():

@@ -97,9 +97,9 @@ def test_structured_matches_dense(massless, mu, r, m_max, omega_d_r, rotating, a
             return amp_state(psi, ms, t, phi)
 
     coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
-    # the smallest budget that still takes the structured path puts a chunk
-    # boundary every 64 blocks (4096 points)
-    budget = np.count_nonzero(coeffs) * amplitudes._BLOCK if min_budget else None
+    # a budget of half the step table splits the modes in two chunks and puts
+    # a chunk boundary every 64 blocks (4096 points)
+    budget = (np.count_nonzero(coeffs) + 1) // 2 * amplitudes._BLOCK if min_budget else None
     with mock.patch.object(states, "_CHUNK_BUDGET", budget or states._CHUNK_BUDGET):
         got = evaluate()
     with dense():
@@ -121,6 +121,47 @@ def test_structured_path_is_taken_on_uniform_grids():
         amp_state(psi, ms, np.sort(np.random.default_rng(1).uniform(2, 9, 500)), 0.4)
         amp_state(psi, ms, t[:, None], np.linspace(0.0, 6.0, 4)[None, :])  # 2-D mesh
         assert spy.call_count == 3
+
+
+def test_structured_path_takes_more_modes_than_one_step_table_chunk():
+    # 4201 active modes, more than _CHUNK_BUDGET / _BLOCK: the step table is
+    # formed a chunk of modes at a time, never handed to the dense path
+    ms = ModeSpace(mu=3.0, r=1.0, m_max=2100)
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=2 * ms.m_max + 1) + 1j * rng.normal(size=2 * ms.m_max + 1)
+    psi = RingState(ms, coeffs=c / np.linalg.norm(c))
+    m = ms.modes()
+    coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
+    assert np.count_nonzero(amplitudes._significant(np.abs(coeffs))) * amplitudes._BLOCK \
+        > states._CHUNK_BUDGET
+    t = np.linspace(2.0, 9.0, 300)
+    with mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as spy:
+        got = amp_state(psi, ms, t, 0.4)
+    assert spy.call_count == 1
+    with dense():
+        want = amp_state(psi, ms, t, 0.4)
+    bound = phase_bound(coeffs, omega(ms, m), m, t, np.full(t.shape, 0.4))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modes=st.integers(1, 40),
+    points=st.integers(1, 70),
+    m_scale=st.floats(1.0, 1e4),
+    w_scale=st.floats(0.0, 1e4),
+    t_scale=st.floats(0.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phases_is_the_elementwise_formula(modes, points, m_scale, w_scale, t_scale, seed):
+    # formed in one buffer, to the bit the same as the textbook expression
+    rng = np.random.default_rng(seed)
+    m = np.round(rng.uniform(-m_scale, m_scale, modes))
+    w = rng.uniform(0.0, w_scale, modes)
+    t, phi = rng.uniform(-t_scale, t_scale, points), rng.uniform(-7.0, 7.0, points)
+    want = np.exp(1j * (m[:, None] * phi[None, :] - w[:, None] * t[None, :]))
+    got = amplitudes._phases(m, w, t, phi)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_perturbed_grid_takes_dense_path_bit_for_bit():
@@ -303,12 +344,17 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
     uniform = np.linspace(0.0, 20.0, 5000), 0.7
     chiral = localization_matrix(DetectorKernel.max_localization(chiral=True), ms)
     assert all(chiral.matrix.strides)  # dense: its flag needs the scan
+    # log R = -0.05 omega + 0.002 m^2 on half-integer m: a custom table
+    w_grid, m_grid = np.array([1.0, 40.0]), np.arange(-60, 61) / 2.0
+    custom = DetectorKernel.tabulated(
+        w_grid, m_grid, np.exp(-0.05 * w_grid[:, None] + 0.002 * m_grid[None, :] ** 2))
 
     def run():
         return (amp_state(psi, ms, *scattered), amp_state(psi, ms, *uniform),
                 pc_density(RingState(ms, rho=rho), localization_matrix(
                     DetectorKernel.max_localization(), ms), *scattered),
-                RingState(ms, rho=rho).occupied(), chiral.is_max_localization)
+                RingState(ms, rho=rho).occupied(), chiral.is_max_localization,
+                localization_matrix(custom, ms).matrix)
 
     want = run()
     chunks = {}
@@ -322,12 +368,12 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
 
     for mod in (states, amplitudes, detector):
         monkeypatch.setattr(mod, "_chunks", spy)
-    # 3 modes x 64: the blocked path is still admitted, 64 blocks a chunk
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * amplitudes._BLOCK)
+    # one mode, row or point a chunk in every loop but the block heads'
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 16)
     got = run()
     # "fill" is the double sum's grid fill
     users = ("_dense_sum", "_blocked_sum", "fill", "__post_init__", "occupied",
-             "is_max_localization")
+             "is_max_localization", "localization_matrix")
     assert {user: min(chunks.get(user, [1])) > 1 for user in users} == dict.fromkeys(users, True)
 
     m = ms.modes()
@@ -337,3 +383,4 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
         assert np.max(np.abs(a - b)) <= phase_bound(coeffs, omega(ms, m), m, t, phi)
     np.testing.assert_allclose(got[2], want[2], rtol=1e-13, atol=0)
     assert np.array_equal(got[3], want[3]) and got[4] is want[4] is True
+    assert np.array_equal(got[5], want[5])

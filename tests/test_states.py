@@ -367,6 +367,34 @@ def test_ring_state_eigencheck_runs_on_the_occupied_block():
         RingState(ms, rho=_two_mode_rho(n, 10, 2000, 0.9))
 
 
+def _rho_with_min_eig(ms, modes, lo, seed=5):
+    """Unit-trace Hermitian rho on the given lattice indices with least eigenvalue lo."""
+    k = len(modes)
+    eig = np.full(k, (1.0 - lo) / (k - 1))
+    eig[0] = lo
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(k, k))
+                        + 1j * np.random.default_rng(seed + 1).normal(size=(k, k)))
+    blk = (q * eig) @ q.conj().T
+    rho = np.zeros((2 * ms.m_max + 1,) * 2, dtype=complex)
+    rho[np.ix_(modes, modes)] = 0.5 * (blk + blk.conj().T)
+    return rho
+
+
+def test_ring_state_positivity_by_cholesky(monkeypatch):
+    # the occupied block is factorized; eigenvalues only word a rejection
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=40)
+    modes = [3, 10, 11, 12, 40, 77]
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    RingState(ms, rho=_rho_with_min_eig(ms, modes, -5e-11))
+    RingState(ms, rho=_rho_with_min_eig(ms, modes, 0.0))
+    assert calls == []
+    with pytest.raises(StateError, match=r"min eig -2\.0\d*e-10"):
+        RingState(ms, rho=_rho_with_min_eig(ms, modes, -2e-10))
+    assert calls == [(6, 6)]
+
+
 def test_ring_state_eigencheck_skip_warns(monkeypatch):
     ms = ModeSpace(mu=1.0, r=1.0, m_max=3)
     bad = _two_mode_rho(7, 1, 5, 0.9)
@@ -414,7 +442,7 @@ def test_ring_state_occupied_blocks_miss_no_entry(monkeypatch, rows):
     # one tiny entry at every position, so at every block boundary
     ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
     n = 9
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 32 * n * rows)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * n * rows)
     for i in range(n):
         for j in range(n):
             rho = np.zeros((n, n), dtype=complex)
@@ -437,7 +465,7 @@ def test_ring_state_hermiticity_blocks_miss_no_entry(monkeypatch, rows):
     # one asymmetric entry at every position, so at every block boundary
     ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
     n = 9
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 32 * n * rows)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * n * rows)
     rho = np.eye(n, dtype=complex) / n
     assert not _not_hermitian(ms, rho)
     for i in range(n):
@@ -445,6 +473,18 @@ def test_ring_state_hermiticity_blocks_miss_no_entry(monkeypatch, rows):
             bad = rho.copy()
             bad[i, j] += 1e-3j if i == j else 1e-3
             assert _not_hermitian(ms, bad), (i, j)
+
+
+def test_ring_state_hermiticity_on_a_sparse_occupied_block():
+    # an entry without its mirror occupies its row and its column, so the
+    # occupied block the check reads holds both
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
+    for i in range(9):
+        for j in range(9):
+            rho = np.zeros((9, 9), dtype=complex)
+            rho[4, 4] = 1.0
+            rho[i, j] += 1e-3j if i == j else 1e-3
+            assert _not_hermitian(ms, rho), (i, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,7 +499,7 @@ def test_ring_state_hermiticity_is_allclose(i, j, size, rows):
     rho[i, j] += size
     want = not np.allclose(rho, rho.conj().T, atol=1e-12)
     saved = states._CHUNK_BUDGET
-    states._CHUNK_BUDGET = 32 * n * rows
+    states._CHUNK_BUDGET = 2 * n * rows
     try:
         assert _not_hermitian(ms, rho) == want
     finally:
