@@ -34,7 +34,7 @@ from .clock import clock_quality, cumulative, extract_ticks
 from .detector import DetectorKernel, localization_matrix
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
-from .modes import ModeSpace, RotationFrame
+from .modes import ModeSpace, RotationFrame, velocity
 from .multitime import TwoParticleState, kolmogorov_check, violation_scan
 from .probability import NORMALIZATION_TAG, pc_density, qsymbol, timescales
 from .rotation import noise_curve, sagnac_scan
@@ -363,8 +363,7 @@ def _run_clock(cfg, out_dir: Path, threads: int):
 
     t_min, t_max, n_t = (_get(cfg, f"grid.{k}") for k in ("t_min", "t_max", "n_t"))
     if n_t is None:
-        v = abs(cp.xi) / (math.sqrt(ms.mu**2 + (cp.xi / ms.r) ** 2) * ms.r)
-        dt = min(scales.tick / 40.0, state.packet.line.sigma / v / 5.0)
+        dt = min(scales.tick / 40.0, state.packet.line.sigma / abs(velocity(ms, cp.xi)) / 5.0)
         n_t = min(int(math.ceil((t_max - t_min) / dt)) + 1, 500_000)
     t = np.linspace(t_min, t_max, n_t)
     det = localization_matrix(DetectorKernel.max_localization(), ms)

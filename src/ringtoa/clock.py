@@ -149,15 +149,14 @@ class ClockQuality:
     width_growth_rate: float
     last_resolvable_time: float
     last_resolvable_index: int
-    resolvable_count: int
 
 
 def clock_quality(tt: TickTrain, tau_expected: float | None = None) -> ClockQuality:
     """Spacing, jitter, width growth, and the last tick still resolvable.
 
     A tick counts as resolvable while its FWHM stays below half the tick
-    spacing; the report gives the last index for which that holds (all
-    earlier ticks resolvable too).
+    spacing; the report gives the last index for which that holds (so index
+    + 1 ticks resolve) and its time, or -1 and NaN when the first does not.
     """
     if tt.times.size < 2:
         raise TickError("clock quality metrics need at least two ticks")
@@ -178,5 +177,4 @@ def clock_quality(tt: TickTrain, tau_expected: float | None = None) -> ClockQual
         width_growth_rate=slope,
         last_resolvable_time=float(tt.times[last]) if last >= 0 else math.nan,
         last_resolvable_index=last,
-        resolvable_count=last + 1,
     )

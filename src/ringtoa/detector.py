@@ -392,8 +392,6 @@ class WignerWeylField:
     """
 
     values: np.ndarray
-    theta_grid: np.ndarray
-    p_grid: np.ndarray
     marginal_truncation: np.ndarray
 
 
@@ -402,8 +400,8 @@ def wigner_weyl(op: LocalizationMatrix, theta_grid, p_grid) -> WignerWeylField:
 
     L~(theta, p) = (1/2pi) sum_{m,m'} L(m,m') e^{i(m'-m)theta}
                    sinc(pi (p - (m+m')/2)).
-    Returned values have shape (len(p_grid), len(theta_grid)); they are real
-    because L is real-symmetric.
+    Returned values have shape (len(p_grid), len(theta_grid)), real because L
+    is real-symmetric; marginal_truncation has one entry per p.
     """
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
@@ -428,4 +426,4 @@ def wigner_weyl(op: LocalizationMatrix, theta_grid, p_grid) -> WignerWeylField:
     trunc = 1.0 - np.asarray(
         [float(np.sum(sinc(math.pi * (p - m)))) for p in p_grid]
     )
-    return WignerWeylField(out, theta_grid, p_grid, trunc)
+    return WignerWeylField(out, trunc)

@@ -18,6 +18,7 @@ changed in place is formatted again and a racing thread can only miss.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,8 @@ __all__ = ["format_float", "write_csv", "write_json"]
 
 
 def format_float(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    x = float(x)
-    if x != x:
-        return "nan"
-    return repr(x)
+    """Shortest round-trip decimal form of a float ("nan" for every NaN)."""
+    return repr(float(x))
 
 
 def _meta_lines(metadata: dict) -> list[str]:
@@ -88,17 +86,21 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
 
 
 def write_json(path: Path, payload: dict) -> Path:
-    """Stable JSON: sorted keys, fixed separators."""
+    """Stable RFC 8259 JSON: sorted keys, fixed separators, non-finite floats as null."""
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify) + "\n")
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _jsonable(obj):
+    """obj with numpy values and paths as plain JSON values, NaN and ±inf as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return str(obj) if isinstance(obj, Path) else obj

@@ -55,7 +55,6 @@ __all__ = [
     "CS_INTERVAL",
 ]
 
-CS_INTERVAL = (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
 # violation_scan's margin tolerance, relative to the scan-wide density scale
 VIOLATION_TOL = 1e-12
 
@@ -68,6 +67,9 @@ def jensen_interval(lam: float) -> tuple[float, float]:
     """
     root = 2.0 * math.sqrt(lam * (lam + 1.0))
     return (2.0 * lam + 1.0 - root, 2.0 * lam + 1.0 + root)
+
+
+CS_INTERVAL = jensen_interval(1.0)
 
 
 @dataclass(frozen=True)
@@ -262,11 +264,9 @@ def mi_inequality_cs(tps: TwoParticleState, t1, phi1, t2, phi2) -> dict:
 class ViolationReport:
     """Inequality margins over a scan grid with strict-tolerance masks."""
 
-    t_grid: np.ndarray
     margin_j: np.ndarray
     violated_j: np.ndarray
     p2_diag: np.ndarray  # P2(t, phi; t, phi) on the grid
-    t1_fixed: float | None = None
     margin_cs: np.ndarray | None = None
     violated_cs: np.ndarray | None = None
 
@@ -288,7 +288,8 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
     below -VIOLATION_TOL * max(scale over the grid).  Saturated configurations
     (product states, identical factors) then never flag on the roundoff
     noise of amplitude-suppressed tails, while genuine violations, which are
-    an order-one fraction of the local density, always do.
+    an order-one fraction of the local density, always do.  The CS margin and
+    mask are None without t1_fixed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x = _Amps(tps, t_grid, phi)
@@ -308,11 +309,9 @@ def violation_scan(tps: TwoParticleState, phi: float, t_grid,
         scale_cs = max(float(np.max(geo)), float(np.max(off)), 1e-300)
         violated_cs = margin_cs < -VIOLATION_TOL * scale_cs
     return ViolationReport(
-        t_grid=t_grid,
         margin_j=margin_j,
         violated_j=violated_j,
         p2_diag=p2,
-        t1_fixed=t1_fixed,
         margin_cs=margin_cs,
         violated_cs=violated_cs,
     )

@@ -74,10 +74,8 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     ms = state.modespace
     if det.modespace != ms:
         raise DomainError("localization matrix built over a different mode space")
-    if (frame is None) != (det.frame is None):
+    if det.frame != frame:
         raise DomainError("frame argument must match the localization matrix frame")
-    if frame is not None and det.frame != frame:
-        raise DomainError("localization matrix was built for a different frame")
     det.require_support(state.occupation())
 
     # L = 1 on support: a pure state's double sum is K |sum_m psi_m w_m e^{...}|^2

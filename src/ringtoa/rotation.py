@@ -112,9 +112,8 @@ def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
 
 @dataclass(frozen=True)
 class SagnacResult:
-    """Detection density at the entry point with extracted fringe frequency."""
+    """Detection density on the scan grid, per-pass weights and fringe frequencies."""
 
-    t: np.ndarray
     density: np.ndarray
     pass_times: np.ndarray
     pass_weights: np.ndarray
@@ -129,8 +128,8 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
     The state must be symmetric (psi_{-m} = psi_m).  Per-circulation
     detection weights W_n follow cos^2(xi Omega_D t_n); their zero-mean
     demodulation 2 W_n / max(W) - 1 crosses zero with spacing
-    pi / (2 xi Omega_D), from which the fringe angular frequency
-    is estimated and compared to xi Omega_D.
+    pi / (2 xi Omega_D), from which the fringe angular frequency (NaN below
+    two crossings) is estimated and compared to xi Omega_D.
     """
     ms = rf.modespace
     if not state.is_pure:
@@ -180,7 +179,6 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
         fringe = math.pi / (2.0 * spacing)
     expected = xi * rf.omega_d
     return SagnacResult(
-        t=t_grid,
         density=density,
         pass_times=pass_times,
         pass_weights=pass_weights,

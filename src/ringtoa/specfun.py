@@ -31,8 +31,6 @@ def theta3(x: float, y: float) -> float:
     """
     if not 0.0 <= y < 1.0:
         raise DomainError(f"theta3 nome must satisfy 0 <= y < 1, got y={y}")
-    if y == 0.0:
-        return 1.0
     total = 1.0
     for n in range(1, THETA3_MAX_TERMS + 1):
         term = y ** (n * n)

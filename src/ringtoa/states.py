@@ -73,6 +73,8 @@ class CoherentParams:
     def __post_init__(self):
         if self.alpha <= 0:
             raise DomainError(f"coherent spread must be > 0, got alpha={self.alpha}")
+        if not math.isfinite(self.xi):
+            raise DomainError(f"coherent mean momentum must be finite, got xi={self.xi}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,10 @@ def coherent_tail_mass(ms: ModeSpace, cp: CoherentParams) -> float:
 
 def _gaussian_tail_mass(m_max: int, xi: float, alpha: float) -> float:
     c2 = coherent_norm(xi, alpha) ** 2
-    ext = np.arange(m_max + 1, m_max + 1 + max(10, int(12 * alpha)))
+    # the width modes just past m_max, and once the centre k is past it too,
+    # those within width of k, so that a far packet costs 2 width + 1 modes
+    width, k = max(10, int(12 * alpha)), np.round(abs(xi))
+    ext = np.arange(max(m_max + 1, k - width), max(m_max + 1, k + 1) + width)
     up = np.exp(-((ext - xi) ** 2) / alpha**2)
     dn = np.exp(-((-ext - xi) ** 2) / alpha**2)
     return float(c2 * (up.sum() + dn.sum()))

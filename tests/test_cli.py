@@ -405,6 +405,36 @@ def test_run_shipped_probcoh_config(tmp_path):
     assert "probcoh_tq0.07.csv" in csvs and "probcoh_trec1.0.csv" in csvs
 
 
+# a sagnac scan too short for two fringe crossings: its fringe frequency is NaN
+SAGNAC_NO_FRINGES = {
+    "experiment": "sagnac",
+    "params": {"mu": 0.0, "r": 1.0, "m_max": 200, "xi": 100.0, "alpha": 5.0,
+               "omega_d": 1e-6, "phi": 0.0},
+    "grid": {"t_min": 0.5, "t_max": 40.0, "dt": 0.01},
+    "output": {"prefix": "sagnac"},
+}
+
+
+def test_run_writes_rfc8259_json(tmp_path):
+    # fig-steps' massless t_quantum is infinite and the short sagnac scan's
+    # fringe frequency is NaN: both must be written as null
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    cfgs = [*sorted(CONFIGS.glob("*.json")),
+            write_config(tmp_path, "sagnac-no-fringes.json", SAGNAC_NO_FRINGES)]
+    assert len(cfgs) == 6
+    for cfg in cfgs:
+        out = tmp_path / cfg.stem
+        assert main(["run", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
+    manifests = {p.parent.name: json.loads(p.read_text())
+                 for p in tmp_path.glob("*/run_manifest.json")}
+    assert manifests["fig-steps"]["extras"]["timescales"]["t_quantum"] is None
+    assert manifests["sagnac-no-fringes"]["extras"]["fringe_frequency"] is None
+
+
 def test_run_gnuplot_stub(tmp_path):
     cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
     out = tmp_path / "out"

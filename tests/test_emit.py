@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringtoa import emit
 from ringtoa.cli import main
-from ringtoa.emit import format_float, write_csv
+from ringtoa.emit import format_float, write_csv, write_json
 from ringtoa.probability import NORMALIZATION_TAG
 
 
@@ -19,6 +19,36 @@ def _cell(v):
     if isinstance(v, np.integer):
         return str(int(v))
     return format_float(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(0, 2**64 - 1))
+def test_format_float_is_repr_and_nan_for_every_nan(bits):
+    # every float64 bit pattern: NaN of either sign and any payload is "nan"
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert format_float(x) == ("nan" if np.isnan(x) else repr(float(x)))
+    assert format_float(float(x)) == format_float(x)
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+@pytest.mark.parametrize("payload", [1, 2**51, 2**52 - 1, 0x5A5A5])
+def test_format_float_nan_payloads(sign, payload):
+    bits = (sign << 63) | (0x7FF << 52) | payload
+    assert format_float(np.array(bits, dtype=np.uint64).view(np.float64)) == "nan"
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    payload = {"a": math.inf, "b": [1.5, -math.inf, math.nan], "c": np.float64(np.nan),
+               "d": np.float32(np.inf), "e": np.array([[0.25, np.nan], [np.inf, 2.0]]),
+               "f": (np.int64(3), 0.1), "g": {"h": -0.0, "i": None}}
+    text = write_json(tmp_path / "x.json", payload).read_text()
+
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    assert json.loads(text, parse_constant=reject) == {
+        "a": None, "b": [1.5, None, None], "c": None, "d": None,
+        "e": [[0.25, None], [None, 2.0]], "f": [3, 0.1], "g": {"h": -0.0, "i": None}}
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):

@@ -50,6 +50,11 @@ def test_jensen_interval_endpoints():
         assert lo * hi == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cs_interval_is_the_unit_jensen_interval():
+    assert CS_INTERVAL == jensen_interval(1.0)
+    assert CS_INTERVAL == (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
+
+
 def test_product_state_factorization():
     tps = gaussian_pair("product")
     rng = np.random.default_rng(11)

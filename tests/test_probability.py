@@ -127,6 +127,19 @@ def test_pc_density_rotating_frame_consistency():
     assert np.all(dens >= 0)
 
 
+@pytest.mark.parametrize("other", [
+    RotationFrame(omega_d=1e-3, modespace=ModeSpace(mu=0.0, r=1.0, m_max=1099)),
+    RotationFrame(omega_d=1e-3, modespace=ModeSpace(mu=0.5, r=1.0, m_max=1100)),
+    RotationFrame(omega_d=2e-3, modespace=MS0),
+])
+def test_pc_density_rejects_a_frame_unlike_the_matrix_frame(other):
+    """A frame other than the matrix's, even over another mode space, raises."""
+    rf = RotationFrame(omega_d=1e-3, modespace=MS0)
+    det_rot = localization_matrix(DetectorKernel.max_localization(), MS0, frame=rf)
+    with pytest.raises(DomainError, match="frame"):
+        pc_density(coherent_state(MS0, COH), det_rot, 1.0, 0.0, frame=other)
+
+
 def test_pc_density_rotating_matches_split_representation():
     # the rotating double sum (rotating velocities) and the split-amplitude
     # form (static velocities, rotating phases) agree up to O(Omega_D r)

@@ -60,6 +60,23 @@ def test_coherent_state_cutoff_guard():
         coherent_state(ms, CoherentParams(theta=0.0, xi=15.0, alpha=4.0))
 
 
+@pytest.mark.parametrize("xi", [330.0, 1000.0, -1000.0, 1e9])
+def test_coherent_tail_mass_of_a_packet_centred_past_the_cutoff(xi):
+    """The whole packet lies past m_max: its tail is about 1, and the state
+    refuses the cutoff by name instead of failing its normalization."""
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=200)
+    cp = CoherentParams(theta=0.0, xi=xi, alpha=10.0)
+    assert states.coherent_tail_mass(ms, cp) >= 0.99
+    with pytest.raises(CutoffError, match="m_max=200"):
+        coherent_state(ms, cp)
+
+
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+def test_coherent_params_reject_non_finite_xi(xi):
+    with pytest.raises(DomainError, match="xi="):
+        CoherentParams(theta=0.0, xi=xi, alpha=10.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     theta=st.floats(0.0, 2.0 * math.pi),
