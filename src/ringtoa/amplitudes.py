@@ -58,11 +58,12 @@ def quad(*args, **kwargs):
 
 # Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
 # n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of
-# modes x n.  Grids shorter than _MIN_UNIFORM save too little and stay dense.
-# A grid counts as uniform when every point lies within tol_t = _UNIFORM_ULPS
-# ulps of max|t| (tol_phi: of max|phi|) of the progression.  The in-block
-# phases then differ from the dense ones by at most
-# 2 (max|omega_m| tol_t + max|m| tol_phi) rad plus roundoff.
+# modes x n; a full period of angles at one t costs modes exps and one FFT.
+# Grids shorter than _MIN_UNIFORM save too little and stay dense.  A grid
+# counts as uniform when every point lies within tol_t = _UNIFORM_ULPS ulps
+# of max|t| (tol_phi: of max|phi|) of the progression (_grid_tol), and as a
+# full period when also |n dphi| is within tol_phi of 2 pi.  _mode_sum
+# states the phase error this allows.
 _BLOCK = 64
 _MIN_UNIFORM = 2 * _BLOCK
 _UNIFORM_ULPS = 8
@@ -122,9 +123,13 @@ def _arithmetic_step(x: np.ndarray) -> float | None:
     if x.ndim != 1 or x.size < 2:
         return None
     d = (x[-1] - x[0]) / (x.size - 1)
-    tol = _UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(x)))
     ideal = x[0] + d * np.arange(x.size)
-    return float(d) if float(np.max(np.abs(x - ideal))) <= tol else None
+    return float(d) if float(np.max(np.abs(x - ideal))) <= _grid_tol(x) else None
+
+
+def _grid_tol(x: np.ndarray) -> float:
+    """_UNIFORM_ULPS ulps of max|x|: how far a uniform grid may stray from its progression."""
+    return _UNIFORM_ULPS * float(np.finfo(float).eps) * float(np.max(np.abs(x)))
 
 
 def _significant(mag: np.ndarray) -> np.ndarray:
@@ -177,13 +182,36 @@ def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
     return out.ravel()[:tf.size]
 
 
-def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
-    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid.
+def _period_sum(c, mm, ww, tf, pf, dp):
+    """The same sum on a full period of angles at one time: one FFT, no BLAS.
 
-    A flattened grid that is an arithmetic progression in both t and phi
-    (either step may be 0) takes _blocked_sum, any other grid _dense_sum.
-    Either sums only the _significant terms, within u sum|coeffs| of the sum
-    over all of them.
+    With n points phi_j = phi_0 + j dp and n dp = +-2 pi, e^{i m phi_j} =
+    e^{i m phi_0} e^{+-2 pi i m j / n} depends on the integer m only mod n.
+    So the terms d_m = c_m e^{i(m phi_0 - omega_m t_0)}, one column of
+    _phases, fold by m mod n (exactly, however many modes share a residue),
+    and one inverse FFT (dp > 0) or forward FFT (dp < 0) of length n sums
+    them: O(modes + n log n).
+    """
+    n = tf.size
+    d = c * _phases(mm, ww, tf[:1], pf[:1])[:, 0]
+    k = np.mod(mm, n).astype(np.intp)
+    folded = np.bincount(k, d.real, n) + 1j * np.bincount(k, d.imag, n)
+    return np.fft.ifft(folded, norm="forward") if dp > 0 else np.fft.fft(folded)
+
+
+def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
+    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid, m integers.
+
+    A flattened grid of at least _MIN_UNIFORM points that is an arithmetic
+    progression in both t and phi (either step may be 0) is uniform.  A
+    uniform grid at one t whose n angles span one full period, |n dphi| =
+    2 pi within tol_phi, takes _period_sum; any other uniform grid takes
+    _blocked_sum, and every other grid _dense_sum.  On a uniform grid the
+    phases stray from the dense ones by at most
+    2 (max|freq_m| tol_t + max|m| tol_phi) rad plus roundoff, tol_t and
+    tol_phi the _grid_tol of t and phi.
+    Each path sums only the _significant terms, within u sum|coeffs| of the
+    sum over all of them.
     """
     active = _significant(np.abs(coeffs))
     c, mm, ww = coeffs[active], m[active], freq[active]
@@ -191,6 +219,9 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     def fill(tf, pf):
         if tf.size >= _MIN_UNIFORM:
             dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
+            if dt == 0.0 and dp is not None \
+                    and abs(abs(tf.size * dp) - 2.0 * math.pi) <= _grid_tol(pf):
+                return _period_sum(c, mm, ww, tf, pf, dp)
             if dt is not None and dp is not None:
                 return _blocked_sum(c, mm, ww, tf, pf, dt, dp)
         return _dense_sum(c, mm, ww, tf, pf)
@@ -214,9 +245,8 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
         for sl in _chunks(tf.size, ma.size):
             u = _phases(ma, wa, tf[sl], pf[sl])
             vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
-        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-        scale = max(float(np.max(np.abs(vals.real))), 1e-300)
-        if resid > REALITY_TOL * max(scale, 1.0):
+        resid = float(np.max(np.abs(vals.imag), initial=0.0))
+        if resid > REALITY_TOL * max(float(np.max(np.abs(vals.real), initial=0.0)), 1.0):
             raise DomainError(
                 f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
             )

@@ -95,21 +95,19 @@ class DetectorKernel:
             raise DomainError(
                 f"table shape {vals.shape} does not match grids ({og.size},{mg.size})"
             )
+        for name, grid in (("omega", og), ("m", mg)):
+            if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+                raise DomainError(f"{name} grid must hold at least 2 strictly ascending nodes")
         if log_values:
-            logs = vals
+            # log 0 = -inf is a zero cell, as a zero linear entry is below
+            logs = np.maximum(vals, cls._LOG_FLOOR)
         else:
             if np.any(vals < 0):
                 raise DomainError("kernel table must be nonnegative")
             with np.errstate(divide="ignore"):
                 logs = np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)),
                                 cls._LOG_FLOOR)
-        # imported here, so that runs without a custom table never load it
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (og, mg), logs, bounds_error=False, fill_value=cls._LOG_FLOOR
-        )
-        return cls("custom", {"interp": interp})
+        return cls("custom", {"omega_grid": og, "m_grid": mg, "logs": logs})
 
     def raw_value(self, omega_val, m, r: float) -> np.ndarray:
         """Kernel functional form at literal arguments, no support clipping.
@@ -136,14 +134,37 @@ class DetectorKernel:
     def log_raw(self, omega_val, m):
         """log R of a tabulated kernel at literal arguments (no support clipping).
 
-        The table's interpolant, in the broadcast shape of the arguments, so
-        that the localization builder forms midpoint ratios in the exponent;
-        zero cells and points off the table come back below _LOG_FLOOR / 2.
-        The analytic families have no table: their matrices are closed form.
+        The table's bilinear interpolant, in the broadcast shape of the
+        arguments, so that the localization builder forms midpoint ratios in
+        the exponent: first along m, then along omega.  Zero cells and points
+        off the table come back below _LOG_FLOOR / 2.  The analytic families
+        have no table: their matrices are closed form.
         """
         w, m = np.broadcast_arrays(np.asarray(omega_val, dtype=float),
                                    np.asarray(m, dtype=float))
-        return self.params["interp"](np.stack((w, m), axis=-1)).reshape(w.shape)
+        logs = self.params["logs"]
+        j, y, m_in = _bracket(self.params["m_grid"], m)
+        i, x, w_in = _bracket(self.params["omega_grid"], w)
+        val = _lerp(_lerp(logs[i, j], logs[i, j + 1], y),
+                    _lerp(logs[i + 1, j], logs[i + 1, j + 1], y), x)
+        return np.where(m_in & w_in, val, self._LOG_FLOOR)
+
+
+def _bracket(grid: np.ndarray, x: np.ndarray):
+    """(i, y, inside): x = grid[i] + y (grid[i+1] - grid[i]), i in [0, len - 2].
+
+    inside is false off [grid[0], grid[-1]], where x is clamped to the
+    nearest end, so that the weights stay finite.
+    """
+    xc = np.clip(x, grid[0], grid[-1])
+    i = np.searchsorted(grid[1:-1], xc, side="right")
+    y = (xc - grid[i]) / (grid[i + 1] - grid[i])
+    return i, y, xc == x
+
+
+def _lerp(lo, hi, y):
+    """lo (1 - y) + hi y: the one linear step of the table interpolant."""
+    return lo * (1.0 - y) + hi * y
 
 
 def kernel_from_spec(spec: dict) -> DetectorKernel:
@@ -338,13 +359,21 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     n = m.size
     L = np.empty((n, n))
     worst = 0.0
+    # (m_i + m_j) / 2 = m_0 + (i + j) / 2 depends on the anti-diagonal i + j
+    # alone: log_raw's m step once per anti-diagonal, its omega step per
+    # pair, so each entry is log_raw's to the bit
+    table, og = dk.params["logs"], dk.params["omega_grid"]
+    j, y, m_in = _bracket(dk.params["m_grid"], 0.5 * (2.0 * m[0] + np.arange(2 * n - 1)))
+    cols = _lerp(table[:, j], table[:, j + 1], y)
     # the ratio is symmetric to the bit (its sums commute), so each row block
     # forms its columns from the block's first row on and mirrors them
     for rows in _chunks(n, 16 * n):
         c = slice(rows.start, n)
-        mid_m = 0.5 * (m[rows, None] + m[None, c])
-        mid_w = 0.5 * (energies[rows, None] + energies[None, c])
-        expo = dk.log_raw(mid_w, mid_m) - 0.5 * (logs[rows, None] + logs[None, c])
+        anti = np.add.outer(np.arange(rows.start, rows.stop), np.arange(c.start, n))
+        i, x, w_in = _bracket(og, 0.5 * (energies[rows, None] + energies[None, c]))
+        log_mid = np.where(m_in[anti] & w_in,
+                           _lerp(cols[i, anti], cols[i + 1, anti], x), DetectorKernel._LOG_FLOOR)
+        expo = log_mid - 0.5 * (logs[rows, None] + logs[None, c])
         pair = sup[rows, None] & sup[None, c]
         with np.errstate(over="ignore"):
             blk = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),

@@ -247,15 +247,15 @@ def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
     The cutoff must contain the Gaussian tail: lattice mass beyond m_max
     above 1e-12 raises CutoffError (rule of thumb: m_max >= xi + 8 alpha).
     """
-    m = ms.modes().astype(float)
-    c = coherent_norm(cp.xi, cp.alpha)
-    gauss = np.exp(-((m - cp.xi) ** 2) / (2.0 * cp.alpha**2))
     tail = _gaussian_tail_mass(ms.m_max, cp.xi, cp.alpha)
     if tail > TAIL_TOL:
         raise CutoffError(
             f"m_max={ms.m_max} too small for coherent state (xi={cp.xi}, "
             f"alpha={cp.alpha}): tail mass {tail:.3e} > {TAIL_TOL}"
         )
+    m = ms.modes().astype(float)
+    c = coherent_norm(cp.xi, cp.alpha)
+    gauss = np.exp(-((m - cp.xi) ** 2) / (2.0 * cp.alpha**2))
     coeffs = c * gauss * np.exp(-1j * m * cp.theta)
     return RingState(ms, coeffs=coeffs, packet=_coherent_packet(ms, cp))
 
@@ -276,10 +276,15 @@ def coherent_tail_mass(ms: ModeSpace, cp: CoherentParams) -> float:
 
 
 def _gaussian_tail_mass(m_max: int, xi: float, alpha: float) -> float:
-    c2 = coherent_norm(xi, alpha) ** 2
-    # the width modes just past m_max, and once the centre k is past it too,
-    # those within width of k, so that a far packet costs 2 width + 1 modes
+    # a centre more than width (at least 10 and about 12 alpha) past m_max
+    # leaves under e^-100 of the mass inside: the tail is 1, also where
+    # float64 no longer tells the modes apart (|xi| from about 1e16).
+    # Otherwise the width modes just past m_max, and once the centre k is
+    # past it too, those within width of k
     width, k = max(10, int(12 * alpha)), np.round(abs(xi))
+    if abs(xi) - m_max > width:
+        return 1.0
+    c2 = coherent_norm(xi, alpha) ** 2
     ext = np.arange(max(m_max + 1, k - width), max(m_max + 1, k + 1) + width)
     up = np.exp(-((ext - xi) ** 2) / alpha**2)
     dn = np.exp(-((-ext - xi) ** 2) / alpha**2)

@@ -576,3 +576,23 @@ def test_state_spec_defaults_are_the_builders(kind, key):
     spec = {"kind": kind} | STATE_SPECS[kind]
     given = spec | {key: cli._STATE_KEYS[kind][key][2]}
     assert np.array_equal(state_from_spec(ms, spec).coeffs, state_from_spec(ms, given).coeffs)
+
+
+def test_probcoh_panels_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # fig-probcoh's full-period panels are one FFT each, no BLAS call, so
+    # fresh interpreters at one and two BLAS threads write the same bytes
+    repo = Path(__file__).resolve().parent.parent
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(repo / "src")] + [
+                       p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringtoa", "run", str(repo / "configs" / "fig-probcoh.json"),
+             "--out", str(out)], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert len(outs["1"]) == 8
+    assert outs["1"] == outs["2"]

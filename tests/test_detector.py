@@ -165,6 +165,64 @@ def test_custom_localization_matches_unchunked_formula(monkeypatch, blocks, omeg
     assert 0.0 < want[0][want[0] < 1.0].max() and not want[1].all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_w=st.integers(2, 9),
+    n_m=st.integers(2, 12),
+    zero_frac=st.sampled_from([0.0, 0.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_raw_is_scipys_bilinear_interpolant(n_w, n_m, zero_frac, seed):
+    # scipy's RegularGridInterpolator, as tabulated kernels used it, on
+    # uneven grids: on and between the nodes, next to zero cells, and off
+    # the table on every side (the fill _LOG_FLOOR there, exactly)
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(seed)
+    w_grid = np.cumsum(rng.uniform(0.1, 5.0, n_w))
+    m_grid = np.cumsum(rng.uniform(0.5, 3.0, n_m)) - 10.0
+    vals = np.exp(rng.normal(scale=3.0, size=(n_w, n_m)))
+    vals[rng.uniform(size=vals.shape) < zero_frac] = 0.0
+    dk = DetectorKernel.tabulated(w_grid, m_grid, vals)
+    logs = dk.params["logs"]
+    floor = DetectorKernel._LOG_FLOOR
+    want = RegularGridInterpolator((w_grid, m_grid), logs, bounds_error=False, fill_value=floor)
+
+    ww, mm = np.meshgrid(w_grid, m_grid, indexing="ij")
+    assert np.array_equal(dk.log_raw(ww, mm), logs)  # on the nodes, exactly
+    pad_w, pad_m = np.ptp(w_grid) + 1.0, np.ptp(m_grid) + 1.0
+    w = rng.uniform(w_grid[0] - pad_w, w_grid[-1] + pad_w, 400)
+    m = rng.uniform(m_grid[0] - pad_m, m_grid[-1] + pad_m, 400)
+    w[:50], m[50:100] = rng.choice(w_grid, 50), rng.choice(m_grid, 50)  # node lines
+    got = dk.log_raw(w, m)
+    ref = want(np.stack((w, m), axis=-1))
+    off = (w < w_grid[0]) | (w > w_grid[-1]) | (m < m_grid[0]) | (m > m_grid[-1])
+    assert off.any() and not off.all()
+    assert np.all(got[off] == floor) and np.all(ref[off] == floor)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(logs)))
+    assert np.all(dk.raw_value(w, m, r=1.0)[got < 0.25 * floor] == 0.0)
+
+
+def test_log_table_with_minus_infinity_is_a_zero_cell():
+    # log_values=True with log 0 = -inf: a zero cell like a zero linear
+    # entry, so its neighbours interpolate to finite logs and no NaN appears
+    logs = np.array([[0.0, -np.inf, 0.0], [0.0, 0.0, 0.0]])
+    dk = DetectorKernel.tabulated([0.0, 1.0], [0.0, 1.0, 2.0], logs, log_values=True)
+    zero = DetectorKernel.tabulated([0.0, 1.0], [0.0, 1.0, 2.0], np.exp(logs))
+    w, m = np.array([0.5, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.5, 1.5])
+    got = dk.log_raw(w, m)
+    assert np.array_equal(got, zero.log_raw(w, m))
+    assert got[0] == 0.0 and got[1] == DetectorKernel._LOG_FLOOR
+    assert np.array_equal(dk.raw_value(w, m, r=1.0), zero.raw_value(w, m, r=1.0))
+
+
+@pytest.mark.parametrize("w_grid, m_grid", [([1.0], [0.0, 1.0]), ([0.0, 1.0], [2.0]),
+                                            ([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0])])
+def test_tabulated_needs_two_ascending_nodes_per_axis(w_grid, m_grid):
+    with pytest.raises(DomainError, match="grid must hold at least 2 strictly ascending"):
+        DetectorKernel.tabulated(w_grid, m_grid, np.ones((len(w_grid), len(m_grid))))
+
+
 def test_custom_localization_traced_peak_is_the_matrix_and_a_block():
     # m_max 1000: the unchunked pass held about 10 n x n temporaries (328 MB
     # for a 32 MB matrix); the row blocks hold about 16 entries of temporaries

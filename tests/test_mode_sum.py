@@ -1,4 +1,4 @@
-"""The block-factorized mode sum against the dense reference, and the rule
+"""The block-factorized and one-FFT mode sums against the dense reference, and the rule
 that drops the terms under one unit roundoff of the sum."""
 
 import math
@@ -289,19 +289,124 @@ def test_significant_drops_under_one_unit_roundoff_and_keeps_no_zero(mag, decay)
 
 
 def test_probcoh_state_sums_179_of_its_771_modes():
-    # fig-probcoh: the smallest 592 non-zero terms sum to ~3e-19 of sum|c|
+    # fig-probcoh: the smallest 592 non-zero terms sum to ~3e-19 of sum|c|;
+    # its full-period panel takes the FFT path, a scattered grid the dense one
     ms = ModeSpace(mu=1000.0, r=1.0, m_max=2000)
     psi = coherent_state(ms, CoherentParams(theta=0.0, xi=1000.0, alpha=10.0))
     assert np.count_nonzero(psi.coeffs) == 771
     phi = math.pi - np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     scattered = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 300)
     with mock.patch.object(amplitudes, "_dense_sum", wraps=amplitudes._dense_sum) as dense_spy, \
-            mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as blocked_spy:
+            mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as period_spy:
         amp_state(psi, ms, 5.0, phi)
         amp_state(psi, ms, 5.0, scattered)
-    assert blocked_spy.call_count == dense_spy.call_count == 1
-    assert blocked_spy.call_args.args[0].size == 179
+    assert period_spy.call_count == dense_spy.call_count == 1
+    assert period_spy.call_args.args[0].size == 179
     assert dense_spy.call_args.args[0].size == 179
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mu=st.just(0.0) | st.floats(1.0, 1000.0),
+    r=st.floats(0.5, 3.0),
+    m_max=st.integers(1, 2500),
+    n_modes=st.integers(1, 60),
+    n=st.sampled_from([2, 3, 7, 64, 100, 128, 1000, 4096]) | st.integers(2, 5000),
+    forward=st.booleans(),
+    phi0=st.floats(-1e3, 1e3),
+    t=st.floats(-1e6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_period_sum_matches_dense(mu, r, m_max, n_modes, n, forward, phi0, t, seed):
+    # one FFT over a full period of n angles, in either direction, against the
+    # dense sum on the same float grid, within the uniform-grid phase bound;
+    # the modes may span many times n, so that residues mod n are shared
+    ms = ModeSpace(mu=mu, r=r, m_max=m_max)
+    rng = np.random.default_rng(seed)
+    m = np.sort(rng.choice(np.arange(-m_max, m_max + 1), size=min(n_modes, 2 * m_max + 1),
+                           replace=False)).astype(float)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    freq = omega(ms, m)
+    dp = (1.0 if forward else -1.0) * 2.0 * math.pi / n
+    phi = phi0 + np.arange(n) * dp
+    tf = np.full(n, t)
+    got = amplitudes._period_sum(c, m, freq, tf, phi, dp)
+    want = amplitudes._dense_sum(c, m, freq, tf, phi)
+    assert np.max(np.abs(got - want)) <= phase_bound(c, freq, m, tf, phi)
+
+
+def test_period_path_needs_one_time_and_one_full_period():
+    ms = ModeSpace(mu=3.0, r=1.0, m_max=40)
+    psi = from_modes(ms, {5: 1.0, -7: 0.5j, 12: 0.3})
+    n = 4096
+    full = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    off = np.arange(n) * (2.0 * math.pi * (1.0 + 1e-9) / n)
+    with mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as period, \
+            mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as blocked:
+        amp_state(psi, ms, 3.0, full)
+        amp_state(psi, ms, -3.0, 1.0 - full)
+        amp_state(psi, ms, 3.0, full[:200] * (n / 200))  # a full period of 200 angles
+        assert (period.call_count, blocked.call_count) == (3, 0)
+        amp_state(psi, ms, 3.0, off)  # n dphi = 2 pi (1 + 1e-9)
+        amp_state(psi, ms, np.linspace(3.0, 4.0, n), full)  # t not constant
+        amp_state(psi, ms, 3.0, full[:n // 2])  # half a period
+        assert (period.call_count, blocked.call_count) == (3, 3)
+
+
+def _lattice_sum_30_digits(ms, psi, m, t, phi):
+    """sum over the consecutive modes m of psi_m sqrt|v_m| e^{i(m phi - omega_m t)}, at 30 digits.
+
+    Angles included: a Horner sum in z = e^{i phi} per point.
+    """
+    assert np.all(np.diff(m) == 1)
+    with mpmath.workdps(30):
+        mu, t_ = mpmath.mpf(ms.mu), mpmath.mpf(t)
+        terms = []
+        for mi in m.astype(int):
+            w = mpmath.sqrt(mu**2 + mi**2)
+            c = complex(psi.coeffs[mi + ms.m_max])
+            terms.append(mpmath.mpc(c.real, c.imag) * mpmath.sqrt(abs(mi) / w)
+                         * mpmath.expj(-w * t_))
+        out = []
+        for p in phi:
+            z, acc = mpmath.expj(mpmath.mpf(p)), mpmath.mpc(0)
+            for a in reversed(terms):
+                acc = acc * z + a
+            out.append(complex(acc * z ** int(m[0])))
+        return np.array(out)
+
+
+def test_probcoh_period_panels_against_30_digit_sums():
+    # fig-probcoh panels at 0.07 T_q, 10 T_q and 0.98 T_rec (omega_m t up to
+    # 5e7 rad) on the peak and 40 scattered angles: the FFT path is within the
+    # uniform-grid phase bound of the exact sum over its active modes, and no
+    # less accurate than the blocked path, down to its own share 2 max|m|
+    # tol_phi of that bound
+    ms = ModeSpace(mu=1000.0, r=1.0, m_max=2000)
+    cp = CoherentParams(0.0, 1000.0, 10.0)
+    psi = coherent_state(ms, cp)
+    scales = timescales(ms, cp.xi, cp.alpha)
+    phi = math.pi - np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    m = ms.modes()
+    coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
+    active = amplitudes._significant(np.abs(coeffs))
+    ca, ma, wa = coeffs[active], m[active].astype(float), omega(ms, m[active])
+    rng = np.random.default_rng(7)
+    for t in (0.07 * scales.t_quantum, 10.0 * scales.t_quantum, 0.98 * scales.t_recurrence):
+        tf = np.full(phi.size, t)
+        with mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as spy:
+            got = amp_state(psi, ms, t, phi)
+        assert spy.call_count == 1
+        blocked = amplitudes._blocked_sum(ca, ma, wa, tf, phi, 0.0, amplitudes._arithmetic_step(phi))
+        peak = int(np.argmax(np.abs(got)))
+        idx = np.unique(np.concatenate([np.arange(peak - 20, peak + 20) % phi.size,
+                                        rng.integers(0, phi.size, 40)]))
+        ref = _lattice_sum_30_digits(ms, psi, ma, t, phi[idx])
+        scale = float(np.max(np.abs(ref)))
+        err, err_blocked = (float(np.max(np.abs(x[idx] - ref))) / scale for x in (got, blocked))
+        assert err <= phase_bound(coeffs, omega(ms, m), m, tf, phi) / scale
+        own = 2.0 * np.max(np.abs(ma)) * amplitudes._grid_tol(phi) * np.sum(np.abs(ca)) / scale
+        assert err <= max(err_blocked, own)
 
 
 def test_mixed_gaussian_double_sum_within_two_unit_roundoffs():

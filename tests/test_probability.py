@@ -81,6 +81,17 @@ def test_pc_density_mixed_state_matrix_path():
     assert got == pytest.approx(expect, rel=1e-11)
 
 
+def test_pc_density_on_an_empty_grid_is_empty():
+    # the pure (factorized) and the mixed (double-sum) path alike
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=20)
+    a = from_modes(ms, {3: 1.0, 5: 1.0})
+    mixed = RingState(ms, rho=0.5 * a.density_matrix()
+                      + 0.5 * from_modes(ms, {4: 1.0}).density_matrix())
+    for state in (a, mixed):
+        got = pc_density(state, max_loc(ms), np.array([]), 0.0)
+        assert got.shape == (0,) and got.dtype == float
+
+
 def test_pc_density_general_localization_damps_interference():
     ms = ModeSpace(mu=1.0, r=1.0, m_max=30)
     st = from_modes(ms, {4: 1.0, 9: 1.0})

@@ -60,10 +60,11 @@ def test_coherent_state_cutoff_guard():
         coherent_state(ms, CoherentParams(theta=0.0, xi=15.0, alpha=4.0))
 
 
-@pytest.mark.parametrize("xi", [330.0, 1000.0, -1000.0, 1e9])
+@pytest.mark.parametrize("xi", [330.0, 1000.0, -1000.0, 1e9, 1e16, 1e300, -1e300])
 def test_coherent_tail_mass_of_a_packet_centred_past_the_cutoff(xi):
     """The whole packet lies past m_max: its tail is about 1, and the state
-    refuses the cutoff by name instead of failing its normalization."""
+    refuses the cutoff by name instead of failing its normalization, also
+    where float64 no longer tells the packet's modes apart (|xi| >= 1e16)."""
     ms = ModeSpace(mu=0.0, r=1.0, m_max=200)
     cp = CoherentParams(theta=0.0, xi=xi, alpha=10.0)
     assert states.coherent_tail_mass(ms, cp) >= 0.99
