@@ -2,7 +2,7 @@
 
 Usage:
     ringtoa validate <config.json>
-    ringtoa run <config.json> [--out DIR] [--threads N] [--gnuplot-stub]
+    ringtoa run <config.json> [--out DIR] [--gnuplot-stub]
 
 A configuration selects one experiment (qsymbol, clock, noise, sagnac,
 mi-scan, amplitude-check, kolmogorov), its physical parameters, and the
@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -291,14 +290,6 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
 # experiment runners (each returns a dict of extra manifest fields)
 
 
-def _in_threads(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on up to `threads` worker threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _modespace(cfg: dict) -> ModeSpace:
     return ModeSpace(*(_get(cfg, f"params.{k}") for k in ("mu", "r", "m_max")))
 
@@ -317,36 +308,27 @@ def _meta(cfg: dict) -> dict:
     return meta
 
 
-def _run_qsymbol(cfg, out_dir: Path, threads: int):
+def _run_qsymbol(cfg, out_dir: Path):
     ms = _modespace(cfg)
     cp = _coherent_params(cfg)
     phi = _get(cfg, "params.phi")
     scales = timescales(ms, cp.xi, cp.alpha)
     theta = np.linspace(0.0, 2.0 * math.pi, _get(cfg, "grid.n_theta"), endpoint=False)
 
-    entries = []
+    # Q(theta) at fixed detector angle phi depends on phi - theta only
+    cp0 = CoherentParams(0.0, cp.xi, cp.alpha)
+    files = []
     for spec in _get(cfg, "times"):
         key = next(k for k in _TIME_KEYS if k in spec)
         label, unit = _TIME_KEYS[key]
         val = float(spec[key])
-        entries.append((f"{label}{format_float(val)}",
-                        val * getattr(scales, unit) if unit else val))
-
-    # Q(theta) at fixed detector angle phi depends on phi - theta only
-    cp0 = CoherentParams(0.0, cp.xi, cp.alpha)
-
-    def work(entry):
-        label, t_val = entry
-        return label, t_val, qsymbol(ms, cp0, t_val, phi - theta)
-
-    files = []
-    for label, t_val, vals in _in_threads(work, entries, threads):
-        path = out_dir / f"{cfg['output']['prefix']}_{label}.csv"
+        t_val = val * getattr(scales, unit) if unit else val
+        path = out_dir / f"{cfg['output']['prefix']}_{label}{format_float(val)}.csv"
         meta = _meta(cfg) | {"t": t_val, "phi": phi,
                              "t_quantum": scales.t_quantum,
                              "t_recurrence": scales.t_recurrence}
         write_csv(path, {"t": np.full_like(theta, t_val), "theta": theta,
-                         "value": vals}, meta)
+                         "value": qsymbol(ms, cp0, t_val, phi - theta)}, meta)
         files.append(path)
     return {"outputs": files,
             "truncation": {"coherent_tail_mass": coherent_tail_mass(ms, cp)},
@@ -355,7 +337,7 @@ def _run_qsymbol(cfg, out_dir: Path, threads: int):
                            "tick": scales.tick}}
 
 
-def _run_clock(cfg, out_dir: Path, threads: int):
+def _run_clock(cfg, out_dir: Path):
     ms = _modespace(cfg)
     cp = _coherent_params(cfg)
     state = coherent_state(ms, cp)
@@ -393,29 +375,27 @@ def _run_clock(cfg, out_dir: Path, threads: int):
             "timescales": {"t_quantum": scales.t_quantum, "tick": scales.tick}}
 
 
-def _run_noise(cfg, out_dir: Path, threads: int):
+def _run_noise(cfg, out_dir: Path):
     ms = _modespace(cfg)
     grid = (_get(cfg, f"grid.{k}") for k in ("omega_d_r_min", "omega_d_r_max", "n"))
     omega_d = np.linspace(*grid) / ms.r
 
-    def work(a):
-        return a, noise_curve(DetectorKernel.ring_exponential(a=a), ms, omega_d)
-
-    curves = _in_threads(work, _get(cfg, "params.a_values"), threads)
-    files = []
-    for a, curve in curves:
+    files, curves = [], []
+    for a in _get(cfg, "params.a_values"):
+        curve = noise_curve(DetectorKernel.ring_exponential(a=a), ms, omega_d)
         path = out_dir / f"{cfg['output']['prefix']}_a{format_float(a)}.csv"
         cols = {"omega_d_r": curve.omega_d_r, "eta": curve.eta}
         if curve.eta_closed is not None:
             cols["eta_closed"] = curve.eta_closed
         write_csv(path, cols, _meta(cfg) | {"a": a, "method": "mode-sum"})
         files.append(path)
+        curves.append(curve)
     return {"outputs": files,
-            "truncation": {"m_max_reached": max(c.m_max_reached for _, c in curves),
-                           "tail_over_sum": max(c.tail_over_sum for _, c in curves)}}
+            "truncation": {"m_max_reached": max(c.m_max_reached for c in curves),
+                           "tail_over_sum": max(c.tail_over_sum for c in curves)}}
 
 
-def _run_sagnac(cfg, out_dir: Path, threads: int):
+def _run_sagnac(cfg, out_dir: Path):
     ms = _modespace(cfg)
     cp = CoherentParams(0.0, _get(cfg, "params.xi"), _get(cfg, "params.alpha"))
     state = symmetric_superposition(ms, coherent_state(ms, cp))
@@ -447,7 +427,7 @@ def _build_pair(cfg, ms: ModeSpace) -> TwoParticleState:
     return TwoParticleState(_get(cfg, "params.kind"), s1, s2)
 
 
-def _run_mi_scan(cfg, out_dir: Path, threads: int):
+def _run_mi_scan(cfg, out_dir: Path):
     ms = _modespace(cfg)
     tps = _build_pair(cfg, ms)
     t = _times(cfg)
@@ -471,7 +451,7 @@ def _run_mi_scan(cfg, out_dir: Path, threads: int):
                               if report.violated_cs is not None else None)}
 
 
-def _run_amplitude_check(cfg, out_dir: Path, threads: int):
+def _run_amplitude_check(cfg, out_dir: Path):
     ms = _modespace(cfg)
     cp = _coherent_params(cfg)
     state = coherent_state(ms, cp)
@@ -492,16 +472,16 @@ def _run_amplitude_check(cfg, out_dir: Path, threads: int):
             "truncation": {"coherent_tail_mass": coherent_tail_mass(ms, cp)}}
 
 
-def _run_kolmogorov(cfg, out_dir: Path, threads: int):
+def _run_kolmogorov(cfg, out_dir: Path):
     ms = _modespace(cfg)
     tps = _build_pair(cfg, ms)
     window = _get(cfg, "params.t1_window") or [0.0, 2.0 * math.pi * ms.r]
+    t2 = _times(cfg)
     report = kolmogorov_check(tps, _get(cfg, "params.phi1"), _get(cfg, "params.phi2"),
-                              _times(cfg), tuple(window), n_t1=_get(cfg, "params.n_t1"))
-    rel = np.abs(report["marginal"] - report["p1"]) / float(np.max(report["p1"]))
+                              t2, tuple(window), n_t1=_get(cfg, "params.n_t1"))
     path = write_csv(out_dir / f"{cfg['output']['prefix']}.csv",
-                     {"t2": report["t2"], "marginal": report["marginal"],
-                      "p1": report["p1"], "rel_dev": rel},
+                     {"t2": t2, "marginal": report["marginal"],
+                      "p1": report["p1"], "rel_dev": report["rel_dev"]},
                      _meta(cfg))
     return {"outputs": [path], "max_rel_deviation": report["max_rel_deviation"]}
 
@@ -566,7 +546,7 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        extras = RUNNERS[cfg["experiment"]](cfg, out_dir, max(1, args.threads))
+        extras = RUNNERS[cfg["experiment"]](cfg, out_dir)
     except (RingToAError, ValueError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -609,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment configuration (JSON)")
         if name == "run":
             p.add_argument("--out", default=".", help="output directory")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads over panels/curves (default 1)")
+            # accepted and ignored, for command lines that still pass it
+            p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
             p.add_argument("--gnuplot-stub", action="store_true",
                            help="also emit a gnuplot script referencing the CSVs")
         p.set_defaults(func=fn)

@@ -12,7 +12,7 @@ once.  A float column whose values are all bitwise equal costs one repr
 as float64) equal those of an earlier column, in the same write_csv call or
 the one before it, reuses that column's cells.  Only the previous call's
 cells are kept, keyed by the exact bytes, not a hash alone, so a column
-changed in place is formatted again and a racing thread can only miss.
+changed in place is formatted again.
 """
 
 from __future__ import annotations
@@ -67,12 +67,17 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
     global _previous
     path = Path(path)
     names = list(columns)
+    if not names:
+        raise ValueError("write_csv needs at least one column")
     arrays = [np.atleast_1d(np.asarray(columns[k])).ravel() for k in names]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("all columns must have equal length")
     earlier, seen, formatted = _previous, {}, []
-    for a in arrays:
+    for name, a in zip(names, arrays):
+        if a.dtype.kind == "c":
+            raise ValueError(f"column {name} is complex: write its real and "
+                             "imaginary parts as two columns")
         if a.dtype.kind not in "biu":
             a = np.asarray(a, dtype=float)
         key = (a.dtype.str, a.tobytes())

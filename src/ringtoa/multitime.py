@@ -167,8 +167,8 @@ def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
 
     The t1 window must cover the full support of the t1 profile (massless:
     a whole number of circulation periods, since the density is exactly
-    periodic there).  Returns the pointwise ratio and the maximum relative
-    deviation over the t2 grid.
+    periodic there).  Returns the marginal, P1, their deviation
+    |marginal - P1| / max P1 at each t2 (``rel_dev``) and its maximum.
     """
     t2_grid = np.asarray(t2_grid, dtype=float)
     lo, hi = t1_window
@@ -200,9 +200,9 @@ def kolmogorov_check(tps: TwoParticleState, phi1: float, phi2: float,
         raise DomainError("marginal comparison needs nonvanishing P1 on the grid")
     deviation = np.abs(marg - p1) / scale
     return {
-        "t2": t2_grid,
         "marginal": marg,
         "p1": p1,
+        "rel_dev": deviation,
         "max_rel_deviation": float(np.max(deviation)),
     }
 

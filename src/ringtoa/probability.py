@@ -142,8 +142,9 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
     """(sum, cutoff reached, tail bound / sum) of sum_m R(omega_m - m Omega_D, m) / omega_m.
 
     The kernel is evaluated at the literal rotating argument (no support
-    clipping).  The cutoff grows until the geometric tail bound drops below
-    1e-12 of the partial sum; non-decaying tails raise SeriesError.  The zero
+    clipping).  The cutoff starts at ms.m_max, 2 at least, and doubles until
+    the geometric tail bound drops below 1e-12 of the partial sum;
+    non-decaying tails raise SeriesError.  The zero
     mode adds R(mu, 0) / mu, whatever Omega_D, and at mu = 0 raises
     SeriesError unless R(0, 0) = 0.
     """
@@ -151,7 +152,7 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
     if zero > 0 and ms.mu == 0:
         raise SeriesError("vacuum noise diverges: kernel does not vanish at omega=0")
     zero = zero / ms.mu if zero > 0 else 0.0
-    m_max = ms.m_max
+    m_max = max(ms.m_max, 2)  # each tail's ratio needs two modes on its side
     while True:
         m = np.arange(-m_max, m_max + 1)
         m = m[m != 0]

@@ -152,7 +152,7 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
     period = 2.0 * math.pi * ms.r / v_char
 
     # per-circulation weights: integrate density around each expected return
-    n_pass = int(t_grid[-1] / period)
+    n_pass = int(t_grid[-1] / period) if t_grid.size else 0
     pass_times, pass_weights = [], []
     for n in range(1, n_pass + 1):
         t_n = n * period

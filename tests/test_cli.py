@@ -395,6 +395,46 @@ def test_threads_match_one_thread_bytes(tmp_path):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
+def test_runs_start_no_thread(tmp_path, monkeypatch):
+    # every config runs on the calling thread, whatever --threads says
+    import threading
+
+    def refuse(self):
+        raise RuntimeError("a run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    qsym = write_config(tmp_path, "q.json", {
+        "experiment": "qsymbol",
+        "params": {"mu": 1000.0, "r": 1.0, "m_max": 1120, "xi": 1000.0, "alpha": 10.0},
+        "times": [{"t_over_tq": 0.07}, {"t_over_tq": 0.6}],
+        "grid": {"n_theta": 64},
+    })
+    for cfg in (qsym, write_config(tmp_path, "noise.json", NOISE_CFG)):
+        assert main(["run", str(cfg), "--out", str(tmp_path / cfg.stem),
+                     "--threads", "4"]) == 0
+
+
+def test_run_help_hides_threads_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "--threads" not in capsys.readouterr().out
+    args = cli.build_parser().parse_args(["run", "c.json", "--threads", "3"])
+    assert args.threads == 3
+
+
+def test_run_noise_at_m_max_one(tmp_path):
+    # the eta sums start their cutoff at 2, so the smallest lattice converges
+    cfg = copy.deepcopy(NOISE_CFG)
+    cfg["params"]["m_max"] = 1
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, "noise.json", cfg)), "--out", str(out)]) == 0
+    ref = tmp_path / "ref"
+    assert main(["run", str(write_config(tmp_path, "ref.json", NOISE_CFG)), "--out", str(ref)]) == 0
+    for name in ("noise_a0.5.csv", "noise_a1.0.csv"):
+        got, want = read_csv(out / name), read_csv(ref / name)
+        np.testing.assert_allclose(got["eta"], want["eta"], rtol=1e-12)
+
+
 def test_run_shipped_probcoh_config(tmp_path):
     # the shipped figure config produces one CSV per panel time
     cfg = Path(__file__).resolve().parent.parent / "configs" / "fig-probcoh.json"

@@ -69,6 +69,19 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     assert rows[4] == "1,1,5,-0.0,0.0"
 
 
+def test_write_csv_refuses_complex_columns(tmp_path):
+    # a cast to float would keep only the real part
+    cols = {"t": np.arange(3.0), "amp": np.array([1.0, 1j, 2.0 + 0.5j])}
+    with pytest.raises(ValueError, match="amp"):
+        write_csv(tmp_path / "c.csv", cols, {})
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_write_csv_refuses_no_columns(tmp_path):
+    with pytest.raises(ValueError, match="at least one column"):
+        write_csv(tmp_path / "e.csv", {}, {})
+
+
 def _reference(columns: dict) -> bytes:
     """The file write_csv must produce with no metadata, one cell at a time."""
     arrays = list(columns.values())

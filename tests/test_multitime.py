@@ -174,6 +174,16 @@ def test_kolmogorov_single_mode_constant():
     assert out["max_rel_deviation"] < 1e-9
 
 
+def test_kolmogorov_reports_the_deviation_at_each_t2():
+    tps = gaussian_pair("product")
+    t2 = np.linspace(5.9, 6.7, 5)
+    out = kolmogorov_check(tps, 0.0, 0.0, t2, (0.0, 2.0 * math.pi), n_t1=3000)
+    want = np.abs(out["marginal"] - out["p1"]) / np.max(out["p1"])
+    assert set(out) == {"marginal", "p1", "rel_dev", "max_rel_deviation"}
+    assert out["rel_dev"].tobytes() == want.tobytes()
+    assert out["max_rel_deviation"] == np.max(out["rel_dev"])
+
+
 def test_kolmogorov_rejects_partial_period_window():
     from ringtoa.errors import DomainError
 

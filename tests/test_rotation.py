@@ -17,6 +17,7 @@ from ringtoa import (
     noise_curve,
     sagnac_scan,
     symmetric_superposition,
+    vacuum_noise,
 )
 from ringtoa.errors import DomainError, SeriesError, StateError
 
@@ -55,6 +56,19 @@ def test_eta_rejects_non_decaying_kernel():
     ms = ModeSpace(mu=1.0, r=1.0, m_max=64)
     with pytest.raises(SeriesError):
         eta(dk, ms, 0.3)
+
+
+def test_noise_sums_at_m_max_one_equal_those_at_two():
+    # the smallest lattice has one mode a side: the tail ratio needs two, so
+    # the cutoff starts at 2 and both sums agree exactly
+    one, two = ModeSpace(mu=0.0, r=1.0, m_max=1), ModeSpace(mu=0.0, r=1.0, m_max=2)
+    for omega_d in (0.0, 0.3):
+        p0 = [vacuum_noise(KERNEL, ms, RotationFrame(omega_d=omega_d, modespace=ms))
+              for ms in (one, two)]
+        assert p0[0] == pytest.approx(p0[1], rel=1e-12)
+    assert vacuum_noise(KERNEL, one) == pytest.approx(0.0365, abs=5e-5)
+    assert eta(KERNEL, one, 0.3) == pytest.approx(eta(KERNEL, two, 0.3), rel=1e-12)
+    assert eta(KERNEL, one, 0.3) == pytest.approx(eta_closed_form(1.0, 0.3), abs=1e-8)
 
 
 def test_eta_log_divergence_slope_at_edge():
@@ -126,6 +140,12 @@ def test_sagnac_interference_phase_grows_with_winding():
     u = res.pass_weights / res.pass_weights.max()
     expected = np.cos(1000.0 * rf.omega_d * res.pass_times) ** 2
     np.testing.assert_allclose(u, expected / expected.max(), atol=0.05)
+
+
+def test_sagnac_empty_grid_has_too_few_circulations():
+    ms, sym, rf = sagnac_setup(1e-4)
+    with pytest.raises(DomainError, match="too few circulations"):
+        sagnac_scan(sym, rf, np.array([]), phi=0.0)
 
 
 def test_sagnac_rejects_asymmetric_state():
