@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from warnings import warn
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame, velocity
 from .multitime import TwoParticleState, kolmogorov_check, violation_scan
-from .probability import NORMALIZATION_TAG, pc_density, qsymbol, timescales
+from .probability import NORMALIZATION_TAG, pc_density, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
     CoherentParams,
@@ -315,8 +316,14 @@ def _run_qsymbol(cfg, out_dir: Path):
     scales = timescales(ms, cp.xi, cp.alpha)
     theta = np.linspace(0.0, 2.0 * math.pi, _get(cfg, "grid.n_theta"), endpoint=False)
 
-    # Q(theta) at fixed detector angle phi depends on phi - theta only
-    cp0 = CoherentParams(0.0, cp.xi, cp.alpha)
+    # Q(theta) at fixed detector angle phi depends on phi - theta only.  One
+    # state serves every panel: pc_density at maximum localization is
+    # qsymbol's own expression, K |amp_state|^2, bit for bit, so the run
+    # gives qsymbol's warning itself
+    if cp.alpha < 3.0:
+        warn(f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3")
+    state = coherent_state(ms, CoherentParams(0.0, cp.xi, cp.alpha))
+    det = localization_matrix(DetectorKernel.max_localization(), ms)
     files = []
     for spec in _get(cfg, "times"):
         key = next(k for k in _TIME_KEYS if k in spec)
@@ -328,7 +335,7 @@ def _run_qsymbol(cfg, out_dir: Path):
                              "t_quantum": scales.t_quantum,
                              "t_recurrence": scales.t_recurrence}
         write_csv(path, {"t": np.full_like(theta, t_val), "theta": theta,
-                         "value": qsymbol(ms, cp0, t_val, phi - theta)}, meta)
+                         "value": pc_density(state, det, t_val, phi - theta)}, meta)
         files.append(path)
     return {"outputs": files,
             "truncation": {"coherent_tail_mass": coherent_tail_mass(ms, cp)},

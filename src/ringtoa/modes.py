@@ -11,6 +11,7 @@ All operations are pure and accept either scalar ``m`` or integer arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ class ModeSpace:
     m_max: int
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise DomainError(f"mass must be >= 0, got mu={self.mu}")
-        if self.r <= 0:
-            raise DomainError(f"radius must be > 0, got r={self.r}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise DomainError(f"mass must be finite and >= 0, got mu={self.mu}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise DomainError(f"radius must be finite and > 0, got r={self.r}")
         if self.m_max < 1:
             raise DomainError(f"mode cutoff must be >= 1, got m_max={self.m_max}")
 
@@ -61,6 +62,8 @@ class RotationFrame:
     modespace: ModeSpace
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_d):
+            raise DomainError(f"frame rotation rate must be finite, got omega_d={self.omega_d}")
         if abs(self.omega_d * self.modespace.r) >= 1.0:
             raise InvalidFrameError(
                 f"|Omega_D * r| = {abs(self.omega_d * self.modespace.r)} >= 1: "

@@ -71,10 +71,12 @@ class CoherentParams:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"coherent spread must be > 0, got alpha={self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise DomainError(f"coherent spread must be finite and > 0, got alpha={self.alpha}")
         if not math.isfinite(self.xi):
             raise DomainError(f"coherent mean momentum must be finite, got xi={self.xi}")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"coherent mean angle must be finite, got theta={self.theta}")
 
 
 @dataclass(frozen=True)
@@ -344,9 +346,9 @@ def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
 
 
 def _product_err(x: np.ndarray, a: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """x_i a_p - xa[i, p] exactly, for xa = np.outer(x, a) (Dekker's TwoProduct)."""
+    """x a - xa exactly, for xa = x * a broadcast (Dekker's TwoProduct)."""
     (xh, xl), (ah, al) = _split(x), _split(a)
-    return ((np.outer(xh, ah) - xa) + np.outer(xh, al) + np.outer(xl, ah)) + np.outer(xl, al)
+    return ((xh * ah - xa) + xh * al + xl * ah) + xl * al
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +469,7 @@ def _line_quadrature(x: list[tuple[int, int]], t: float, mu: float, weight, k_lo
                 panel_sums, panel_phase = node_phase @ f[sl].T, np.exp(1j * xa)
                 if exact:
                     panel_sums -= 1j * xf[:, None] * (node_phase @ f_resid[sl].T)
-                    panel_phase *= 1.0 + 1j * _product_err(xf, a[sl], xa)
+                    panel_phase *= 1.0 + 1j * _product_err(xf[:, None], a[sl], xa)
                 out += (panel_phase * panel_sums).sum(axis=1)
         return out
 

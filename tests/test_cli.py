@@ -385,6 +385,48 @@ def test_run_qsymbol_panels_with_threads(tmp_path):
     assert manifest["extras"]["timescales"]["t_quantum"] == pytest.approx(282.84, abs=0.1)
 
 
+@pytest.mark.parametrize("mu, xi, m_max", [(1000.0, 1000.0, 1120), (0.0, 20.0, 80)])
+def test_qsymbol_run_builds_its_state_once(tmp_path, monkeypatch, mu, xi, m_max):
+    # each panel is qsymbol's density, bit for bit, on one coherent state
+    from ringtoa import CoherentParams, ModeSpace, qsymbol
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return coherent_state(*args)
+
+    coherent_state = cli.coherent_state
+    monkeypatch.setattr(cli, "coherent_state", counting)
+    params = {"mu": mu, "r": 1.0, "m_max": m_max, "xi": xi, "alpha": 5.0,
+              "theta": 0.4, "phi": 2.0}
+    cfg = write_config(tmp_path, "q.json", {
+        "experiment": "qsymbol", "params": params,
+        "times": [{"t": 0.5}, {"t": 5.0}, {"t": 40.0}],
+        "grid": {"n_theta": 128}, "output": {"prefix": "q"},
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert len(built) == 1
+    ms, cp0 = ModeSpace(mu, 1.0, m_max), CoherentParams(0.0, xi, 5.0)
+    for name in ("q_t0.5.csv", "q_t5.0.csv", "q_t40.0.csv"):
+        data = read_csv(out / name)
+        t = data["t"][0]
+        expected = qsymbol(ms, cp0, t, params["phi"] - data["theta"])
+        assert data["value"].tobytes() == expected.tobytes()
+
+
+def test_qsymbol_run_warns_below_alpha_3_once(tmp_path):
+    cfg = write_config(tmp_path, "q.json", {
+        "experiment": "qsymbol",
+        "params": {"mu": 0.0, "r": 1.0, "m_max": 60, "xi": 20.0, "alpha": 2.5},
+        "times": [{"t": 0.5}, {"t": 1.0}], "grid": {"n_theta": 16},
+    })
+    with pytest.warns(UserWarning, match="Q-symbol regime assumes alpha") as record:
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len([w for w in record if "Q-symbol regime" in str(w.message)]) == 1
+
+
 def test_threads_match_one_thread_bytes(tmp_path):
     cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
     out, ref = tmp_path / "two", tmp_path / "one"

@@ -1,6 +1,6 @@
 import json
 import math
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,9 +181,9 @@ EARLIER = {
 
 @pytest.mark.parametrize("earlier", [None, "noise", "clock"])
 def test_qsymbol_run_formats_each_distinct_column_once(tmp_path, monkeypatch, earlier):
-    # per panel: t is constant (one repr), theta is shared by every panel
-    # (formatted in the first), the values are new; so n_theta (panels + 1)
-    # + panels reprs, whatever the process wrote before
+    # per panel: t is constant and the values are new; theta is shared by
+    # every panel, so it is formatted in the first only, whatever the
+    # process wrote before
     if earlier is None:
         monkeypatch.setattr(emit, "_previous", {})
     else:
@@ -192,16 +192,94 @@ def test_qsymbol_run_formats_each_distinct_column_once(tmp_path, monkeypatch, ea
         assert main(["run", str(cfg), "--out", str(tmp_path / "earlier")]) == 0
     cfg = tmp_path / "q.json"
     cfg.write_text(json.dumps(QSYMBOL))
-    calls = []
+    formatted = []
+    cells = emit._cells
 
-    def counting_repr(x):
-        # the cell formatter's reprs, not those of the metadata lines
-        if sys._getframe(1).f_code is emit._cells.__code__:
-            calls.append(x)
-        return repr(x)
+    def counting(a):
+        formatted.append(a.copy())
+        return cells(a)
 
-    monkeypatch.setattr(emit, "repr", counting_repr, raising=False)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "q"), "--threads", "1"]) == 0
+    monkeypatch.setattr(emit, "_cells", counting)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "q")]) == 0
     panels, n_theta = len(QSYMBOL["times"]), QSYMBOL["grid"]["n_theta"]
-    assert len(calls) == n_theta * (panels + 1) + panels
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    assert len(formatted) == 2 * panels + 1
+    assert sum(a.tobytes() == theta.tobytes() for a in formatted) == 1
+    assert sum(a.size == n_theta and np.all(a == a[0]) for a in formatted) == panels
     assert len(list((tmp_path / "q").glob("q_*.csv"))) == panels
+
+
+# --------------------------------------------------------------------------
+# the numpy float formatter against repr
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    return np.array([repr(v) for v in x.tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+
+
+def _assert_cells_are_repr(x: np.ndarray):
+    got = emit._float_cells(x)
+    padded = np.zeros((x.size, 24), np.uint8)
+    padded[:, :got.shape[1]] = got
+    bad = np.flatnonzero((padded != _repr_cells(x)).any(axis=1))
+    assert bad.size == 0, [(repr(v), bytes(padded[i]).rstrip(b"\0"))
+                           for i, v in zip(bad[:5], x[bad[:5]].tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_cells_are_repr_for_every_bit_pattern(bits):
+    _assert_cells_are_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _sweep(rng) -> np.ndarray:
+    """About 1.4M float64s: decades, grids, float32 casts, 17-digit decimals
+    and their neighbours, powers of 2 and 10, subnormals, zeros, NaN payloads
+    and infinities, each with both signs."""
+    n = 100_000
+    decimals = np.array([float(f"{d}e{e}") for d, e in zip(
+        rng.integers(10**16, 10**17, n // 4), rng.integers(-340, 292, n // 4))])
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    parts = [
+        10.0 ** rng.uniform(-300, 300, 2 * n),
+        rng.uniform(-10, 10, 40)[:, None] + np.outer(
+            rng.choice([1e-3, 0.01, 0.05, 0.1, 1 / 3, 2 * math.pi / 4096], 40),
+            np.arange(n // 20)),
+        rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
+        rng.standard_normal(n).astype(np.float32),
+        decimals, np.nextafter(decimals, math.inf), np.nextafter(decimals, -math.inf),
+        powers, np.nextafter(powers, math.inf), np.nextafter(powers, -math.inf),
+        rng.integers(1, 2**52, n // 10, dtype=np.uint64).view(np.float64),
+        np.array([0.0, math.inf], dtype=np.float64),
+        (rng.integers(1, 2**52, 100, dtype=np.uint64) | np.uint64(0x7FF << 52)).view(np.float64),
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = np.concatenate([np.ravel(p).astype(np.float64) for p in parts])
+    return np.concatenate([x, -x])
+
+
+def test_float_cells_are_repr_on_a_seeded_sweep():
+    x = _sweep(np.random.default_rng(20261019))
+    assert x.size >= 10**6
+    _assert_cells_are_repr(x)
+
+
+def test_shipped_configs_write_every_float_cell_as_repr(tmp_path):
+    # the data files themselves: a column that is not all integers is a
+    # float column, and each of its cells reads back to itself under repr
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert len(configs) == 5
+    checked = 0
+    for cfg in configs:
+        out = tmp_path / cfg.stem
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            rows = [ln.split(",") for ln in path.read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            for column in zip(*rows):
+                if all(c.lstrip("-").isdigit() for c in column):
+                    continue
+                assert [repr(float(c)) for c in column] == list(column), path.name
+                checked += len(column)
+    assert checked > 100_000

@@ -84,6 +84,21 @@ def test_frame_requires_timelike_killing_vector():
     RotationFrame(omega_d=0.49, modespace=ms)  # just inside is fine
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["mu", "r"])
+def test_modespace_rejects_non_finite_mass_and_radius(name, value):
+    # ModeSpace(mu=nan) once passed every comparison, and amp_state gave 0j
+    with pytest.raises(DomainError, match=f"{name}="):
+        ModeSpace(**{"mu": 1.0, "r": 1.0, "m_max": 5, name: value})
+
+
+@pytest.mark.parametrize("omega_d", [math.inf, -math.inf, math.nan])
+def test_frame_rejects_non_finite_rotation_rate(omega_d):
+    # a NaN rate passed the timelike check |omega_d r| >= 1
+    with pytest.raises(DomainError, match="omega_d="):
+        RotationFrame(omega_d=omega_d, modespace=ModeSpace(mu=0.0, r=1.0, m_max=5))
+
+
 def test_modespace_invariants():
     with pytest.raises(DomainError):
         ModeSpace(mu=-1.0, r=1.0, m_max=5)

@@ -78,6 +78,14 @@ def test_coherent_params_reject_non_finite_xi(xi):
         CoherentParams(theta=0.0, xi=xi, alpha=10.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["alpha", "theta"])
+def test_coherent_params_reject_non_finite_alpha_and_theta(name, value):
+    # a NaN alpha passed every comparison, and an infinite theta gave NaN phases
+    with pytest.raises(DomainError, match=f"{name}="):
+        CoherentParams(**{"theta": 0.0, "xi": 20.0, "alpha": 4.0, name: value})
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     theta=st.floats(0.0, 2.0 * math.pi),
