@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _arithmetic_step
 from .errors import TickError
+from .lattice import _arithmetic_step
 
 __all__ = ["TickTrain", "ClockQuality", "cumulative", "extract_ticks", "clock_quality"]
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SupportError, UnphysicalKernelError
+from .lattice import _chunks
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega
 from .specfun import sinc
-from .states import _chunks
 
 __all__ = [
     "DetectorKernel",
@@ -270,7 +270,7 @@ class LocalizationMatrix:
 
     @property
     def is_max_localization(self) -> bool:
-        # row chunks (states._chunks) of views of the bounding box of the
+        # row chunks (lattice._chunks) of views of the bounding box of the
         # support; entries off support are masked, not copied out
         sup = self.on_support
         idx = np.flatnonzero(sup)
@@ -331,7 +331,7 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     stores one value; ``np.array(L.matrix)`` gives a writable copy.  The tail
     supports m > 0 (chiral, ring-exponential) are written densely in one
     pass, with no n x n temporaries.  A tabulated kernel's matrix is built
-    in row blocks (states._chunks), each formed from its first row's column
+    in row blocks (lattice._chunks), each formed from its first row's column
     on and mirrored: the build holds the matrix and one block's temporaries.
     """
     m = ms.modes().astype(float)

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .lattice import _chunks, _product_err
 from .probability import NORMALIZATION_TAG
-from .states import _chunks, _product_err
 
 __all__ = ["format_float", "write_csv", "write_json"]
 

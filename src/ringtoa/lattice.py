@@ -1,0 +1,210 @@
+"""Lattice sums over the ring's angular-momentum modes, and the chunk rule they share.
+
+The mode sum sum_m c_m exp(i(m phi - omega_m t)) (_mode_sum) and the double
+sum of a general localization matrix (_double_sum), on a broadcast (t, phi)
+grid.  Every chunked loop of the package sizes its chunks by _chunks.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import DomainError
+
+# entries of the temporaries one chunked loop holds at once (modes x points
+# for the mode sums' phase matrices): 4 MB of complex values, which stay in
+# cache while a chunk is formed and summed; the one copy, read by _chunks
+_CHUNK_BUDGET = 1 << 18
+
+# Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
+# n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of
+# modes x n; a full period of angles at one t costs modes exps and one FFT.
+# Grids shorter than _MIN_UNIFORM save too little and stay dense.  A grid
+# counts as uniform when every point lies within tol_t = _UNIFORM_ULPS ulps
+# of max|t| (tol_phi: of max|phi|) of the progression (_grid_tol), and as a
+# full period when also |n dphi| is within tol_phi of 2 pi.  _mode_sum
+# states the phase error this allows.
+_BLOCK = 64
+_MIN_UNIFORM = 2 * _BLOCK
+_UNIFORM_ULPS = 8
+
+# unit roundoff of float64 (see _significant)
+_UNIT_ROUNDOFF = 2.0**-53
+# imaginary residue a double sum may keep (see _double_sum)
+REALITY_TOL = 1e-10
+
+
+def _chunks(n: int, width: int, budget: int | None = None) -> list[slice]:
+    """Slices of range(n), each of about budget entries of width each (at least one item).
+
+    budget defaults to _CHUNK_BUDGET, read at call time: every chunked loop
+    of the package sizes its chunks here, so one patched value reaches all.
+    """
+    step = max(1, (_CHUNK_BUDGET if budget is None else budget) // max(width, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _product_err(x: np.ndarray, a: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    """x a - xa exactly, for xa = x * a broadcast (Dekker's TwoProduct)."""
+    (xh, xl), (ah, al) = _split(x), _split(a)
+    return ((xh * ah - xa) + xh * al + xl * ah) + xl * al
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split v = hi + lo, each with at most 26 significant bits."""
+    hi = 134217729.0 * v  # 2^27 + 1
+    hi -= hi - v
+    return hi, v - hi
+
+
+def _on_grid(t, phi, fill):
+    """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
+    t_arr, phi_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(phi, dtype=float))
+    out = fill(t_arr.ravel(), phi_arr.ravel())
+    if t_arr.shape == ():
+        return out[0].item()
+    return out.reshape(t_arr.shape)
+
+
+def _arithmetic_step(x: np.ndarray) -> float | None:
+    """Step d with x_j = x_0 + j d to within _UNIFORM_ULPS ulps of max|x|, else None.
+
+    d is taken from the end points, (x_{n-1} - x_0) / (n - 1), not from
+    x_1 - x_0, whose rounding would drift by (n - 1) times as much along the
+    grid.  A constant array has step 0.
+    """
+    if x.ndim != 1 or x.size < 2:
+        return None
+    d = (x[-1] - x[0]) / (x.size - 1)
+    ideal = x[0] + d * np.arange(x.size)
+    return float(d) if float(np.max(np.abs(x - ideal))) <= _grid_tol(x) else None
+
+
+def _grid_tol(x: np.ndarray) -> float:
+    """_UNIFORM_ULPS ulps of max|x|: how far a uniform grid may stray from its progression."""
+    return _UNIFORM_ULPS * float(np.finfo(float).eps) * float(np.max(np.abs(x)))
+
+
+def _significant(mag: np.ndarray) -> np.ndarray:
+    """Mask of the terms mag > u sum(mag) / nnz, u the unit roundoff, nnz the non-zeros.
+
+    The terms it drops are at most nnz, each at most u sum(mag) / nnz, and not
+    all of them (some term reaches the mean), so together they stay under
+    u sum(mag): inside the error bound gamma_n sum|c| of any n-term sum of
+    the same terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1).  Zeros are never kept; an all-zero input keeps nothing.
+    """
+    return mag > _UNIT_ROUNDOFF * mag.sum() / max(np.count_nonzero(mag), 1)
+
+
+def _phases(m, w, t, phi):
+    """exp(i(m phi - w t)) as a modes x points matrix: the one lattice phase formula.
+
+    Formed in one buffer: the same products, difference and exp as
+    np.exp(1j * (m phi - w t)) elementwise, so the same bits.
+    """
+    x = np.multiply.outer(m, phi)
+    x -= np.multiply.outer(w, t)
+    x = x * 1j
+    return np.exp(x, out=x)
+
+
+def _dense_sum(c, mm, ww, tf, pf):
+    """The reference evaluation: one complex exp per mode x point, chunked over modes."""
+    out = np.zeros(tf.size, dtype=complex)
+    for sl in _chunks(c.size, tf.size):
+        out += c[sl] @ _phases(mm[sl], ww[sl], tf, pf)
+    return out
+
+
+def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
+    """The same sum on a uniform grid, one GEMM per chunk of modes and of blocks.
+
+    Point b*B + k of block b has phase theta_m(b*B) + k beta_m, beta_m =
+    m dp - omega_m dt: the block-start phases come from the grid values by
+    _phases, the in-block steps from a modes x B table that also carries
+    the coefficients, formed a chunk of modes at a time.
+    """
+    heads_t, heads_p = tf[::_BLOCK], pf[::_BLOCK]
+    out = np.zeros((heads_t.size, _BLOCK), dtype=complex)
+    for part in _chunks(c.size, _BLOCK):
+        m_, w_ = mm[part], ww[part]
+        steps = c[part, None] * np.exp(1j * np.outer(m_ * dp - w_ * dt, np.arange(_BLOCK)))
+        for sl in _chunks(heads_t.size, m_.size):
+            out[sl] += _phases(m_, w_, heads_t[sl], heads_p[sl]).T @ steps
+    return out.ravel()[:tf.size]
+
+
+def _period_sum(c, mm, ww, tf, pf, dp):
+    """The same sum on a full period of angles at one time: one FFT, no BLAS.
+
+    With n points phi_j = phi_0 + j dp and n dp = +-2 pi, e^{i m phi_j} =
+    e^{i m phi_0} e^{+-2 pi i m j / n} depends on the integer m only mod n.
+    So the terms d_m = c_m e^{i(m phi_0 - omega_m t_0)}, one column of
+    _phases, fold by m mod n (exactly, however many modes share a residue),
+    and one inverse FFT (dp > 0) or forward FFT (dp < 0) of length n sums
+    them: O(modes + n log n).
+    """
+    n = tf.size
+    d = c * _phases(mm, ww, tf[:1], pf[:1])[:, 0]
+    k = np.mod(mm, n).astype(np.intp)
+    folded = np.bincount(k, d.real, n) + 1j * np.bincount(k, d.imag, n)
+    return np.fft.ifft(folded, norm="forward") if dp > 0 else np.fft.fft(folded)
+
+
+def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
+    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid, m integers.
+
+    A flattened grid of at least _MIN_UNIFORM points that is an arithmetic
+    progression in both t and phi (either step may be 0) is uniform.  A
+    uniform grid at one t whose n angles span one full period, |n dphi| =
+    2 pi within tol_phi, takes _period_sum; any other uniform grid takes
+    _blocked_sum, and every other grid _dense_sum.  On a uniform grid the
+    phases stray from the dense ones by at most
+    2 (max|freq_m| tol_t + max|m| tol_phi) rad plus roundoff, tol_t and
+    tol_phi the _grid_tol of t and phi.
+    Each path sums only the _significant terms, within u sum|coeffs| of the
+    sum over all of them.
+    """
+    active = _significant(np.abs(coeffs))
+    c, mm, ww = coeffs[active], m[active], freq[active]
+
+    def fill(tf, pf):
+        if tf.size >= _MIN_UNIFORM:
+            dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
+            if dt == 0.0 and dp is not None \
+                    and abs(abs(tf.size * dp) - 2.0 * math.pi) <= _grid_tol(pf):
+                return _period_sum(c, mm, ww, tf, pf, dp)
+            if dt is not None and dp is not None:
+                return _blocked_sum(c, mm, ww, tf, pf, dt, dp)
+        return _dense_sum(c, mm, ww, tf, pf)
+
+    return _on_grid(t, phi, fill)
+
+
+def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
+    """The real sum_{j,k} kernel_jk exp(i((m_j - m_k) phi - (freq_j - freq_k) t)) on a grid.
+
+    Rows and columns whose row sums of |kernel| fall under _significant are
+    dropped (at most 2 u sum|kernel|).  kernel must be Hermitian: an
+    imaginary residue above REALITY_TOL of max(1, max|real|) raises DomainError.
+    """
+    active = _significant(np.abs(kernel).sum(axis=1))
+    kernel = kernel[np.ix_(active, active)]
+    ma, wa = m[active], freq[active]
+
+    def fill(tf, pf):
+        vals = np.empty(tf.size, dtype=complex)
+        for sl in _chunks(tf.size, ma.size):
+            u = _phases(ma, wa, tf[sl], pf[sl])
+            vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+        resid = float(np.max(np.abs(vals.imag), initial=0.0))
+        if resid > REALITY_TOL * max(float(np.max(np.abs(vals.real), initial=0.0)), 1.0):
+            raise DomainError(
+                f"non-Hermitian input: imaginary residue {resid:.3e} exceeds tolerance"
+            )
+        return vals.real
+
+    return _on_grid(t, phi, fill)

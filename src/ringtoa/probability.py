@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    _double_sum,
-    _images,
-    _mode_sum,
-    _pointwise,
-    _speed_weights,
-    _warn_below_reach,
-    amp_state,
-    quad,
-)
+from .amplitudes import _speed_weights, amp_state, quad
 from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
 from .errors import DomainError, SeriesError, StateError
+from .lattice import _double_sum, _mode_sum
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega
-from .states import CoherentParams, RingState, _coherent_packet, coherent_state
+from .states import CoherentParams, RingState, coherent_state
 
 __all__ = [
     "NORMALIZATION_TAG",
@@ -106,32 +98,18 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     return _k_norm(ms) * _double_sum(kernel, m[blk].astype(float), freq[blk], t, phi)
 
 
-def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi, method: str = "mode-sum"):
+def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi):
     """Q-symbol of the arrival POVM on the coherent state (theta, xi).
 
     Q(t, phi) = |B_t(phi - theta, xi)|^2 / (2 pi r), evaluated through the
-    coherent-state mode sum.  method='images' instead sums the incoherent
-    winding images |B0|^2 (valid while the packet spread stays well under
-    the ring size; it ignores inter-winding interference).
+    coherent-state mode sum.
     """
     if cp.alpha < 3.0:
         warnings.warn(
             f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3",
             stacklevel=2,
         )
-    if method == "mode-sum":
-        return _density(ms, amp_state(coherent_state(ms, cp), ms, t, phi))
-    if method != "images":
-        raise DomainError(f"unknown qsymbol method {method!r}")
-
-    packet = _coherent_packet(ms, cp)
-    _warn_below_reach(packet)
-
-    def at(ti, pi_):
-        images = _images(ms, packet, ti, pi_, rel_tol=1e-9)
-        return _k_norm(ms) * float(np.sum(np.abs(packet.pref * images) ** 2))
-
-    return _pointwise(t, phi, at, dtype=float)
+    return _density(ms, amp_state(coherent_state(ms, cp), ms, t, phi))
 
 
 ETA_TAIL_TOL = 1e-12

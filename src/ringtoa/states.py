@@ -10,7 +10,6 @@ quadrature of its momentum integral, with no semiclassical input.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, DomainError, QuadratureError, StateError
+from .lattice import _chunks
 from .modes import ModeSpace
+from .oracle import _line_quadrature, _ratio
 from .specfun import coherent_norm
 
 __all__ = [
@@ -38,29 +39,9 @@ __all__ = [
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
-# entries of the temporaries one chunked loop holds at once (modes x points
-# for the mode sums' phase matrices): 4 MB of complex values, which stay in
-# cache while a chunk is formed and summed; the one copy, read by _chunks
-_CHUNK_BUDGET = 1 << 18
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
 EIGENCHECK_MAX_MODES = 2049
-
-# Line quadrature (see _line_quadrature): a Gauss-Legendre panel rule on
-# [-1, 1].  The nodes must stay non-uniform: a uniform rule with step 1/r in
-# k is, by Poisson summation, the lattice mode sum the oracle checks.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Phase (rad) one of the n panels may span at the largest phase rate; 32
-# nodes resolve about 50 rad to roundoff, so the 2n rule is far past it.
-_PANEL_PHASE = 16.0
-_MIN_PANELS = 8
-# Geometric grading of the panel next to k = 0 for massive weights
-# ~ sqrt(k): the smallest sub-panel is _GRADE_RATIO**_GRADE_LEVELS of it.
-_GRADE_RATIO, _GRADE_LEVELS = 0.125, 16
-# entries of the images x panels phase matrix held at once (the node phases
-# are one images x 32 matrix per panel group)
-_NODE_BUDGET = 1 << 16
-
 
 @dataclass(frozen=True)
 class CoherentParams:
@@ -91,8 +72,9 @@ class LineState:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError(f"position spread must be > 0, got sigma={self.sigma}")
+        if not (math.isfinite(self.p) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise DomainError(f"line state needs finite p and sigma > 0, got p={self.p}, "
+                              f"sigma={self.sigma}")
         if self.family not in ("gaussian", "gaussian-times-x"):
             raise DomainError(f"unknown line-state family {self.family!r}")
 
@@ -129,16 +111,6 @@ class LineProfileOnRing:
     line: LineState
     theta0: float
     pref: float
-
-
-def _chunks(n: int, width: int, budget: int | None = None) -> list[slice]:
-    """Slices of range(n), each of about budget entries of width each (at least one item).
-
-    budget defaults to _CHUNK_BUDGET, read at call time: every chunked loop
-    of the package sizes its chunks here, so one patched value reaches all.
-    """
-    step = max(1, (_CHUNK_BUDGET if budget is None else budget) // max(width, 1))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -259,14 +231,11 @@ def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
     c = coherent_norm(cp.xi, cp.alpha)
     gauss = np.exp(-((m - cp.xi) ** 2) / (2.0 * cp.alpha**2))
     coeffs = c * gauss * np.exp(-1j * m * cp.theta)
-    return RingState(ms, coeffs=coeffs, packet=_coherent_packet(ms, cp))
-
-
-def _coherent_packet(ms: ModeSpace, cp: CoherentParams) -> LineProfileOnRing:
-    """The Gaussian line packet (p = xi / r, sigma = r / (sqrt(2) alpha)) of a coherent state."""
+    # the Gaussian line packet the coefficients sample
     sigma = ms.r / (math.sqrt(2.0) * cp.alpha)
-    pref = coherent_norm(cp.xi, cp.alpha) * ms.r * (math.pi / (2.0 * sigma**2)) ** 0.25
-    return LineProfileOnRing(LineState(p=cp.xi / ms.r, sigma=sigma), cp.theta, pref)
+    packet = LineProfileOnRing(LineState(p=cp.xi / ms.r, sigma=sigma), cp.theta,
+                               c * ms.r * (math.pi / (2.0 * sigma**2)) ** 0.25)
+    return RingState(ms, coeffs=coeffs, packet=packet)
 
 
 def coherent_tail_mass(ms: ModeSpace, cp: CoherentParams) -> float:
@@ -327,157 +296,6 @@ def line_to_ring(ms: ModeSpace, ls: LineState, theta0: float = 0.0) -> RingState
     return RingState(ms, coeffs=coeffs, packet=LineProfileOnRing(ls, theta0, ms.r / norm))
 
 
-def _panel_rule(k_lo: float, k_hi: float, n: int, grade: bool):
-    """Groups (centres, half) of n equal Gauss-Legendre panels on [k_lo, k_hi].
-
-    The panels of a group share the half-width half: their nodes are
-    centres[:, None] + half * _GL_NODES, with weights half * _GL_WEIGHTS.
-    The equal panels form one group; with grade, the first of them is split
-    geometrically toward k_lo instead, each sub-panel a one-panel group.
-    """
-    h = (k_hi - k_lo) / n
-    centres = k_lo + h * (np.arange(n) + 0.5)
-    if not grade:
-        return [(centres, 0.5 * h)]
-    edges = np.concatenate(([k_lo], k_lo + h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1)))
-    return [(centres[1:], 0.5 * h)] + [
-        (np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo)) for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-
-
-def _product_err(x: np.ndarray, a: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """x a - xa exactly, for xa = x * a broadcast (Dekker's TwoProduct)."""
-    (xh, xl), (ah, al) = _split(x), _split(a)
-    return ((xh * ah - xa) + xh * al + xl * ah) + xl * al
-
-
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split v = hi + lo, each with at most 26 significant bits."""
-    hi = 134217729.0 * v  # 2^27 + 1
-    hi -= hi - v
-    return hi, v - hi
-
-
-def _carrier(k_c: float, x: list, t: float, mu: float) -> np.ndarray:
-    """e^{i(k_c x - omega(k_c) t)} for each exact x, to about an ulp.
-
-    The phase (~1e5 rad at the oracle's sizes) is formed exactly, as an
-    integer pair (num, den) (see _ratio), with omega(k_c) refined by one
-    Newton step past its float rounding, and only then split into a float
-    and a remainder for the exp.
-    """
-    (kn, kd), w_c = _ratio(k_c), math.hypot(mu, k_c)
-    wn, wd = _ratio(w_c)
-    if w_c > 0.0:
-        # omega += (mu^2 + k^2 - omega^2) / (2 omega), over the denominator d
-        mn, md = _ratio(mu)
-        d = md * kd * wd
-        res = (mn * kd * wd) ** 2 + (kn * md * wd) ** 2 - (wn * md * kd) ** 2
-        wn, wd = 2 * wn * wn * d * d + res * wd * wd, 2 * wn * wd * d * d
-    tn, td = _ratio(t)
-    wtn, wtd = wn * tn, wd * td
-    out = np.empty(len(x), dtype=complex)
-    for i, (xn, xd) in enumerate(x):
-        pn, pd = kn * xn * wtd - wtn * kd * xd, kd * xd * wtd
-        hi = pn / pd
-        hn, hd = hi.as_integer_ratio()
-        out[i] = cmath.exp(1j * hi) * cmath.exp(1j * ((pn * hd - hn * pd) / (pd * hd)))
-    return out
-
-
-def _ratio(v: float) -> tuple[int, int]:
-    """v as an exact integer pair (num, den), den > 0.
-
-    The oracle's exact arithmetic: pairs add and multiply without gcd
-    reduction, and num / den is the correctly rounded float of the pair.
-    """
-    return float(v).as_integer_ratio()
-
-
-def _window_speeds(mu: float, k_lo: float, k_hi: float) -> tuple[float, float]:
-    """Group speeds v_k = d omega_k / dk at the ends of the window [k_lo, k_hi].
-
-    v_k = k / sqrt(mu^2 + k^2) is monotone, so every momentum of the window
-    moves at a speed between the two.  At mu = 0 the window must not cross
-    k = 0: v_k is then sign(k) on its side of 0, the end at 0 included.
-    """
-    if mu == 0.0:
-        v = 1.0 if k_hi > 0.0 else -1.0
-        return v, v
-    return k_lo / math.hypot(mu, k_lo), k_hi / math.hypot(mu, k_hi)
-
-
-def _line_quadrature(x: list[tuple[int, int]], t: float, mu: float, weight, k_lo: float,
-                     k_hi: float):
-    """∫_{k_lo}^{k_hi} weight(k) e^{i(k x - omega_k t)} dk at every image position x.
-
-    omega_k = sqrt(mu^2 + k^2); x is a sequence of exact (num, den) integer
-    pairs (_ratio; see amplitudes._winding_positions), which the carrier
-    phase needs exact.
-    Composite Gauss-Legendre panels, one rule for all of x: the panel count
-    n is sized from the largest phase rate |x - v_k t| over the window (v_k
-    is monotone, so it peaks at an end).
-    Returns (I_2n, |I_n - I_2n|) as arrays over x; the gap is the
-    self-convergence error estimate the callers gate on.  weight maps an
-    array of k (of any shape; interior nodes only, never an end point) to
-    complex values.
-
-    The phase is split about the window's midpoint k_c: the large carrier
-    k_c x - omega(k_c) t is exact per image (_carrier), and each node carries
-    only kappa x - (omega_k - omega(k_c)) t with kappa = k - k_c, the energy
-    difference formed without cancellation.  A node of panel p in a group
-    of _panel_rule is kappa = fl(a_p + b_j) (a_p = centre_p - k_c, b_j = half
-    s_j), so e^{i x (a_p + b_j)} = e^{i x a_p} e^{i x b_j}: per group, one
-    images x 32 exponential, a matrix product with the node values and one
-    images x panels exponential, chunked to _NODE_BUDGET entries: about
-    images x (32 + panels) + nodes exponentials a rule, not images x nodes.
-    The returned 2n rule keeps each phase on its node: it adds -i x e_pj for
-    the residual e_pj = a_p + b_j - kappa, and forms x a_p, which a panel's
-    32 nodes share, exactly (_product_err).  Each moves the sum by up to
-    ~2e-13 of its peak, under the gap's gates: the n rule skips them.
-    With mu > 0 and k_lo = 0 the first panel is graded toward 0, where
-    weights like sqrt(v_k) ~ sqrt(k) are not smooth; with mu = 0 a window
-    across k = 0, where omega_k = |k| has a kink, is split there.
-    """
-    if mu == 0.0 and k_lo < 0.0 < k_hi:
-        lo_val, lo_gap = _line_quadrature(x, t, mu, weight, k_lo, 0.0)
-        hi_val, hi_gap = _line_quadrature(x, t, mu, weight, 0.0, k_hi)
-        return lo_val + hi_val, lo_gap + hi_gap
-    xf = np.array([n / d for n, d in x])
-    rate = max(float(np.max(np.abs(xf - v * t), initial=0.0))
-               for v in _window_speeds(mu, k_lo, k_hi))
-    n = max(_MIN_PANELS, math.ceil(rate * (k_hi - k_lo) / _PANEL_PHASE))
-    grade = mu > 0.0 and k_lo == 0.0
-    k_c = 0.5 * (k_lo + k_hi)
-    w_c = math.hypot(mu, k_c)
-
-    def rule(panels, exact):
-        out = np.zeros(xf.size, dtype=complex)
-        for centres, half in _panel_rule(k_lo, k_hi, panels, grade):
-            a, b = centres - k_c, half * _GL_NODES
-            kappa = a[:, None] + b
-            k = k_c + kappa
-            d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + w_c)
-            f = half * _GL_WEIGHTS * weight(k) * np.exp(-1j * (d_omega * t))
-            node_phase = np.exp(1j * np.outer(xf, b))
-            if exact:
-                # Fast2Sum residual, exact while |a_p| >= |b_j|: the 2n rule's
-                # panel count is even, so |a_p| >= h / 2 > |b_j|
-                f_resid = f * (b - (kappa - a[:, None]))
-            for sl in _chunks(a.size, xf.size, _NODE_BUDGET):
-                xa = np.outer(xf, a[sl])
-                panel_sums, panel_phase = node_phase @ f[sl].T, np.exp(1j * xa)
-                if exact:
-                    panel_sums -= 1j * xf[:, None] * (node_phase @ f_resid[sl].T)
-                    panel_phase *= 1.0 + 1j * _product_err(xf[:, None], a[sl], xa)
-                out += (panel_phase * panel_sums).sum(axis=1)
-        return out
-
-    carrier = _carrier(k_c, x, t, mu)
-    coarse, fine = carrier * rule(n, exact=False), carrier * rule(2 * n, exact=True)
-    return fine, np.abs(coarse - fine)
-
-
 def gaussian_line(ls: LineState, x: float, t: float | None = None, mu: float = 0.0) -> complex:
     """Line wavefunction at position x; freely evolved when t is given.
 
@@ -487,6 +305,8 @@ def gaussian_line(ls: LineState, x: float, t: float | None = None, mu: float = 0
     or spreading approximation.  The n- and 2n-panel rules must agree within
     max(1e-12, 1e-8 |value|), else QuadratureError.
     """
+    if not (math.isfinite(x) and (t is None or math.isfinite(t))):
+        raise DomainError(f"line position and time must be finite, got x={x}, t={t}")
     if t is None:
         return complex(ls.position_profile(x))
     half_width = 8.0 / ls.sigma

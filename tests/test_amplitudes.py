@@ -23,16 +23,16 @@ from ringtoa import (
     amp_state,
     coherent_state,
     from_modes,
-    qsymbol,
     rotating_velocity,
     symmetric_superposition,
     velocity,
 )
-from ringtoa import amplitudes, probability, states
+from ringtoa import amplitudes, oracle, probability
 from ringtoa.amplitudes import line_arrival_amp, taper_window
 from ringtoa.errors import DomainError, QuadratureError, StateError
 from ringtoa.specfun import coherent_norm
-from ringtoa.states import LineProfileOnRing, _line_quadrature, gaussian_line, spread_at_time
+from ringtoa.oracle import _line_quadrature
+from ringtoa.states import LineProfileOnRing, gaussian_line, spread_at_time
 
 
 MS0 = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -157,6 +157,30 @@ def test_poisson_needs_a_packet_on_its_own_mode_space():
     for ms in (ModeSpace(mu=1000.0, r=1.0, m_max=1100), ModeSpace(mu=0.0, r=2.0, m_max=1100)):
         with pytest.raises(StateError, match="different mode space"):
             amp_poisson(ms, 1.0, 0.5, state=st_)
+
+
+NON_FINITE_POINTS = [(math.nan, 0.5), (math.inf, 0.5), (1.0, -math.inf), ([1.0, math.nan], 0.5)]
+
+
+@pytest.mark.parametrize("t, phi", NON_FINITE_POINTS)
+def test_poisson_rejects_non_finite_points(t, phi):
+    # the reach window's math.ceil raised a bare ValueError or OverflowError
+    with pytest.raises(DomainError, match="finite"):
+        amp_poisson(MS0, t, phi, state=coherent_state(MS0, COH))
+
+
+@pytest.mark.parametrize("t, phi", NON_FINITE_POINTS)
+def test_saddle_rejects_non_finite_points(t, phi):
+    with pytest.raises(DomainError, match="finite"):
+        amp_saddle(ModeSpace(mu=40.0, r=1.0, m_max=400), t, phi)
+
+
+@pytest.mark.parametrize("x, t", [(math.nan, None), (math.inf, 2.0), (1.0, math.nan),
+                                  (1.0, -math.inf)])
+def test_gaussian_line_rejects_non_finite_x_and_t(x, t):
+    # a NaN x without t came back NaN; with t, the carrier's exact ratio overflowed
+    with pytest.raises(DomainError, match="finite"):
+        gaussian_line(LineState(p=20.0, sigma=1.0), x, t=t, mu=3.0)
 
 
 def test_poisson_line_image_matches_evolved_gaussian():
@@ -296,14 +320,14 @@ def _exact(x) -> list[tuple[int, int]]:
 
 
 def _fraction_positions(phi, theta0, windings, r) -> list[Fraction]:
-    """The reference of amplitudes._winding_positions, in reduced Fractions."""
-    two_pi = Fraction(2.0 * math.pi) + Fraction(amplitudes._TWO_PI_LO)
+    """The reference of oracle._winding_positions, in reduced Fractions."""
+    two_pi = Fraction(2.0 * math.pi) + Fraction(oracle._TWO_PI_LO)
     base = Fraction(phi) - Fraction(theta0)
     return [(base + two_pi * n) * Fraction(r) for n in windings]
 
 
 def _fraction_carrier(k_c, x, t, mu) -> np.ndarray:
-    """The reference of states._carrier, in reduced Fractions."""
+    """The reference of oracle._carrier, in reduced Fractions."""
     k_exact, w_c = Fraction(k_c), math.hypot(mu, k_c)
     omega_c = Fraction(w_c)
     if w_c > 0.0:
@@ -331,11 +355,11 @@ def test_integer_pairs_are_the_exact_rationals(phi, theta0, r, mu, k_c, t, first
     # the unreduced integer pairs of the oracle hold the same rationals as
     # Fractions do, and give the same positions and carrier to the bit
     windings = range(first, first + 7)
-    pairs = amplitudes._winding_positions(phi, theta0, windings, r)
+    pairs = oracle._winding_positions(phi, theta0, windings, r)
     exact = _fraction_positions(phi, theta0, windings, r)
     assert [Fraction(n, d) for n, d in pairs] == exact
     assert [n / d for n, d in pairs] == [float(x) for x in exact]
-    got, want = states._carrier(k_c, pairs, t, mu), _fraction_carrier(k_c, exact, t, mu)
+    got, want = oracle._carrier(k_c, pairs, t, mu), _fraction_carrier(k_c, exact, t, mu)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -371,19 +395,17 @@ def test_line_quadrature_matches_scalar_quad(massless, mu, sigma, p_sigma, t, of
     assert np.all(gap <= np.maximum(1e-10, 1e-8 * np.abs(got)))
 
 
-@pytest.mark.parametrize("caller", ["images", "qsymbol", "gaussian_line"])
+@pytest.mark.parametrize("caller", ["images", "gaussian_line"])
 def test_line_quadrature_gap_over_gate_raises(monkeypatch, caller):
     # 8 panels over hundreds of radians of phase: the n and 2n rules disagree;
     # 2 rad ahead of a massive packet, inside the reach of its speeds at t = 80
-    monkeypatch.setattr(states, "_PANEL_PHASE", 1e9)
+    monkeypatch.setattr(oracle, "_PANEL_PHASE", 1e9)
     ms = ModeSpace(mu=1000.0, r=1.0, m_max=1130)
     t = 80.0
     phi = (COH.theta + velocity(ms, COH.xi) * t + 2.0) % (2.0 * math.pi)
     with pytest.raises(QuadratureError):
         if caller == "images":
             amp_poisson(ms, t, phi, state=coherent_state(ms, COH))
-        elif caller == "qsymbol":
-            qsymbol(ms, COH, t, phi, method="images")
         else:
             gaussian_line(LineState(p=20.0, sigma=0.2), 30.0, t=20.0, mu=5.0)
 
@@ -413,15 +435,15 @@ def _dense_fine_rule(x, t: float, mu: float, weight, calls) -> np.ndarray:
     xf = np.array([float(v) for v in x])
     out = np.zeros(xf.size, dtype=complex)
     for k_lo, k_hi, n, grade in calls[1::2]:
-        groups = states._panel_rule(k_lo, k_hi, n, grade)
+        groups = oracle._panel_rule(k_lo, k_hi, n, grade)
         k_c = 0.5 * (k_lo + k_hi)
-        kappa = np.concatenate([((c - k_c)[:, None] + h * states._GL_NODES).ravel()
+        kappa = np.concatenate([((c - k_c)[:, None] + h * oracle._GL_NODES).ravel()
                                 for c, h in groups])
-        w = np.concatenate([np.tile(h * states._GL_WEIGHTS, c.size) for c, h in groups])
+        w = np.concatenate([np.tile(h * oracle._GL_WEIGHTS, c.size) for c, h in groups])
         k = k_c + kappa
         d_omega = kappa * (k + k_c) / (np.sqrt(mu * mu + k * k) + math.hypot(mu, k_c))
         f = w * weight(k) * np.exp(-1j * d_omega * t)
-        carrier = states._carrier(k_c, _exact(xf), t, mu)
+        carrier = oracle._carrier(k_c, _exact(xf), t, mu)
         out += carrier * np.array([_exp_i_product(xi, kappa) @ f for xi in xf])
     return out
 
@@ -452,7 +474,7 @@ def test_line_quadrature_matches_dense_rule(mu, sigma, p_sigma, t, offset, image
         weight, k_lo = _packet_weight(ls, mu), max(0.0, p - 8.0 / sigma)
     k_hi = p + 8.0 / sigma
     x = p / math.hypot(mu, p) * t + offset * sigma + 2.0 * math.pi * np.arange(images)
-    with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
+    with mock.patch.object(oracle, "_panel_rule", wraps=oracle._panel_rule) as spy:
         got, _ = _line_quadrature(_exact(x), t, mu, weight, k_lo, k_hi)
     calls = [c.args for c in spy.call_args_list]
     assert len(calls) == (4 if mu == 0.0 and k_lo < 0.0 else 2)
@@ -467,7 +489,7 @@ def test_line_quadrature_memory_is_bounded():
     # a few arrays over the nodes
     ls = LineState(p=30.0, sigma=1.0)
     x = _exact(2.0 * math.pi * np.arange(200) + 0.3)
-    with mock.patch.object(states, "_panel_rule", wraps=states._panel_rule) as spy:
+    with mock.patch.object(oracle, "_panel_rule", wraps=oracle._panel_rule) as spy:
         tracemalloc.start()
         try:
             _line_quadrature(x, 20.0, 5.0, _packet_weight(ls, 5.0), 22.0, 38.0)
@@ -476,7 +498,7 @@ def test_line_quadrature_memory_is_bounded():
             tracemalloc.stop()
     panels = spy.call_args_list[-1].args[2]
     assert panels > 500
-    assert peak < 4 * states._NODE_BUDGET * 16 + 6 * 16 * 32 * panels
+    assert peak < 4 * oracle._NODE_BUDGET * 16 + 6 * 16 * 32 * panels
 
 
 def test_oracle_never_calls_scalar_quad(monkeypatch):
@@ -488,7 +510,6 @@ def test_oracle_never_calls_scalar_quad(monkeypatch):
     st_ = coherent_state(MS0, COH)
     # points near the packet, where images are integrated
     amp_poisson(MS0, np.array([3.5, 9.0]), np.array([3.4, 2.9]), state=st_)
-    qsymbol(MS0, COH, 9.0, np.array([2.6, 2.8]), method="images")
     gaussian_line(LineState(p=20.0, sigma=1.0), 5.0, t=5.0, mu=3.0)
 
 
@@ -564,11 +585,11 @@ def test_reach_window_drops_only_roundoff_images(mu, sigma, p_sigma, t_frac, phi
     w_p = math.hypot(mu, p)
     t_q = math.inf if mu == 0 else w_p**3 * math.sqrt(2.0) * sigma / mu**2
     t = t_frac * min(t_q / 2.0, 1e3)
-    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
-        amplitudes._images(ms, LineProfileOnRing(line, theta0, 1.0), t, phi, rel_tol=1e-10)
+    with mock.patch.object(oracle, "_line_quadrature", wraps=_line_quadrature) as spy:
+        oracle._images(ms, LineProfileOnRing(line, theta0, 1.0), t, phi)
     kept = spy.call_args.args[0] if spy.called else []
     sigma_t = spread_at_time(line, ms, t) if mu > 0 else sigma
-    wide = amplitudes._winding_positions(
+    wide = oracle._winding_positions(
         phi, theta0, _spread_windings(phi - theta0, p / w_p, t, sigma_t, ms.r), ms.r)
     dropped = [x for x in wide if x not in kept]
     # the last position is the packet centre, where the peak image sits
@@ -582,10 +603,12 @@ def test_point_out_of_reach_integrates_no_image():
     # at t = 9 the massless packet is at phi = 9 - 2 pi ~ 2.7, 2.4 rad from
     # phi = 0.3: past 14 sigma ~ 1 rad, so no image is integrated at all
     st_ = coherent_state(MS0, COH)
-    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
+    with mock.patch.object(oracle, "_line_quadrature", wraps=_line_quadrature) as spy:
         assert amp_poisson(MS0, 9.0, 0.3, state=st_) == 0.0
-        assert qsymbol(MS0, COH, 9.0, 0.3, method="images") == 0.0
-    assert not spy.called
+        assert not spy.called
+        # the control: the same spy sees the packet's own point
+        assert amp_poisson(MS0, 9.0, 9.0 - 2.0 * math.pi, state=st_) != 0.0
+        assert spy.call_count == 1
     want = _lattice_sum_30_digits(0.0, COH, [9.0, 9.0], [0.3, 9.0 - 2.0 * math.pi])
     assert abs(want[0]) < 1e-12 * abs(want[1])
 
@@ -596,7 +619,7 @@ def test_packet_centre_integrates_one_image(xi, alpha, t):
     # p sigma = 7 (xi 40): the window reaches k = 0, where a massless
     # momentum still moves at speed 1, so the reach stays one winding wide
     cp = CoherentParams(theta=0.0, xi=xi, alpha=alpha)
-    with mock.patch.object(amplitudes, "_line_quadrature", wraps=_line_quadrature) as spy:
+    with mock.patch.object(oracle, "_line_quadrature", wraps=_line_quadrature) as spy:
         amp_poisson(MS0, t, t % (2.0 * math.pi), state=coherent_state(MS0, cp))
     assert [len(call.args[0]) for call in spy.call_args_list] == [1]
 
@@ -624,12 +647,10 @@ def test_images_warn_below_reach_p_sigma(mu):
     t = 2.0
     phi = velocity(ms, cp.xi) * t
     # one warning a call, at the caller's line, however many points
-    for call in (lambda: amp_poisson(ms, t, [phi, phi + 0.1], state=coherent_state(ms, cp)),
-                 lambda: qsymbol(ms, cp, t, [phi, phi + 0.1], method="images")):
-        with pytest.warns(UserWarning, match=r"p\*sigma = 4 ") as record:
-            call()
-        reach = [w for w in record if "p*sigma" in str(w.message)]
-        assert len(reach) == 1 and reach[0].filename == __file__
+    with pytest.warns(UserWarning, match=r"p\*sigma = 4 ") as record:
+        amp_poisson(ms, t, [phi, phi + 0.1], state=coherent_state(ms, cp))
+    reach = [w for w in record if "p*sigma" in str(w.message)]
+    assert len(reach) == 1 and reach[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         amp_poisson(MS0, 9.0, 9.0 - 2.0 * math.pi, state=coherent_state(MS0, COH))

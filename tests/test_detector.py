@@ -14,7 +14,7 @@ from ringtoa import (
     omega,
     wigner_weyl,
 )
-from ringtoa import states
+from ringtoa import lattice
 from ringtoa.detector import _kernel_support, kernel_from_spec
 from ringtoa.modes import rotating_omega
 from ringtoa.errors import DomainError, SupportError, UnphysicalKernelError
@@ -150,7 +150,7 @@ def test_custom_localization_matches_unchunked_formula(monkeypatch, blocks, omeg
     ms = MS
     n = 2 * ms.m_max + 1
     rows = {"one": n, "two": (n + 1) // 2, "rows": 1}[blocks]
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 16 * n * rows)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 16 * n * rows)
     frame = None if omega_d is None else RotationFrame(omega_d=omega_d, modespace=ms)
     dk = _custom_kernel(kappa)
     want = _reference_custom(dk, ms, frame)
@@ -233,7 +233,7 @@ def test_custom_localization_traced_peak_is_the_matrix_and_a_block():
                                   + 0.002 * m_grid[None, :] ** 2, log_values=True)
     L, peak = _traced_peak(lambda: localization_matrix(dk, ms))
     assert L.on_support.all()
-    assert peak <= 1.25 * L.matrix.nbytes + 8 * states._CHUNK_BUDGET
+    assert peak <= 1.25 * L.matrix.nbytes + 8 * lattice._CHUNK_BUDGET
 
 
 def test_rotating_localization_max_family_stays_one():
@@ -582,10 +582,9 @@ def test_is_max_localization_non_contiguous_support():
 @pytest.mark.parametrize("budget", [1, 3, 7, 13, 10**9])
 def test_is_max_localization_one_ulp_below_one(monkeypatch, budget):
     # every supported entry is scanned, at every chunk edge
-    from ringtoa import states
     from ringtoa.detector import LocalizationMatrix
 
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", budget)
     below = np.nextafter(1.0, 0.0)
     for support in ((-4, -3, -1, 2, 3, 5), tuple(range(-5, 6)), (1, 2, 3, 4, 5), (0,), ()):
         ms, sup, mat = _hand_built(support=support)
@@ -622,14 +621,13 @@ def _broadcast_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_broadcast_matrices(), budget=st.sampled_from([1, 4, 10**9]))
 def test_is_max_localization_on_broadcast_matrices(case, budget):
-    from ringtoa import states
     from ringtoa.detector import LocalizationMatrix
 
     ms, mat, sup = case
-    saved = states._CHUNK_BUDGET
-    states._CHUNK_BUDGET = budget
+    saved = lattice._CHUNK_BUDGET
+    lattice._CHUNK_BUDGET = budget
     try:
         L = LocalizationMatrix(ms, mat, sup)
         assert L.is_max_localization == _flag_reference(L)
     finally:
-        states._CHUNK_BUDGET = saved
+        lattice._CHUNK_BUDGET = saved

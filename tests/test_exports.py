@@ -42,6 +42,49 @@ def test_cli_imports_no_private_name():
     assert not private
 
 
+def _package_imports(name: str) -> set[str]:
+    """The package modules that ringtoa/<name>.py imports from, relative or absolute."""
+    tree = ast.parse((Path(ringtoa.__file__).parent / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ringtoa."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ringtoa.")}
+    return out
+
+
+@pytest.mark.parametrize("name, allowed", [("lattice", {"errors"}),
+                                           ("oracle", {"errors", "lattice"})])
+def test_evaluator_modules_import_only_below_them(name, allowed):
+    # the two evaluators of every amplitude share nothing but these
+    assert _package_imports(name) <= allowed
+
+
+def test_probability_imports_nothing_from_the_oracle():
+    assert "oracle" not in _package_imports("probability")
+
+
+# chunk budgets and quadrature constants, each bound in its home module only,
+# so a test that patches one anywhere else fails instead of patching nothing
+HOMES = {
+    "lattice": ("_CHUNK_BUDGET", "_BLOCK", "_MIN_UNIFORM", "_UNIFORM_ULPS", "_UNIT_ROUNDOFF",
+                "REALITY_TOL"),
+    "oracle": ("_NODE_BUDGET", "_PANEL_PHASE", "_MIN_PANELS", "_GRADE_RATIO", "_GRADE_LEVELS",
+               "_GL_NODES", "_GL_WEIGHTS", "_TWO_PI_LO", "_REACH_SIGMAS", "_REACH_P_SIGMA"),
+}
+
+
+@pytest.mark.parametrize("home", sorted(HOMES))
+def test_constants_are_bound_only_in_their_home(home):
+    where = {name: [n for n in HOMES[home]
+                    if hasattr(importlib.import_module(f"ringtoa.{name}"), n)]
+             for name in MODULES}
+    assert where == {name: list(HOMES[home]) if name == home else [] for name in MODULES}
+
+
 SOURCES = sorted(Path(ringtoa.__file__).parent.glob("*.py")) + sorted(
     Path(__file__).parent.glob("*.py"))
 

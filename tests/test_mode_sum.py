@@ -25,7 +25,7 @@ from ringtoa import (
     symmetric_superposition,
     timescales,
 )
-from ringtoa import amplitudes, states
+from ringtoa import amplitudes, emit, lattice
 from ringtoa.modes import omega, rotating_omega
 from ringtoa.probability import _k_norm
 
@@ -35,7 +35,7 @@ U = 2.0**-53
 
 def dense():
     """Force every grid onto the dense reference path."""
-    return mock.patch.object(amplitudes, "_MIN_UNIFORM", 10**9)
+    return mock.patch.object(lattice, "_MIN_UNIFORM", 10**9)
 
 
 def phase_bound(coeffs, freq, m, t, phi):
@@ -45,7 +45,7 @@ def phase_bound(coeffs, freq, m, t, phi):
     _UNIFORM_ULPS ulps of the grid's largest value; a few ulps of sum|c| per
     active mode cover the roundoff of the exps and of the two summations.
     """
-    ulps = amplitudes._UNIFORM_ULPS * EPS
+    ulps = lattice._UNIFORM_ULPS * EPS
     tol_t, tol_phi = ulps * np.max(np.abs(t)), ulps * np.max(np.abs(phi))
     active = np.abs(coeffs) > 0
     delta = 2.0 * (np.max(np.abs(freq[active])) * tol_t
@@ -99,8 +99,8 @@ def test_structured_matches_dense(massless, mu, r, m_max, omega_d_r, rotating, a
     coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
     # a budget of half the step table splits the modes in two chunks and puts
     # a chunk boundary every 64 blocks (4096 points)
-    budget = (np.count_nonzero(coeffs) + 1) // 2 * amplitudes._BLOCK if min_budget else None
-    with mock.patch.object(states, "_CHUNK_BUDGET", budget or states._CHUNK_BUDGET):
+    budget = (np.count_nonzero(coeffs) + 1) // 2 * lattice._BLOCK if min_budget else None
+    with mock.patch.object(lattice, "_CHUNK_BUDGET", budget or lattice._CHUNK_BUDGET):
         got = evaluate()
     with dense():
         want = evaluate()
@@ -112,12 +112,12 @@ def test_structured_path_is_taken_on_uniform_grids():
     ms = ModeSpace(mu=3.0, r=1.0, m_max=40)
     psi = from_modes(ms, {5: 1.0, -7: 0.5j, 12: 0.3})
     t = np.linspace(2.0, 9.0, 500)
-    with mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as spy:
+    with mock.patch.object(lattice, "_blocked_sum", wraps=lattice._blocked_sum) as spy:
         amp_state(psi, ms, t, 0.4)
         amp_state(psi, ms, 3.0, np.linspace(0.0, 6.0, 500))
         amp_state(psi, ms, t, np.linspace(0.0, 6.0, 500))
         assert spy.call_count == 3
-        amp_state(psi, ms, t[:amplitudes._MIN_UNIFORM - 1], 0.4)  # too short
+        amp_state(psi, ms, t[:lattice._MIN_UNIFORM - 1], 0.4)  # too short
         amp_state(psi, ms, np.sort(np.random.default_rng(1).uniform(2, 9, 500)), 0.4)
         amp_state(psi, ms, t[:, None], np.linspace(0.0, 6.0, 4)[None, :])  # 2-D mesh
         assert spy.call_count == 3
@@ -132,10 +132,10 @@ def test_structured_path_takes_more_modes_than_one_step_table_chunk():
     psi = RingState(ms, coeffs=c / np.linalg.norm(c))
     m = ms.modes()
     coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
-    assert np.count_nonzero(amplitudes._significant(np.abs(coeffs))) * amplitudes._BLOCK \
-        > states._CHUNK_BUDGET
+    assert np.count_nonzero(lattice._significant(np.abs(coeffs))) * lattice._BLOCK \
+        > lattice._CHUNK_BUDGET
     t = np.linspace(2.0, 9.0, 300)
-    with mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as spy:
+    with mock.patch.object(lattice, "_blocked_sum", wraps=lattice._blocked_sum) as spy:
         got = amp_state(psi, ms, t, 0.4)
     assert spy.call_count == 1
     with dense():
@@ -160,7 +160,7 @@ def test_phases_is_the_elementwise_formula(modes, points, m_scale, w_scale, t_sc
     w = rng.uniform(0.0, w_scale, modes)
     t, phi = rng.uniform(-t_scale, t_scale, points), rng.uniform(-7.0, 7.0, points)
     want = np.exp(1j * (m[:, None] * phi[None, :] - w[:, None] * t[None, :]))
-    got = amplitudes._phases(m, w, t, phi)
+    got = lattice._phases(m, w, t, phi)
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -176,7 +176,7 @@ def test_perturbed_grid_takes_dense_path_bit_for_bit():
 
 
 def test_arithmetic_step():
-    step = amplitudes._arithmetic_step
+    step = lattice._arithmetic_step
     assert step(np.linspace(40.0, 60.0, 2001)) == 0.01
     assert step(np.full(300, 2.5)) == 0.0
     assert step(np.arange(0.5, 170.0, 0.01)) is not None
@@ -260,9 +260,9 @@ def test_significant_terms_match_the_dense_sum_over_all_terms(
         rng = np.random.default_rng(seed)
         t = np.sort(rng.uniform(t0, t0 + n * dt, n))
         phi = rng.uniform(-7.0, 7.0, n)
-    got = amplitudes._mode_sum(coeffs, m.astype(float), freq, t, phi)
+    got = lattice._mode_sum(coeffs, m.astype(float), freq, t, phi)
     nz = coeffs != 0
-    want = amplitudes._dense_sum(coeffs[nz], m[nz].astype(float), freq[nz], t, phi)
+    want = lattice._dense_sum(coeffs[nz], m[nz].astype(float), freq[nz], t, phi)
     bound = U * float(np.sum(np.abs(coeffs))) + phase_bound(coeffs, freq, m, t, phi)
     assert np.max(np.abs(got - want)) <= bound
 
@@ -277,15 +277,15 @@ def test_significant_drops_under_one_unit_roundoff_and_keeps_no_zero(mag, decay)
     # arbitrary magnitudes, and a Gaussian whose tail underflows
     gauss = np.exp(-((np.arange(-200, 201) / decay) ** 2))
     for x in (mag, gauss, np.concatenate([gauss, mag])):
-        keep = amplitudes._significant(x)
+        keep = lattice._significant(x)
         assert keep.dtype == bool and keep.shape == x.shape
         assert not np.any(keep & (x == 0))
         total = float(np.sum(x))
         dropped = float(np.sum(x[~keep]))
         assert dropped == 0.0 or dropped < U * total
         assert np.any(keep) == (total > 0.0)
-    assert not np.any(amplitudes._significant(np.zeros(7)))
-    assert amplitudes._significant(np.zeros(0)).size == 0
+    assert not np.any(lattice._significant(np.zeros(7)))
+    assert lattice._significant(np.zeros(0)).size == 0
 
 
 def test_probcoh_state_sums_179_of_its_771_modes():
@@ -296,8 +296,8 @@ def test_probcoh_state_sums_179_of_its_771_modes():
     assert np.count_nonzero(psi.coeffs) == 771
     phi = math.pi - np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     scattered = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 300)
-    with mock.patch.object(amplitudes, "_dense_sum", wraps=amplitudes._dense_sum) as dense_spy, \
-            mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as period_spy:
+    with mock.patch.object(lattice, "_dense_sum", wraps=lattice._dense_sum) as dense_spy, \
+            mock.patch.object(lattice, "_period_sum", wraps=lattice._period_sum) as period_spy:
         amp_state(psi, ms, 5.0, phi)
         amp_state(psi, ms, 5.0, scattered)
     assert period_spy.call_count == dense_spy.call_count == 1
@@ -330,8 +330,8 @@ def test_period_sum_matches_dense(mu, r, m_max, n_modes, n, forward, phi0, t, se
     dp = (1.0 if forward else -1.0) * 2.0 * math.pi / n
     phi = phi0 + np.arange(n) * dp
     tf = np.full(n, t)
-    got = amplitudes._period_sum(c, m, freq, tf, phi, dp)
-    want = amplitudes._dense_sum(c, m, freq, tf, phi)
+    got = lattice._period_sum(c, m, freq, tf, phi, dp)
+    want = lattice._dense_sum(c, m, freq, tf, phi)
     assert np.max(np.abs(got - want)) <= phase_bound(c, freq, m, tf, phi)
 
 
@@ -341,8 +341,8 @@ def test_period_path_needs_one_time_and_one_full_period():
     n = 4096
     full = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     off = np.arange(n) * (2.0 * math.pi * (1.0 + 1e-9) / n)
-    with mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as period, \
-            mock.patch.object(amplitudes, "_blocked_sum", wraps=amplitudes._blocked_sum) as blocked:
+    with mock.patch.object(lattice, "_period_sum", wraps=lattice._period_sum) as period, \
+            mock.patch.object(lattice, "_blocked_sum", wraps=lattice._blocked_sum) as blocked:
         amp_state(psi, ms, 3.0, full)
         amp_state(psi, ms, -3.0, 1.0 - full)
         amp_state(psi, ms, 3.0, full[:200] * (n / 200))  # a full period of 200 angles
@@ -389,15 +389,15 @@ def test_probcoh_period_panels_against_30_digit_sums():
     phi = math.pi - np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     m = ms.modes()
     coeffs = psi.coeffs * np.sqrt(np.abs(amplitudes._velocities(ms, m)))
-    active = amplitudes._significant(np.abs(coeffs))
+    active = lattice._significant(np.abs(coeffs))
     ca, ma, wa = coeffs[active], m[active].astype(float), omega(ms, m[active])
     rng = np.random.default_rng(7)
     for t in (0.07 * scales.t_quantum, 10.0 * scales.t_quantum, 0.98 * scales.t_recurrence):
         tf = np.full(phi.size, t)
-        with mock.patch.object(amplitudes, "_period_sum", wraps=amplitudes._period_sum) as spy:
+        with mock.patch.object(lattice, "_period_sum", wraps=lattice._period_sum) as spy:
             got = amp_state(psi, ms, t, phi)
         assert spy.call_count == 1
-        blocked = amplitudes._blocked_sum(ca, ma, wa, tf, phi, 0.0, amplitudes._arithmetic_step(phi))
+        blocked = lattice._blocked_sum(ca, ma, wa, tf, phi, 0.0, lattice._arithmetic_step(phi))
         peak = int(np.argmax(np.abs(got)))
         idx = np.unique(np.concatenate([np.arange(peak - 20, peak + 20) % phi.size,
                                         rng.integers(0, phi.size, 40)]))
@@ -405,7 +405,7 @@ def test_probcoh_period_panels_against_30_digit_sums():
         scale = float(np.max(np.abs(ref)))
         err, err_blocked = (float(np.max(np.abs(x[idx] - ref))) / scale for x in (got, blocked))
         assert err <= phase_bound(coeffs, omega(ms, m), m, tf, phi) / scale
-        own = 2.0 * np.max(np.abs(ma)) * amplitudes._grid_tol(phi) * np.sum(np.abs(ca)) / scale
+        own = 2.0 * np.max(np.abs(ma)) * lattice._grid_tol(phi) * np.sum(np.abs(ca)) / scale
         assert err <= max(err_blocked, own)
 
 
@@ -425,7 +425,7 @@ def test_mixed_gaussian_double_sum_within_two_unit_roundoffs():
     kernel = state.rho * det.matrix * np.outer(w, w)
     rows = np.abs(kernel).sum(axis=1)
     nz = rows > 0
-    assert np.count_nonzero(amplitudes._significant(rows)) < np.count_nonzero(nz)
+    assert np.count_nonzero(lattice._significant(rows)) < np.count_nonzero(nz)
     kernel = kernel[np.ix_(nz, nz)]
     u = np.exp(1j * (m[nz, None] * phi[None, :] - omega(ms, m[nz])[:, None] * t[None, :]))
     want = _k_norm(ms) * np.einsum("mp,mn,np->p", u, kernel, u.conj()).real
@@ -437,10 +437,8 @@ def test_mixed_gaussian_double_sum_within_two_unit_roundoffs():
 
 
 def test_one_budget_reaches_every_chunked_loop(monkeypatch):
-    # patching states._CHUNK_BUDGET once splits the work of each budget user
+    # patching lattice._CHUNK_BUDGET once splits the work of each budget user
     # into several chunks, and each result agrees with the default budget's
-    from ringtoa import detector
-
     ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
     psi = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7})
     rho = 0.6 * psi.density_matrix() + 0.4 * from_modes(ms, {5: 1.0, -2: 1.0}).density_matrix()
@@ -459,11 +457,12 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
                 pc_density(RingState(ms, rho=rho), localization_matrix(
                     DetectorKernel.max_localization(), ms), *scattered),
                 RingState(ms, rho=rho).occupied(), chiral.is_max_localization,
-                localization_matrix(custom, ms).matrix)
+                localization_matrix(custom, ms).matrix,
+                emit._float_cells(np.linspace(0.1, 0.9, 40)))
 
     want = run()
     chunks = {}
-    real = states._chunks
+    real = lattice._chunks
 
     def spy(n, width, budget=None):
         out = real(n, width, budget)
@@ -471,14 +470,19 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
         chunks.setdefault(caller, []).append(len(out))
         return out
 
-    for mod in (states, amplitudes, detector):
+    # every module that binds the chunk rule, found by identity
+    users_of = [mod for name, mod in sys.modules.items()
+                if name.startswith("ringtoa.") and getattr(mod, "_chunks", None) is real]
+    assert {"ringtoa.states", "ringtoa.detector", "ringtoa.oracle", "ringtoa.emit"} \
+        <= {mod.__name__ for mod in users_of}
+    for mod in users_of:
         monkeypatch.setattr(mod, "_chunks", spy)
     # one mode, row or point a chunk in every loop but the block heads'
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 16)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 16)
     got = run()
     # "fill" is the double sum's grid fill
     users = ("_dense_sum", "_blocked_sum", "fill", "__post_init__", "occupied",
-             "is_max_localization", "localization_matrix")
+             "is_max_localization", "localization_matrix", "_float_cells")
     assert {user: min(chunks.get(user, [1])) > 1 for user in users} == dict.fromkeys(users, True)
 
     m = ms.modes()
@@ -488,4 +492,4 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
         assert np.max(np.abs(a - b)) <= phase_bound(coeffs, omega(ms, m), m, t, phi)
     np.testing.assert_allclose(got[2], want[2], rtol=1e-13, atol=0)
     assert np.array_equal(got[3], want[3]) and got[4] is want[4] is True
-    assert np.array_equal(got[5], want[5])
+    assert np.array_equal(got[5], want[5]) and np.array_equal(got[6], want[6])

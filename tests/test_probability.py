@@ -23,7 +23,8 @@ from ringtoa import (
     velocity,
 )
 from ringtoa.modes import omega
-from ringtoa.probability import pgamma_validation
+from ringtoa import oracle
+from ringtoa.probability import _k_norm, pgamma_validation
 from ringtoa.errors import DomainError, SeriesError
 
 
@@ -110,7 +111,7 @@ def test_pc_density_general_localization_damps_interference():
 
 def test_pc_density_general_sum_chunks_over_points(monkeypatch):
     # the double sum holds at most _CHUNK_BUDGET active modes x points at once
-    from ringtoa import states
+    from ringtoa import lattice
 
     ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
     st = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7, 13: 0.2})
@@ -120,7 +121,7 @@ def test_pc_density_general_sum_chunks_over_points(monkeypatch):
     t = np.linspace(0.0, 20.0, 301)
     phi = np.linspace(-1.0, 2.0, 301)
     whole = pc_density(mixed, det, t, phi)
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 6 * 40)  # 6 active modes: 40 points a chunk
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 6 * 40)  # 6 active modes: 40 points a chunk
     np.testing.assert_allclose(pc_density(mixed, det, t, phi), whole, rtol=1e-13, atol=0)
 
 
@@ -236,7 +237,6 @@ def _full_kernel_sum(state, det, t, phi):
     """The general double sum as it was first written: the full n x n kernel, pruned."""
     from ringtoa.amplitudes import _velocities
     from ringtoa.modes import omega
-    from ringtoa.probability import _k_norm
 
     ms = state.modespace
     m = ms.modes()
@@ -308,7 +308,11 @@ def test_qsymbol_image_method_agrees_semiclassically():
     theta = (v * t) % (2.0 * math.pi)
     offs = np.array([-0.1, -0.03, 0.0, 0.03, 0.1])
     exact = qsymbol(ms, COH, np.full_like(offs, t), theta + offs)
-    images = qsymbol(ms, COH, np.full_like(offs, t), theta + offs, method="images")
+    # K sum_n |pref B_n|^2 over the packet's winding images, no interference
+    packet = coherent_state(ms, COH).packet
+    images = _k_norm(ms) * np.array([
+        np.sum(np.abs(packet.pref * oracle._images(ms, packet, t, phi)) ** 2)
+        for phi in theta + offs])
     assert np.max(np.abs(images / exact - 1.0)) < 0.01
 
 

@@ -20,7 +20,7 @@ from ringtoa import (
     spread_at_time,
     symmetric_superposition,
 )
-from ringtoa import states
+from ringtoa import lattice, states
 from ringtoa.states import state_from_spec
 from ringtoa.errors import CutoffError, DomainError, StateError
 
@@ -84,6 +84,14 @@ def test_coherent_params_reject_non_finite_alpha_and_theta(name, value):
     # a NaN alpha passed every comparison, and an infinite theta gave NaN phases
     with pytest.raises(DomainError, match=f"{name}="):
         CoherentParams(**{"theta": 0.0, "xi": 20.0, "alpha": 4.0, name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["p", "sigma"])
+def test_line_state_rejects_non_finite_p_and_sigma(name, value):
+    # both constructed, and line_to_ring then met a RuntimeWarning
+    with pytest.raises(DomainError, match=f"{name}="):
+        LineState(**{"p": 20.0, "sigma": 1.0, name: value})
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,7 +476,7 @@ def test_ring_state_occupied_blocks_miss_no_entry(monkeypatch, rows):
     # one tiny entry at every position, so at every block boundary
     ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
     n = 9
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * n * rows)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 2 * n * rows)
     for i in range(n):
         for j in range(n):
             rho = np.zeros((n, n), dtype=complex)
@@ -491,7 +499,7 @@ def test_ring_state_hermiticity_blocks_miss_no_entry(monkeypatch, rows):
     # one asymmetric entry at every position, so at every block boundary
     ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
     n = 9
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * n * rows)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 2 * n * rows)
     rho = np.eye(n, dtype=complex) / n
     assert not _not_hermitian(ms, rho)
     for i in range(n):
@@ -524,9 +532,9 @@ def test_ring_state_hermiticity_is_allclose(i, j, size, rows):
     rho = np.full((n, n), 0.01, dtype=complex) + 0.1 * np.eye(n)
     rho[i, j] += size
     want = not np.allclose(rho, rho.conj().T, atol=1e-12)
-    saved = states._CHUNK_BUDGET
-    states._CHUNK_BUDGET = 2 * n * rows
+    saved = lattice._CHUNK_BUDGET
+    lattice._CHUNK_BUDGET = 2 * n * rows
     try:
         assert _not_hermitian(ms, rho) == want
     finally:
-        states._CHUNK_BUDGET = saved
+        lattice._CHUNK_BUDGET = saved
