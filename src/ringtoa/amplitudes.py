@@ -47,8 +47,6 @@ def quad(*args, **kwargs):
 def _pointwise(t, phi, at):
     """at(t_i, phi_i) at each point of the broadcast (t, phi) grid, all of them finite."""
     def fill(tf, pf):
-        if not (np.isfinite(tf).all() and np.isfinite(pf).all()):
-            raise DomainError("evaluation points must be finite")
         return np.array([at(ti, pi_) for ti, pi_ in zip(tf, pf)], dtype=complex)
 
     return _on_grid(t, phi, fill)

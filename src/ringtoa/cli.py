@@ -81,7 +81,8 @@ _PACKET = {"params.m_max": ("int", "> 0", _Derived("ceil(abs(xi) + 12 alpha)")),
            "params.xi": ("float", "", _REQUIRED), "params.alpha": ("float", "> 0", _REQUIRED)}
 _MOVING = {"params.xi": ("float", "!= 0", _REQUIRED)}  # a tick needs a moving packet
 _FORWARD = {"params.xi": ("float", "> 0", _REQUIRED)}  # Poisson images need p > 0
-_THETA_PHI = {"params.theta": ("float", "", 0.0), "params.phi": ("float", "", math.pi)}
+_PHI = {"params.phi": ("float", "", math.pi)}  # qsymbol scans theta itself
+_THETA_PHI = {"params.theta": ("float", "", 0.0)} | _PHI
 _T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", _REQUIRED)}
 _PAIR = {"params.kind": (("product", "symmetrized"), "", "symmetrized"),
          "params.state1": ("state", "", _REQUIRED), "params.state2": ("state", "", _REQUIRED)}
@@ -92,7 +93,7 @@ _SCHEMA = {
     | keys | {"output.format": (("csv",), "", "csv"),
               "output.prefix": ("name", "", exp.replace("-", "_"))}
     for exp, keys in {
-        "qsymbol": _PACKET | _MOVING | _THETA_PHI | {
+        "qsymbol": _PACKET | _MOVING | _PHI | {
             "grid.n_theta": ("int", "> 0", 2048), "times": ("list", "", _REQUIRED)},
         "clock": _PACKET | _MOVING | _THETA_PHI | _T_RANGE | {
             "grid.n_t": ("int", "> 0", _Derived("spacing min(tick/40, sigma/(5 v))"))},
@@ -304,14 +305,18 @@ def _times(cfg: dict) -> np.ndarray:
 
 
 def _meta(cfg: dict) -> dict:
-    meta = {k: v for k, v in cfg["params"].items() if not isinstance(v, dict)}
+    """The run's declared params (not state specs) as CSV metadata: a key
+    that validate_config ignores is not recorded either."""
+    table = _SCHEMA[cfg["experiment"]]
+    meta = {k: v for k, v in cfg["params"].items()
+            if f"params.{k}" in table and not isinstance(v, dict)}
     meta["experiment"] = cfg["experiment"]
     return meta
 
 
 def _run_qsymbol(cfg, out_dir: Path):
     ms = _modespace(cfg)
-    cp = _coherent_params(cfg)
+    cp = CoherentParams(0.0, _get(cfg, "params.xi"), _get(cfg, "params.alpha"))
     phi = _get(cfg, "params.phi")
     scales = timescales(ms, cp.xi, cp.alpha)
     theta = np.linspace(0.0, 2.0 * math.pi, _get(cfg, "grid.n_theta"), endpoint=False)
@@ -322,7 +327,7 @@ def _run_qsymbol(cfg, out_dir: Path):
     # gives qsymbol's warning itself
     if cp.alpha < 3.0:
         warn(f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3")
-    state = coherent_state(ms, CoherentParams(0.0, cp.xi, cp.alpha))
+    state = coherent_state(ms, cp)
     det = localization_matrix(DetectorKernel.max_localization(), ms)
     files = []
     for spec in _get(cfg, "times"):

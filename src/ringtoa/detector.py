@@ -75,8 +75,11 @@ class DetectorKernel:
             raise DomainError("need a > 0 and A > 0")
         return cls("ring-exponential", {"A": A, "a": a})
 
-    # log-value floor marking zero/off-support table cells
+    # log-value floor marking zero/off-support table cells, and the log value
+    # at or below which a cell is zero: half a floor contribution still
+    # underflows exp to zero
     _LOG_FLOOR = -1e6
+    _LOG_ZERO = 0.25 * _LOG_FLOOR
 
     @classmethod
     def tabulated(cls, omega_grid, m_grid, values,
@@ -127,8 +130,7 @@ class DetectorKernel:
             out = np.where(m > 0, p["A"] * np.exp(-p["a"] * r * w), 0.0)
         else:
             logs = self.log_raw(w, m)
-            # half a floor contribution still underflows exp to zero
-            out = np.where(logs > 0.25 * self._LOG_FLOOR, np.exp(logs), 0.0)
+            out = np.where(logs > self._LOG_ZERO, np.exp(logs), 0.0)
         return out
 
     def log_raw(self, omega_val, m):
@@ -172,11 +174,17 @@ def kernel_from_spec(spec: dict) -> DetectorKernel:
 
     families: max-localization {A?, gamma0?, gamma1?, chiral?};
     ring-exponential {a, A?}; custom {table: [[omega, m, value], ...]} with
-    the table points forming a rectangular (omega, m) grid.
+    the table listing each point of a rectangular (omega, m) grid once.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise DomainError("kernel spec must be an object with a 'family' field")
     family = spec["family"]
+
+    def need(key):
+        if key not in spec:
+            raise DomainError(f"{family} kernel spec needs a {key!r} field")
+        return spec[key]
+
     if family == "max-localization":
         return DetectorKernel.max_localization(
             A=float(spec.get("A", 1.0)),
@@ -186,22 +194,29 @@ def kernel_from_spec(spec: dict) -> DetectorKernel:
         )
     if family == "ring-exponential":
         return DetectorKernel.ring_exponential(
-            a=float(spec["a"]), A=float(spec.get("A", 1.0))
+            a=float(need("a")), A=float(spec.get("A", 1.0))
         )
     if family == "custom":
-        rows = np.asarray(spec["table"], dtype=float)
+        rows = np.asarray(need("table"), dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise DomainError("custom kernel table must be rows of [omega, m, value]")
         og = np.unique(rows[:, 0])
         mg = np.unique(rows[:, 1])
-        if og.size * mg.size != rows.shape[0]:
-            raise DomainError("custom kernel table must cover a full (omega, m) grid")
+        if (og.size * mg.size != rows.shape[0]
+                or np.unique(rows[:, :2], axis=0).shape[0] != rows.shape[0]):
+            raise DomainError("custom kernel table must cover a full (omega, m) grid, "
+                              "each point once")
         vals = np.zeros((og.size, mg.size))
         oi = np.searchsorted(og, rows[:, 0])
         mi = np.searchsorted(mg, rows[:, 1])
         vals[oi, mi] = rows[:, 2]
         return DetectorKernel.tabulated(og, mg, vals)
     raise DomainError(f"unknown kernel family {family!r}")
+
+
+def _in_cone(w: np.ndarray, m: np.ndarray, r: float) -> np.ndarray:
+    """The static support cone: positive energy, timelike |m|/r <= omega."""
+    return (w >= 0) & (np.abs(m) / r <= w * (1.0 + 1e-12))
 
 
 def kernel_eval(dk: DetectorKernel, omega_val, m, r: float) -> np.ndarray | float:
@@ -212,8 +227,7 @@ def kernel_eval(dk: DetectorKernel, omega_val, m, r: float) -> np.ndarray | floa
     """
     w = np.asarray(omega_val, dtype=float)
     m_arr = np.asarray(m, dtype=float)
-    ok = (w >= 0) & (np.abs(m_arr) / r <= w * (1.0 + 1e-12))
-    out = np.where(ok, dk.raw_value(w, m_arr, r=r), 0.0)
+    out = np.where(_in_cone(w, m_arr, r), dk.raw_value(w, m_arr, r=r), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -260,7 +274,8 @@ class LocalizationMatrix:
     supports and tabulated kernels are dense.  ``is_max_localization`` is
     true when every supported entry equals 1, which enables the factorized
     fast paths: a broadcast answers from its one stored value, any other
-    matrix by a bounded scan on each access.
+    matrix by scanning its supported rows and columns on each access, in row
+    blocks (lattice._chunks) that bound the copy it compares.
     """
 
     modespace: ModeSpace
@@ -270,25 +285,15 @@ class LocalizationMatrix:
 
     @property
     def is_max_localization(self) -> bool:
-        # row chunks (lattice._chunks) of views of the bounding box of the
-        # support; entries off support are masked, not copied out
-        sup = self.on_support
-        idx = np.flatnonzero(sup)
+        idx = np.flatnonzero(self.on_support)
         if not idx.size:
             return False
         if not any(self.matrix.strides):
             # a broadcast of one value, as localization_matrix stores full support
             return bool(self.matrix.flat[0] == 1.0)
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        box, cols = self.matrix[lo:hi, lo:hi], sup[lo:hi]
-        gaps = not cols.all()
-        for rows in _chunks(hi - lo, hi - lo):
-            ok = box[rows] == 1.0
-            if gaps:
-                ok |= ~(cols[rows, None] & cols[None, :])
-            if not ok.all():
-                return False
-        return True
+        # the support's rows and columns, copied out one row block at a time
+        return all((self.matrix[np.ix_(idx[rows], idx)] == 1.0).all()
+                   for rows in _chunks(idx.size, idx.size))
 
     def require_support(self, occupation: np.ndarray):
         """Raise SupportError if occupation > 1e-14 on a mode outside on_support."""
@@ -301,20 +306,6 @@ class LocalizationMatrix:
             )
 
 
-def _kernel_support(dk: DetectorKernel, ms: ModeSpace) -> np.ndarray:
-    """Support mask of an analytic family's localization matrix, in O(n).
-
-    The same mask localization_matrix gives ``on_support``, without the
-    n x n matrix; the tabulated families need the matrix build.
-    """
-    m = ms.modes()
-    if dk.family == "max-localization":
-        return (m > 0) if dk.params["chiral"] else np.ones(m.size, dtype=bool)
-    if dk.family == "ring-exponential":
-        return m > 0
-    raise DomainError(f"support of a {dk.family!r} kernel needs localization_matrix")
-
-
 def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
                         frame: RotationFrame | None = None) -> LocalizationMatrix:
     """Midpoint-ratio localization matrix, static or rotating.
@@ -325,37 +316,40 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     exceeds 1 anywhere on support are rejected as unphysical.
 
     For the analytic families the energy dependence of the ratio cancels in
-    the exponent, so the accepted matrices are exactly the support indicator
-    (maximum localization, statically and in rotation).  On the full lattice
-    (non-chiral max-localization) it is a read-only broadcast of 1.0 that
-    stores one value; ``np.array(L.matrix)`` gives a writable copy.  The tail
-    supports m > 0 (chiral, ring-exponential) are written densely in one
-    pass, with no n x n temporaries.  A tabulated kernel's matrix is built
-    in row blocks (lattice._chunks), each formed from its first row's column
-    on and mirrored: the build holds the matrix and one block's temporaries.
+    the exponent, leaving exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r) on
+    support (ring-exponential: 1), which is 1 for pairs of one sign.  So the
+    accepted matrices are exactly the support indicator (maximum
+    localization, statically and in rotation).  On the full lattice
+    (non-chiral max-localization) the largest ratio, exp(gamma1 m_max / r) at
+    the corner (m_max, -m_max), is checked in O(1), and the matrix is a
+    read-only broadcast of 1.0 that stores one value; ``np.array(L.matrix)``
+    gives a writable copy.  The tail supports m > 0 (chiral,
+    ring-exponential) are written densely, with no n x n temporaries.  A
+    tabulated kernel's matrix is built in row blocks (lattice._chunks), each
+    formed from its first row's column on and mirrored: the build holds the
+    matrix and one block's temporaries.
     """
     m = ms.modes().astype(float)
     if frame is not None and frame.modespace != ms:
         raise DomainError("frame built over a different mode space")
 
     if dk.family in ("max-localization", "ring-exponential"):
-        sup = _kernel_support(dk, ms)
-        _check_upper(_analytic_max(dk, ms))
-        if sup.all():
+        if dk.family == "max-localization" and not dk.params["chiral"]:
+            # the corner's ratio, in the elementwise ratio's float products
+            _check_upper(float(np.exp(-(dk.params["gamma1"] / ms.r) * np.float64(-ms.m_max))))
             # identically 1: one stored value stands for all n^2 entries
             L = np.broadcast_to(np.float64(1.0), (m.size, m.size))
-        else:
-            # the other support is the tail m > 0 of the lattice
-            lo = int(np.argmax(sup))
-            L = np.zeros((m.size, m.size))
-            L[lo:, lo:] = 1.0
+            return LocalizationMatrix(ms, L, np.ones(m.size, dtype=bool), frame=frame)
+        sup = m > 0
+        L = np.zeros((m.size, m.size))
+        L[np.ix_(sup, sup)] = 1.0
         return LocalizationMatrix(ms, L, sup, frame=frame)
 
     energies = omega(ms, m) if frame is None else rotating_omega(frame, m)
     logs = dk.log_raw(energies, m)
-    sup = logs > 0.25 * DetectorKernel._LOG_FLOOR
+    sup = logs > DetectorKernel._LOG_ZERO
     if frame is None:
-        sup &= (energies >= 0) & (np.abs(m) / ms.r <= energies * (1.0 + 1e-12))
+        sup &= _in_cone(energies, m, ms.r)
     n = m.size
     L = np.empty((n, n))
     worst = 0.0
@@ -376,7 +370,7 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
         expo = log_mid - 0.5 * (logs[rows, None] + logs[None, c])
         pair = sup[rows, None] & sup[None, c]
         with np.errstate(over="ignore"):
-            blk = np.where(pair & (expo > 0.25 * DetectorKernel._LOG_FLOOR),
+            blk = np.where(pair & (expo > DetectorKernel._LOG_ZERO),
                            np.exp(np.where(pair, expo, 0.0)), 0.0)
         diag = np.arange(blk.shape[0])
         blk[diag, diag] = np.where(sup[rows], 1.0, 0.0)
@@ -386,20 +380,6 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
         L[c, rows] = blk.T
     _check_upper(worst)
     return LocalizationMatrix(ms, L, sup, frame=frame)
-
-
-def _analytic_max(dk: DetectorKernel, ms: ModeSpace) -> float:
-    """Largest entry of an analytic family's midpoint-ratio matrix, in O(1).
-
-    The ratio is exp(-gamma1 (|m+m'|/2 - (|m|+|m'|)/2)/r) on support
-    (ring-exponential: 1).  Pairs of equal sign give 1; a mixed-sign pair
-    gives exp(gamma1 min(|m|, |m'|)/r), largest at the corner (m_max,
-    -m_max), which only the non-chiral max-localization family supports.
-    """
-    if dk.family == "max-localization" and not dk.params["chiral"]:
-        # the same float products as the elementwise ratio at that corner
-        return float(np.exp(-(dk.params["gamma1"] / ms.r) * np.float64(-ms.m_max)))
-    return 1.0
 
 
 def _check_upper(worst: float):

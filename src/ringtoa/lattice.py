@@ -60,8 +60,13 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _on_grid(t, phi, fill):
-    """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar)."""
+    """fill(t, phi) on the flattened broadcast grid, reshaped back (scalar for scalar).
+
+    Every evaluation point must be finite: DomainError otherwise.
+    """
     t_arr, phi_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(phi, dtype=float))
+    if not (np.isfinite(t_arr).all() and np.isfinite(phi_arr).all()):
+        raise DomainError("evaluation points must be finite")
     out = fill(t_arr.ravel(), phi_arr.ravel())
     if t_arr.shape == ():
         return out[0].item()

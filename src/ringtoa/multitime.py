@@ -152,6 +152,8 @@ def p1_single(tps: TwoParticleState, t, phi, factor: int = 1):
     (K / 2(1+b)) [|A1|^2 + |A2|^2 + 2 Re(<psi1|psi2> A1 A2*)], normalized
     per detection so that ∫ dt P2 marginalizes onto it.
     """
+    if factor not in (1, 2):
+        raise DomainError(f"factor must be 1 or 2, got {factor!r}")
     return _p1(tps, _Amps(tps, t, phi), factor)
 
 

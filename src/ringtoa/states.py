@@ -379,27 +379,33 @@ def state_from_spec(ms: ModeSpace, spec: dict) -> RingState:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise StateError("state spec must be an object with a 'kind' field")
     kind = spec["kind"]
+
+    def need(key):
+        if key not in spec:
+            raise StateError(f"{kind} state spec needs a {key!r} field")
+        return spec[key]
+
     if kind == "coherent":
         cp = CoherentParams(
             theta=float(spec.get("theta", 0.0)),
-            xi=float(spec["xi"]),
-            alpha=float(spec["alpha"]),
+            xi=float(need("xi")),
+            alpha=float(need("alpha")),
         )
         return coherent_state(ms, cp)
     if kind == "gaussian-line":
         ls = LineState(
-            p=float(spec["p"]),
-            sigma=float(spec["sigma"]),
+            p=float(need("p")),
+            sigma=float(need("sigma")),
             family=spec.get("family", "gaussian"),
         )
         return line_to_ring(ms, ls, theta0=float(spec.get("theta0", 0.0)))
     if kind == "mode-list":
         amps = {}
-        for key, val in spec["modes"].items():
+        for key, val in need("modes").items():
             amps[int(key)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
         return from_modes(ms, amps)
     if kind == "symmetric":
-        return symmetric_superposition(ms, state_from_spec(ms, spec["base"]))
+        return symmetric_superposition(ms, state_from_spec(ms, need("base")))
     raise StateError(f"unknown state kind {kind!r}")
 
 

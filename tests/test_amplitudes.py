@@ -175,6 +175,38 @@ def test_saddle_rejects_non_finite_points(t, phi):
         amp_saddle(ModeSpace(mu=40.0, r=1.0, m_max=400), t, phi)
 
 
+def _lattice_evaluators():
+    # each entry point of the mode and double sums, at (t, phi)
+    from ringtoa import DetectorKernel, RingState, localization_matrix
+
+    ms, cp = ModeSpace(mu=1.0, r=1.0, m_max=80), CoherentParams(0.0, 40.0, 3.0)
+    st_ = coherent_state(ms, cp)
+    mixed = RingState(ms, rho=np.outer(st_.coeffs, st_.coeffs.conj()))
+    sym = symmetric_superposition(ms, st_)
+    rf = RotationFrame(omega_d=0.01, modespace=ms)
+    full = localization_matrix(DetectorKernel.max_localization(), ms)
+    tail = localization_matrix(DetectorKernel.ring_exponential(a=1.0), ms)
+    return {
+        "amp_state": lambda t, phi: amp_state(st_, ms, t, phi),
+        "qsymbol": lambda t, phi: probability.qsymbol(ms, cp, t, phi),
+        # it takes no angle: t + phi is non-finite when either is
+        "autocorrelation": lambda t, phi: probability.autocorrelation(st_, np.add(t, phi)),
+        "amp_rotating_split": lambda t, phi: amp_rotating_split(sym, rf, t, phi),
+        "pc_density-pure": lambda t, phi: probability.pc_density(st_, full, t, phi),
+        "pc_density-double-sum": lambda t, phi: probability.pc_density(mixed, tail, t, phi),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lattice_evaluators()))
+@pytest.mark.parametrize("t, phi", NON_FINITE_POINTS)
+def test_lattice_evaluators_reject_non_finite_points(name, t, phi):
+    # a NaN point came back NaN, an infinite one as a bare RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="evaluation points must be finite"):
+            _lattice_evaluators()[name](t, phi)
+
+
 @pytest.mark.parametrize("x, t", [(math.nan, None), (math.inf, 2.0), (1.0, math.nan),
                                   (1.0, -math.inf)])
 def test_gaussian_line_rejects_non_finite_x_and_t(x, t):

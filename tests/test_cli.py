@@ -249,8 +249,8 @@ def _probes():
     # (shipped config, dotted path of the mutated key, value)
     for name in ("fig-probcoh", "fig-steps", "sagnac", "fig-miviolation"):
         yield from ((name, "params.phi", v) for v in NOT_A_NUMBER)
-    for name in ("fig-probcoh", "fig-steps"):
-        yield from ((name, "params.theta", v) for v in NOT_A_NUMBER)
+    # qsymbol (fig-probcoh) scans theta itself and declares no params.theta
+    yield from (("fig-steps", "params.theta", v) for v in NOT_A_NUMBER)
     yield from (("fig-miviolation", "params.t1", v) for v in NOT_A_NUMBER)
     for state in ("state1", "state2"):
         for key in ("xi", "alpha", "theta"):
@@ -425,6 +425,32 @@ def test_qsymbol_run_warns_below_alpha_3_once(tmp_path):
     with pytest.warns(UserWarning, match="Q-symbol regime assumes alpha") as record:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len([w for w in record if "Q-symbol regime" in str(w.message)]) == 1
+
+
+def _header(path: Path) -> list:
+    return [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+
+
+def test_qsymbol_theta_is_ignored_and_not_recorded(tmp_path, capsys):
+    # qsymbol scans theta itself: a params.theta warns and reaches no data file
+    cfg = copy.deepcopy(QSYMBOL_CFG)
+    cfg["params"]["theta"] = 0.4
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, "q.json", cfg)), "--out", str(out)]) == 0
+    assert "warning: params.theta is not a known key: ignored" in capsys.readouterr().out
+    header = _header(out / "qsymbol_t1.0.csv")
+    assert "# xi: 20.0" in header
+    assert not [ln for ln in header if ln.startswith("# theta")]
+
+
+def test_undeclared_params_key_is_not_recorded(tmp_path):
+    cfg = copy.deepcopy(CLOCK_CFG)
+    cfg["params"]["xii"] = 7.0
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, "c.json", cfg)), "--out", str(out)]) == 0
+    header = _header(out / "clock.csv")
+    assert "# xi: 100.0" in header
+    assert not [ln for ln in header if ln.startswith("# xii")]
 
 
 def test_threads_match_one_thread_bytes(tmp_path):

@@ -15,7 +15,7 @@ from ringtoa import (
     wigner_weyl,
 )
 from ringtoa import lattice
-from ringtoa.detector import _kernel_support, kernel_from_spec
+from ringtoa.detector import kernel_from_spec
 from ringtoa.modes import rotating_omega
 from ringtoa.errors import DomainError, SupportError, UnphysicalKernelError
 
@@ -352,6 +352,23 @@ def test_kernel_from_spec_roundtrip():
         kernel_from_spec({"family": "nope"})
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "ring-exponential"}, "'a'"),
+    ({"family": "ring-exponential", "A": 2.0}, "'a'"),
+    ({"family": "custom"}, "'table'"),
+])
+def test_kernel_from_spec_names_a_missing_key(spec, key):
+    with pytest.raises(DomainError, match=key):
+        kernel_from_spec(spec)
+
+
+def test_kernel_from_spec_rejects_repeated_table_points():
+    # (0, 0) twice and (0, 1) missing: as many rows as the 2 x 2 grid has points
+    with pytest.raises(DomainError, match="each point once"):
+        kernel_from_spec({"family": "custom",
+                          "table": [[0, 0, 1], [0, 0, 2], [1, 0, 1], [1, 1, 1]]})
+
+
 def test_kernel_spec_validation():
     with pytest.raises(DomainError):
         DetectorKernel.ring_exponential(a=-1.0)
@@ -365,9 +382,9 @@ def test_kernel_spec_validation():
     DetectorKernel.ring_exponential(a=0.8),
 ], ids=["max", "max-chiral", "ring-exp"])
 def test_kernel_support_is_the_matrix_support(dk):
-    # the O(n) mask equals the matrix build's
+    # the matrix build's mask is the family's support
     L = localization_matrix(dk, MS)
-    np.testing.assert_array_equal(_kernel_support(dk, MS), L.on_support)
+    np.testing.assert_array_equal(_analytic_support(dk, MS), L.on_support)
     occ = np.zeros(2 * MS.m_max + 1)
     occ[MS.m_max - 2] = 1.0  # mode m = -2
     if L.on_support.all():
@@ -380,6 +397,15 @@ def test_kernel_support_is_the_matrix_support(dk):
 # -- analytic families against the elementwise midpoint ratio ---------------
 
 
+def _analytic_support(dk, ms):
+    """Support of an analytic family: m > 0 for the chiral and one-sided
+    kernels, the full lattice otherwise."""
+    m = ms.modes()
+    if dk.family == "ring-exponential" or dk.params["chiral"]:
+        return m > 0
+    return np.ones(m.size, dtype=bool)
+
+
 def _reference_analytic(dk, ms):
     """The midpoint-ratio matrix of an analytic family, entry by entry.
 
@@ -388,7 +414,7 @@ def _reference_analytic(dk, ms):
     returns (L, on_support), or the message of the UnphysicalKernelError.
     """
     m = ms.modes().astype(float)
-    sup = _kernel_support(dk, ms)
+    sup = _analytic_support(dk, ms)
     if dk.family == "max-localization":
         gap = np.abs(0.5 * (m[:, None] + m[None, :])) - 0.5 * (
             np.abs(m)[:, None] + np.abs(m)[None, :]

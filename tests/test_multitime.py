@@ -21,7 +21,7 @@ from ringtoa import (
     violation_scan,
 )
 from ringtoa import multitime
-from ringtoa.errors import StateError
+from ringtoa.errors import DomainError, StateError
 
 
 MS0 = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -64,6 +64,13 @@ def test_product_state_factorization():
         joint = p2_joint(tps, t1, phi1, t2, phi2)
         single = p1_single(tps, t1, phi1, factor=1) * p1_single(tps, t2, phi2, factor=2)
         assert joint == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["product", "symmetrized"])
+@pytest.mark.parametrize("factor", [0, 3, -1, 1.5])
+def test_p1_single_rejects_a_factor_other_than_1_or_2(kind, factor):
+    with pytest.raises(DomainError, match="factor must be 1 or 2"):
+        p1_single(gaussian_pair(kind), 5.0, 0.0, factor=factor)
 
 
 def test_identical_product_saturates_jensen():

@@ -362,6 +362,20 @@ def test_state_from_spec_kinds():
         state_from_spec(ms, {"kind": "nope"})
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "coherent", "alpha": 3.0}, "xi"),
+    ({"kind": "coherent", "xi": 10.0}, "alpha"),
+    ({"kind": "gaussian-line", "sigma": 0.3}, "p"),
+    ({"kind": "gaussian-line", "p": 20.0}, "sigma"),
+    ({"kind": "mode-list"}, "modes"),
+    ({"kind": "symmetric"}, "base"),
+])
+def test_state_from_spec_names_a_missing_key(spec, key):
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=60)
+    with pytest.raises(StateError, match=f"'{key}'"):
+        state_from_spec(ms, spec)
+
+
 def test_ring_state_validation():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=3)
     bad = np.zeros(7, dtype=complex)
