@@ -35,10 +35,12 @@ from .detector import DetectorKernel, localization_matrix
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame, velocity
-from .multitime import TwoParticleState, kolmogorov_check, violation_scan
+from .multitime import PAIR_KINDS, TwoParticleState, kolmogorov_check, violation_scan
 from .probability import NORMALIZATION_TAG, pc_density, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
+    REQUIRED,
+    STATE_SPEC_KEYS,
     CoherentParams,
     coherent_state,
     coherent_tail_mass,
@@ -53,10 +55,11 @@ from .states import (
 # and "int" (a finite JSON number, not a bool; an int also integral),
 # "numbers" (a nonempty list of floats, the range holding for each),
 # "list" (a nonempty list), "name" (a plain file name), "state" (a state
-# spec, _STATE_KEYS), "modes" (a mode-list's {m: amp | [re, im]}) or a
-# tuple of choices.  A default is a value, _REQUIRED, or a _Derived text.
+# spec, whose keys states.STATE_SPEC_KEYS declares in the same form),
+# "modes" (a mode-list's {m: amp | [re, im]}) or a tuple of choices.  A
+# default is a value, _REQUIRED, or a _Derived text.
 
-_REQUIRED = "required"
+_REQUIRED, _STATE_KEYS = REQUIRED, STATE_SPEC_KEYS
 
 
 class _Derived(str):
@@ -67,16 +70,6 @@ class _Derived(str):
 _RANGES = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
            "!= 0": lambda v: v != 0, "in [0, 1)": lambda v: 0 <= v < 1}
 
-_STATE_KEYS = {
-    "coherent": {"xi": ("float", "", _REQUIRED), "alpha": ("float", "> 0", _REQUIRED),
-                 "theta": ("float", "", 0.0)},
-    "gaussian-line": {"p": ("float", "", _REQUIRED), "sigma": ("float", "> 0", _REQUIRED),
-                      "family": (("gaussian", "gaussian-times-x"), "", "gaussian"),
-                      "theta0": ("float", "", 0.0)},
-    "mode-list": {"modes": ("modes", "", _REQUIRED)},
-    "symmetric": {"base": ("state", "", _REQUIRED)},
-}
-
 _PACKET = {"params.m_max": ("int", "> 0", _Derived("ceil(abs(xi) + 12 alpha)")),
            "params.xi": ("float", "", _REQUIRED), "params.alpha": ("float", "> 0", _REQUIRED)}
 _MOVING = {"params.xi": ("float", "!= 0", _REQUIRED)}  # a tick needs a moving packet
@@ -84,7 +77,7 @@ _FORWARD = {"params.xi": ("float", "> 0", _REQUIRED)}  # Poisson images need p >
 _PHI = {"params.phi": ("float", "", math.pi)}  # qsymbol scans theta itself
 _THETA_PHI = {"params.theta": ("float", "", 0.0)} | _PHI
 _T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", _REQUIRED)}
-_PAIR = {"params.kind": (("product", "symmetrized"), "", "symmetrized"),
+_PAIR = {"params.kind": (PAIR_KINDS, "", "symmetrized"),
          "params.state1": ("state", "", _REQUIRED), "params.state2": ("state", "", _REQUIRED)}
 
 _SCHEMA = {
@@ -450,11 +443,11 @@ def _run_mi_scan(cfg, out_dir: Path):
         "t2": t,
         "p2": report.p2_diag,
         "margin_j": report.margin_j,
-        "violated_j": report.violated_j.astype(int),
+        "violated_j": report.violated_j,
     }
     if report.margin_cs is not None:
         cols["margin_cs"] = report.margin_cs
-        cols["violated_cs"] = report.violated_cs.astype(int)
+        cols["violated_cs"] = report.violated_cs
     path = write_csv(out_dir / f"{cfg['output']['prefix']}.csv", cols,
                      _meta(cfg) | {"b": tps.b, "lambda": tps.lam})
     return {"outputs": [path],
@@ -559,28 +552,22 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         extras = RUNNERS[cfg["experiment"]](cfg, out_dir)
+        wall = time.perf_counter() - started
+        outputs = [Path(f) for f in extras.pop("outputs")]
+        if args.gnuplot_stub:
+            outputs.append(_emit_gnuplot_stub(out_dir, cfg["output"]["prefix"], outputs))
+        manifest_path = write_json(out_dir / "run_manifest.json", {
+            "experiment": cfg["experiment"],
+            "config": cfg,
+            "package_version": __version__,
+            "normalization": NORMALIZATION_TAG,
+            "outputs": [p.name for p in outputs],
+            "extras": extras,
+            "wall_time_s": wall,
+        })
     except (RingToAError, ValueError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 4
-    wall = time.perf_counter() - started
-
-    outputs = [Path(f) for f in extras.pop("outputs")]
-    if args.gnuplot_stub:
-        outputs.append(_emit_gnuplot_stub(out_dir, cfg["output"]["prefix"], outputs))
-    manifest = {
-        "experiment": cfg["experiment"],
-        "config": cfg,
-        "package_version": __version__,
-        "normalization": NORMALIZATION_TAG,
-        "outputs": [p.name for p in outputs],
-        "extras": extras,
-        "wall_time_s": wall,
-    }
-    try:
-        manifest_path = write_json(out_dir / "run_manifest.json", manifest)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4

@@ -169,49 +169,68 @@ def _lerp(lo, hi, y):
     return lo * (1.0 - y) + hi * y
 
 
+def _from_rows(table: np.ndarray) -> DetectorKernel:
+    """A tabulated kernel from rows [omega, m, value] that list each point of
+    a rectangular (omega, m) grid once."""
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise DomainError("custom kernel table must be rows of [omega, m, value]")
+    og = np.unique(table[:, 0])
+    mg = np.unique(table[:, 1])
+    if (og.size * mg.size != table.shape[0]
+            or np.unique(table[:, :2], axis=0).shape[0] != table.shape[0]):
+        raise DomainError("custom kernel table must cover a full (omega, m) grid, "
+                          "each point once")
+    vals = np.zeros((og.size, mg.size))
+    vals[np.searchsorted(og, table[:, 0]), np.searchsorted(mg, table[:, 1])] = table[:, 2]
+    return DetectorKernel.tabulated(og, mg, vals)
+
+
+def _flag(val) -> bool:
+    """A JSON bool as is; bool() would read the string "false" as True."""
+    if not isinstance(val, (bool, np.bool_)):
+        raise TypeError(f"{val!r} is not a bool")
+    return bool(val)
+
+
+# a kernel spec's fields per family: (builder, {key: cast}, required keys);
+# an absent key takes the builder's own default
+_KERNEL_SPECS = {
+    "max-localization": (DetectorKernel.max_localization, {
+        "A": float, "gamma0": float, "gamma1": float, "chiral": _flag}, ()),
+    "ring-exponential": (DetectorKernel.ring_exponential, {"a": float, "A": float}, ("a",)),
+    "custom": (_from_rows, {"table": lambda v: np.asarray(v, dtype=float)}, ("table",)),
+}
+
+
 def kernel_from_spec(spec: dict) -> DetectorKernel:
     """Build a kernel from the JSON schema {family: ..., ...params}.
 
-    families: max-localization {A?, gamma0?, gamma1?, chiral?};
-    ring-exponential {a, A?}; custom {table: [[omega, m, value], ...]} with
-    the table listing each point of a rectangular (omega, m) grid once.
+    families (_KERNEL_SPECS): max-localization {A?, gamma0?, gamma1?,
+    chiral?}; ring-exponential {a, A?}; custom {table: [[omega, m, value],
+    ...]} with the table listing each point of a rectangular (omega, m) grid
+    once.  An absent optional key takes the constructor's default.  A key the
+    family does not declare, a missing key or a malformed value raises
+    DomainError naming it.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise DomainError("kernel spec must be an object with a 'family' field")
     family = spec["family"]
-
-    def need(key):
+    if family not in list(_KERNEL_SPECS):  # a JSON family may be an unhashable list
+        raise DomainError(f"unknown kernel family {family!r}")
+    build, casts, required = _KERNEL_SPECS[family]
+    for key in spec:
+        if key != "family" and key not in casts:
+            raise DomainError(f"{family} kernel spec has no {key!r} field")
+    for key in required:
         if key not in spec:
             raise DomainError(f"{family} kernel spec needs a {key!r} field")
-        return spec[key]
-
-    if family == "max-localization":
-        return DetectorKernel.max_localization(
-            A=float(spec.get("A", 1.0)),
-            gamma0=float(spec.get("gamma0", 0.0)),
-            gamma1=float(spec.get("gamma1", 0.0)),
-            chiral=bool(spec.get("chiral", False)),
-        )
-    if family == "ring-exponential":
-        return DetectorKernel.ring_exponential(
-            a=float(need("a")), A=float(spec.get("A", 1.0))
-        )
-    if family == "custom":
-        rows = np.asarray(need("table"), dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise DomainError("custom kernel table must be rows of [omega, m, value]")
-        og = np.unique(rows[:, 0])
-        mg = np.unique(rows[:, 1])
-        if (og.size * mg.size != rows.shape[0]
-                or np.unique(rows[:, :2], axis=0).shape[0] != rows.shape[0]):
-            raise DomainError("custom kernel table must cover a full (omega, m) grid, "
-                              "each point once")
-        vals = np.zeros((og.size, mg.size))
-        oi = np.searchsorted(og, rows[:, 0])
-        mi = np.searchsorted(mg, rows[:, 1])
-        vals[oi, mi] = rows[:, 2]
-        return DetectorKernel.tabulated(og, mg, vals)
-    raise DomainError(f"unknown kernel family {family!r}")
+    args = {}
+    for key in [key for key in casts if key in spec]:
+        try:
+            args[key] = casts[key](spec[key])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{family} kernel spec: bad {key!r} field: {exc}") from None
+    return build(**args)
 
 
 def _in_cone(w: np.ndarray, m: np.ndarray, r: float) -> np.ndarray:

@@ -9,10 +9,11 @@ manifest additionally records wall time, which is the single volatile field.
 
 Formatting is the cost of writing, so it runs in numpy, and each distinct
 column is formatted once.  A column's cells are an (n, w) uint8 array padded
-with NULs (_cells); _float_cells makes repr's bytes without a per-cell str,
-and a file's rows are joined as one buffer whose NULs are dropped.  A float
-column whose values are all bitwise equal costs one repr (so -0.0 and 0.0
-are never merged).  A column whose dtype and bytes (floats as float64) equal
+with NULs (_cells); _float_cells makes repr's bytes without a per-cell str
+(a column under _SHORT_COLUMN cells takes repr itself), and a file's rows
+are joined as one buffer whose NULs are dropped.  A float column whose
+values are all bitwise equal costs one repr (so -0.0 and 0.0 are never
+merged).  A column whose dtype and bytes (floats as float64) equal
 those of an earlier column, in the same write_csv call or the one before it,
 reuses that column's cells.  Only the previous call's cells are kept, keyed
 by the exact bytes, not a hash alone, so a column changed in place is
@@ -71,6 +72,10 @@ _MINUS, _DOT, _ZERO, _E, _PLUS, _NUL = range(24, 30)
 _CONSTANTS = np.frombuffer(b"-.0e+\0\0\0", dtype=np.uint32)
 _POW10 = 10 ** np.arange(18)
 _FORMS = 24  # point -3..16 in fixed notation, then e-xx, e-xxx, e+xx, e+xxx
+# a float column of fewer cells costs less as one repr a cell than as
+# _float_cells, whose fixed cost is about 150 numpy calls (0.1-0.3 ms); the two
+# crossed at 200-250 cells on a 2-core Xeon
+_SHORT_COLUMN = 200
 
 
 @functools.cache
@@ -238,6 +243,8 @@ def _cells(a: np.ndarray) -> np.ndarray:
     if bits.size and (bits == bits[0]).all():
         cell = _text_cells([format_float(a[0])])
         return np.broadcast_to(cell, (a.size, cell.shape[1]))
+    if a.size < _SHORT_COLUMN:
+        return _text_cells(list(map(format_float, a.tolist())))
     return _float_cells(a)
 
 

@@ -53,10 +53,12 @@ __all__ = [
     "violation_scan",
     "jensen_interval",
     "CS_INTERVAL",
+    "PAIR_KINDS",
 ]
 
 # violation_scan's margin tolerance, relative to the scan-wide density scale
 VIOLATION_TOL = 1e-12
+PAIR_KINDS = ("product", "symmetrized")
 
 
 def jensen_interval(lam: float) -> tuple[float, float]:
@@ -86,7 +88,7 @@ class TwoParticleState:
     psi2: RingState
 
     def __post_init__(self):
-        if self.kind not in ("product", "symmetrized"):
+        if self.kind not in PAIR_KINDS:
             raise StateError(f"unknown two-particle kind {self.kind!r}")
         if not (self.psi1.is_pure and self.psi2.is_pure):
             raise StateError("two-particle construction needs pure factors")

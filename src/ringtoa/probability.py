@@ -234,6 +234,8 @@ def pgamma_validation(state: RingState, dk: DetectorKernel, ms: ModeSpace,
     """
     if gamma <= 0:
         raise DomainError("regulator width must be positive")
+    if state.modespace != ms:
+        raise StateError("state lives on a different mode space")
     rho = state.density_matrix()
     m = ms.modes()
     keep = state.occupation() > 1e-16

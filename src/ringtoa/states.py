@@ -35,6 +35,7 @@ __all__ = [
     "post_select",
     "symmetric_superposition",
     "state_from_spec",
+    "LINE_FAMILIES", "REQUIRED", "STATE_SPEC_KEYS",
 ]
 
 NORM_TOL = 1e-10
@@ -42,6 +43,19 @@ TAIL_TOL = 1e-12
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
 EIGENCHECK_MAX_MODES = 2049
+LINE_FAMILIES = ("gaussian", "gaussian-times-x")
+
+# A state spec's keys per kind, key -> (type, range, default) as in the config
+# schema (cli), which checks specs against it; state_from_spec builds from it.
+REQUIRED = "required"
+STATE_SPEC_KEYS = {
+    "coherent": {"xi": ("float", "", REQUIRED), "alpha": ("float", "> 0", REQUIRED),
+                 "theta": ("float", "", 0.0)},
+    "gaussian-line": {"p": ("float", "", REQUIRED), "sigma": ("float", "> 0", REQUIRED),
+                      "family": (LINE_FAMILIES, "", "gaussian"), "theta0": ("float", "", 0.0)},
+    "mode-list": {"modes": ("modes", "", REQUIRED)},
+    "symmetric": {"base": ("state", "", REQUIRED)},
+}
 
 @dataclass(frozen=True)
 class CoherentParams:
@@ -75,7 +89,7 @@ class LineState:
         if not (math.isfinite(self.p) and math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"line state needs finite p and sigma > 0, got p={self.p}, "
                               f"sigma={self.sigma}")
-        if self.family not in ("gaussian", "gaussian-times-x"):
+        if self.family not in LINE_FAMILIES:
             raise DomainError(f"unknown line-state family {self.family!r}")
 
     def momentum_profile(self, k) -> np.ndarray:
@@ -221,7 +235,7 @@ def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:
     The cutoff must contain the Gaussian tail: lattice mass beyond m_max
     above 1e-12 raises CutoffError (rule of thumb: m_max >= xi + 8 alpha).
     """
-    tail = _gaussian_tail_mass(ms.m_max, cp.xi, cp.alpha)
+    tail = coherent_tail_mass(ms, cp)
     if tail > TAIL_TOL:
         raise CutoffError(
             f"m_max={ms.m_max} too small for coherent state (xi={cp.xi}, "
@@ -243,22 +257,18 @@ def coherent_tail_mass(ms: ModeSpace, cp: CoherentParams) -> float:
 
     This is the truncation remainder of every series built on the state.
     """
-    return _gaussian_tail_mass(ms.m_max, cp.xi, cp.alpha)
-
-
-def _gaussian_tail_mass(m_max: int, xi: float, alpha: float) -> float:
     # a centre more than width (at least 10 and about 12 alpha) past m_max
     # leaves under e^-100 of the mass inside: the tail is 1, also where
     # float64 no longer tells the modes apart (|xi| from about 1e16).
     # Otherwise the width modes just past m_max, and once the centre k is
     # past it too, those within width of k
-    width, k = max(10, int(12 * alpha)), np.round(abs(xi))
-    if abs(xi) - m_max > width:
+    width, k = max(10, int(12 * cp.alpha)), np.round(abs(cp.xi))
+    if abs(cp.xi) - ms.m_max > width:
         return 1.0
-    c2 = coherent_norm(xi, alpha) ** 2
-    ext = np.arange(max(m_max + 1, k - width), max(m_max + 1, k + 1) + width)
-    up = np.exp(-((ext - xi) ** 2) / alpha**2)
-    dn = np.exp(-((-ext - xi) ** 2) / alpha**2)
+    c2 = coherent_norm(cp.xi, cp.alpha) ** 2
+    ext = np.arange(max(ms.m_max + 1, k - width), max(ms.m_max + 1, k + 1) + width)
+    up = np.exp(-((ext - cp.xi) ** 2) / cp.alpha**2)
+    dn = np.exp(-((-ext - cp.xi) ** 2) / cp.alpha**2)
     return float(c2 * (up.sum() + dn.sum()))
 
 
@@ -370,43 +380,40 @@ def post_select(state: RingState, weights) -> RingState:
     return RingState(ms, rho=rho / tr)
 
 
-def state_from_spec(ms: ModeSpace, spec: dict) -> RingState:
-    """Build a state from the JSON schema {kind: ..., ...params}.
+# how state_from_spec reads a value of each type (a choice as it is)
+_CASTS = {"float": float, "modes": lambda val: {
+    int(m): complex(*a) if isinstance(a, list) and len(a) == 2 else complex(a)
+    for m, a in val.items()}}
 
-    kinds: coherent {theta, xi, alpha}; gaussian-line {p, sigma, family?,
-    theta0?}; mode-list {modes: {m: amp | [re, im]}}; symmetric {base: spec}.
+
+def state_from_spec(ms: ModeSpace, spec: dict) -> RingState:
+    """Build a state from the JSON schema {kind: ..., ...params}, whose keys,
+    required keys and defaults STATE_SPEC_KEYS declares per kind.
+
+    Keys the table does not declare are ignored.  A missing or malformed
+    value raises StateError naming the kind and key.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise StateError("state spec must be an object with a 'kind' field")
     kind = spec["kind"]
-
-    def need(key):
-        if key not in spec:
+    if kind not in list(STATE_SPEC_KEYS):  # a JSON kind may be an unhashable list
+        raise StateError(f"unknown state kind {kind!r}")
+    args = {}
+    for key, (typ, _, default) in STATE_SPEC_KEYS[kind].items():
+        if key not in spec and default is REQUIRED:
             raise StateError(f"{kind} state spec needs a {key!r} field")
-        return spec[key]
-
+        try:
+            args[key] = _CASTS.get(typ, lambda v: v)(spec.get(key, default))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise StateError(f"{kind} state spec: bad {key!r} field: {exc}") from None
     if kind == "coherent":
-        cp = CoherentParams(
-            theta=float(spec.get("theta", 0.0)),
-            xi=float(need("xi")),
-            alpha=float(need("alpha")),
-        )
-        return coherent_state(ms, cp)
+        return coherent_state(ms, CoherentParams(**args))
     if kind == "gaussian-line":
-        ls = LineState(
-            p=float(need("p")),
-            sigma=float(need("sigma")),
-            family=spec.get("family", "gaussian"),
-        )
-        return line_to_ring(ms, ls, theta0=float(spec.get("theta0", 0.0)))
+        theta0 = args.pop("theta0")
+        return line_to_ring(ms, LineState(**args), theta0)
     if kind == "mode-list":
-        amps = {}
-        for key, val in need("modes").items():
-            amps[int(key)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
-        return from_modes(ms, amps)
-    if kind == "symmetric":
-        return symmetric_superposition(ms, state_from_spec(ms, need("base")))
-    raise StateError(f"unknown state kind {kind!r}")
+        return from_modes(ms, args["modes"])
+    return symmetric_superposition(ms, state_from_spec(ms, args["base"]))
 
 
 def symmetric_superposition(ms: ModeSpace, base: RingState) -> RingState:

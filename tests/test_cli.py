@@ -349,6 +349,33 @@ def test_run_missing_config_exit_4(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"experiment": "noise"', "config is not valid JSON"),
+    ("[1, 2]", "config must be a JSON object"),
+    (json.dumps(NOISE_CFG).replace('"mu": 0.0', '"mu": 1' + "0" * 400),
+     "params.mu must be a finite number"),
+])
+def test_run_unreadable_config_exit_2(tmp_path, capsys, text, message):
+    # invalid JSON, a config that is no object, and an integer too large for
+    # a float are config errors, never a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = capsys.readouterr()
+    assert message in out.out + out.err
+
+
+@pytest.mark.parametrize("blocked", ["noise_a0.5.csv", "noise_plot.gp", "run_manifest.json"])
+def test_run_io_failure_exit_4(tmp_path, capsys, blocked):
+    # a directory where the run writes a data file, the gnuplot stub or the
+    # manifest is an I/O failure, whichever file it is
+    cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(out), "--gnuplot-stub"]) == 4
+    assert "error: I/O failure" in capsys.readouterr().err
+
+
 def test_run_clock_experiment(tmp_path):
     cfg = write_config(tmp_path, "clock.json", {
         "experiment": "clock",
@@ -666,24 +693,6 @@ def test_readme_config_reference_matches_the_schema():
     section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
     rows = {ln for ln in section.splitlines() if ln.startswith("| `")}
     assert rows == _reference_rows()
-
-
-STATE_SPECS = {"coherent": {"xi": 100.0, "alpha": 5.0},
-               "gaussian-line": {"p": 100.0, "sigma": 0.1}}
-
-
-@pytest.mark.parametrize("kind, key", [
-    (kind, key) for kind in STATE_SPECS for key, (_, _, default) in cli._STATE_KEYS[kind].items()
-    if default is not cli._REQUIRED])
-def test_state_spec_defaults_are_the_builders(kind, key):
-    # the table's default of an optional state key is the one state_from_spec applies
-    from ringtoa import ModeSpace
-    from ringtoa.states import state_from_spec
-
-    ms = ModeSpace(mu=0.0, r=1.0, m_max=200)
-    spec = {"kind": kind} | STATE_SPECS[kind]
-    given = spec | {key: cli._STATE_KEYS[kind][key][2]}
-    assert np.array_equal(state_from_spec(ms, spec).coeffs, state_from_spec(ms, given).coeffs)
 
 
 def test_probcoh_panels_do_not_depend_on_the_blas_thread_count(tmp_path):

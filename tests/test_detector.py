@@ -362,6 +362,38 @@ def test_kernel_from_spec_names_a_missing_key(spec, key):
         kernel_from_spec(spec)
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "max-localization", "gama1": 0.5}, "gama1"),
+    ({"family": "ring-exponential", "a": 1.0, "chiral": True}, "chiral"),
+    ({"family": "custom", "table": [[0, 0, 1]], "log_values": True}, "log_values"),
+])
+def test_kernel_from_spec_rejects_an_undeclared_key(spec, key):
+    # a misspelt or foreign key had been dropped, building another detector
+    with pytest.raises(DomainError, match=f"has no '{key}' field"):
+        kernel_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "ring-exponential", "a": "x"}, "a"),
+    ({"family": "ring-exponential", "a": 1.0, "A": None}, "A"),
+    ({"family": "max-localization", "chiral": "false"}, "chiral"),
+    ({"family": "custom", "table": "abc"}, "table"),
+    ({"family": "custom", "table": [[0, 0, 1], [1, 0]]}, "table"),
+])
+def test_kernel_from_spec_names_a_malformed_value(spec, key):
+    with pytest.raises(DomainError, match=f"kernel spec: bad '{key}' field"):
+        kernel_from_spec(spec)
+
+
+def test_kernel_from_spec_defaults_are_the_constructors():
+    # only the keys given are passed, and a constructor's DomainError passes through
+    assert kernel_from_spec({"family": "max-localization"}) == DetectorKernel.max_localization()
+    assert (kernel_from_spec({"family": "ring-exponential", "a": 2.0})
+            == DetectorKernel.ring_exponential(2.0))
+    with pytest.raises(DomainError, match="need A > 0"):
+        kernel_from_spec({"family": "max-localization", "gamma1": -1.0})
+
+
 def test_kernel_from_spec_rejects_repeated_table_points():
     # (0, 0) twice and (0, 1) missing: as many rows as the 2 x 2 grid has points
     with pytest.raises(DomainError, match="each point once"):

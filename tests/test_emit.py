@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,29 @@ def test_write_csv_bytes_equal_per_cell_reference(tmp_path_factory, calls, data)
         write_csv(path, columns, {})
         assert path.read_bytes() == _reference(columns)
         last = columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=_call())
+def test_write_csv_rows_of_float_cells_equal_per_cell_reference(tmp_path_factory, columns):
+    # the same files with every float column laid out by _float_cells, as
+    # columns of _SHORT_COLUMN cells and more are
+    path = tmp_path_factory.mktemp("emit") / "t.csv"
+    with mock.patch.object(emit, "_SHORT_COLUMN", 0):
+        write_csv(path, columns, {})
+    assert path.read_bytes() == _reference(columns)
+
+
+@pytest.mark.parametrize("n", [39, emit._SHORT_COLUMN - 1, emit._SHORT_COLUMN])
+def test_only_columns_from_the_short_cutoff_take_float_cells(monkeypatch, n):
+    # below _SHORT_COLUMN cells a column is formatted by repr, which costs
+    # less there than _float_cells' fixed ~150 numpy calls; both write repr's bytes
+    sizes, float_cells = [], emit._float_cells
+    monkeypatch.setattr(emit, "_float_cells", lambda a: sizes.append(a.size) or float_cells(a))
+    x = np.random.default_rng(n).standard_normal(n) * 1e3
+    cells = emit._cells(x)
+    assert [bytes(c).rstrip(b"\0").decode() for c in cells] == [repr(v) for v in x.tolist()]
+    assert sizes == ([n] if n >= emit._SHORT_COLUMN else [])
 
 
 QSYMBOL = {

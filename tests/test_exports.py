@@ -110,3 +110,24 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports(path):
     # the package's __init__ imports only to re-export
     assert not _unused_imports(path), f"{path.name} imports unused names"
+
+
+def _pinned_names() -> list[str]:
+    """Every `module.attr` and `module.Class.attr` that benchmarks/tracer.py's
+    LAYERS wraps, read from its source without importing it."""
+    tracer = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return sorted(f"{mod}.{attr}" for mod, attrs in layers.values() for attr in attrs)
+
+
+@pytest.mark.parametrize("pinned", _pinned_names())
+def test_benchmark_pinned_names_resolve(pinned):
+    # the benchmark's tracer wraps these by name: one that moves or goes
+    # breaks the benchmark, so it fails tier-1 too
+    mod, *owner, attr = pinned.split(".")
+    where = importlib.import_module(f"ringtoa.{mod}")
+    for name in owner:  # a method is wrapped from its class's own __dict__
+        where = vars(where)[name]
+    assert attr in vars(where), f"ringtoa.{pinned} is gone"

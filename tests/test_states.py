@@ -376,6 +376,44 @@ def test_state_from_spec_names_a_missing_key(spec, key):
         state_from_spec(ms, spec)
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "mode-list", "modes": [1, 2]}, "modes"),
+    ({"kind": "mode-list", "modes": {"x": 1}}, "modes"),
+    ({"kind": "mode-list", "modes": {"1": [1.0, 2.0, 3.0]}}, "modes"),
+    ({"kind": "mode-list", "modes": {"1": None}}, "modes"),
+    ({"kind": "coherent", "xi": None, "alpha": 2.0}, "xi"),
+    ({"kind": "coherent", "xi": 10.0, "alpha": "wide"}, "alpha"),
+    ({"kind": "gaussian-line", "p": 20.0, "sigma": 0.3, "theta0": [0.0]}, "theta0"),
+    ({"kind": "symmetric", "base": {"kind": "coherent", "xi": {}, "alpha": 2.0}}, "xi"),
+])
+def test_state_from_spec_names_a_malformed_value(spec, key):
+    # a value the builder cannot read is a StateError naming the key, not a
+    # bare AttributeError, ValueError or TypeError
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=60)
+    with pytest.raises(StateError, match=f"state spec: bad '{key}' field"):
+        state_from_spec(ms, spec)
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"kind": "coherent", "xi": 10.0, "alpha": -2.0}, DomainError),
+    ({"kind": "coherent", "xi": 100.0, "alpha": 2.0}, CutoffError),
+    ({"kind": "gaussian-line", "p": 20.0, "sigma": 0.3, "family": "square"}, DomainError),
+])
+def test_state_from_spec_passes_builder_errors_through(spec, error):
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=60)
+    with pytest.raises(error) as info:
+        state_from_spec(ms, spec)
+    assert "state spec" not in str(info.value)
+
+
+def test_state_spec_defaults_are_the_constructors():
+    # STATE_SPEC_KEYS' defaults of family and theta0 are LineState's and line_to_ring's
+    ms = ModeSpace(mu=0.0, r=1.0, m_max=200)
+    spec = {"kind": "gaussian-line", "p": 100.0, "sigma": 0.1}
+    np.testing.assert_array_equal(state_from_spec(ms, spec).coeffs,
+                                  line_to_ring(ms, LineState(100.0, 0.1)).coeffs)
+
+
 def test_ring_state_validation():
     ms = ModeSpace(mu=0.0, r=1.0, m_max=3)
     bad = np.zeros(7, dtype=complex)
