@@ -24,7 +24,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from warnings import warn
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .clock import clock_quality, cumulative, extract_ticks
 from .detector import DetectorKernel, localization_matrix
 from .emit import format_float, write_csv, write_json
 from .errors import RingToAError
-from .modes import ModeSpace, RotationFrame, velocity
+from .modes import ModeSpace, RotationFrame, is_number, velocity
 from .multitime import PAIR_KINDS, TwoParticleState, kolmogorov_check, violation_scan
-from .probability import NORMALIZATION_TAG, pc_density, timescales
+from .probability import NORMALIZATION_TAG, QSYMBOL_MIN_ALPHA, pc_density, timescales
 from .rotation import noise_curve, sagnac_scan
 from .states import (
     REQUIRED,
@@ -52,14 +51,12 @@ from .states import (
 # the config schema
 #
 # A table maps each dotted key to (type, range, default).  Types: "float"
-# and "int" (a finite JSON number, not a bool; an int also integral),
-# "numbers" (a nonempty list of floats, the range holding for each),
+# and "int" (a number by modes.is_number; an int also integral), "numbers"
+# (a nonempty list of floats, the range holding for each),
 # "list" (a nonempty list), "name" (a plain file name), "state" (a state
 # spec, whose keys states.STATE_SPEC_KEYS declares in the same form),
 # "modes" (a mode-list's {m: amp | [re, im]}) or a tuple of choices.  A
-# default is a value, _REQUIRED, or a _Derived text.
-
-_REQUIRED, _STATE_KEYS = REQUIRED, STATE_SPEC_KEYS
+# default is a value, REQUIRED, or a _Derived text.
 
 
 class _Derived(str):
@@ -71,31 +68,31 @@ _RANGES = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
            "!= 0": lambda v: v != 0, "in [0, 1)": lambda v: 0 <= v < 1}
 
 _PACKET = {"params.m_max": ("int", "> 0", _Derived("ceil(abs(xi) + 12 alpha)")),
-           "params.xi": ("float", "", _REQUIRED), "params.alpha": ("float", "> 0", _REQUIRED)}
-_MOVING = {"params.xi": ("float", "!= 0", _REQUIRED)}  # a tick needs a moving packet
-_FORWARD = {"params.xi": ("float", "> 0", _REQUIRED)}  # Poisson images need p > 0
+           "params.xi": ("float", "", REQUIRED), "params.alpha": ("float", "> 0", REQUIRED)}
+_MOVING = {"params.xi": ("float", "!= 0", REQUIRED)}  # a tick needs a moving packet
+_FORWARD = {"params.xi": ("float", "> 0", REQUIRED)}  # Poisson images need p > 0
 _PHI = {"params.phi": ("float", "", math.pi)}  # qsymbol scans theta itself
 _THETA_PHI = {"params.theta": ("float", "", 0.0)} | _PHI
-_T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", _REQUIRED)}
+_T_RANGE = {"grid.t_min": ("float", "", 0.0), "grid.t_max": ("float", "", REQUIRED)}
 _PAIR = {"params.kind": (PAIR_KINDS, "", "symmetrized"),
-         "params.state1": ("state", "", _REQUIRED), "params.state2": ("state", "", _REQUIRED)}
+         "params.state1": ("state", "", REQUIRED), "params.state2": ("state", "", REQUIRED)}
 
 _SCHEMA = {
-    exp: {"params.mu": ("float", ">= 0", _REQUIRED), "params.r": ("float", "> 0", _REQUIRED),
+    exp: {"params.mu": ("float", ">= 0", REQUIRED), "params.r": ("float", "> 0", REQUIRED),
           "params.m_max": ("int", "> 0", 400)}
     | keys | {"output.format": (("csv",), "", "csv"),
               "output.prefix": ("name", "", exp.replace("-", "_"))}
     for exp, keys in {
         "qsymbol": _PACKET | _MOVING | _PHI | {
-            "grid.n_theta": ("int", "> 0", 2048), "times": ("list", "", _REQUIRED)},
+            "grid.n_theta": ("int", "> 0", 2048), "times": ("list", "", REQUIRED)},
         "clock": _PACKET | _MOVING | _THETA_PHI | _T_RANGE | {
             "grid.n_t": ("int", "> 0", _Derived("spacing min(tick/40, sigma/(5 v))"))},
         "noise": {
-            "params.a_values": ("numbers", "> 0", _REQUIRED),
+            "params.a_values": ("numbers", "> 0", REQUIRED),
             "grid.omega_d_r_min": ("float", "", 0.0),
             "grid.omega_d_r_max": ("float", "in [0, 1)", 0.9), "grid.n": ("int", "> 0", 19)},
         "sagnac": _PACKET | {
-            "params.omega_d": ("float", "", _REQUIRED), "params.phi": ("float", "", 0.0),
+            "params.omega_d": ("float", "", REQUIRED), "params.phi": ("float", "", 0.0),
             "grid.dt": ("float", "> 0", 0.01), "grid.t_min": ("float", "", _Derived("grid.dt")),
             "grid.t_max": _T_RANGE["grid.t_max"]},
         "mi-scan": _PAIR | _T_RANGE | {
@@ -133,30 +130,20 @@ _TIME_KEYS = {"t": ("t", None), "t_over_tq": ("tq", "t_quantum"),
 # validation
 
 
-def _is_number(val) -> bool:
-    """A finite JSON number (bool excluded, though Python counts it as an int)."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:
-        return False
-
-
 _TYPES = {  # type -> (test, what a message says the value must be)
-    "float": (_is_number, "a finite number"),
-    "int": (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
-    "numbers": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+    "float": (is_number, "a finite number"),
+    "int": (lambda v: is_number(v) and float(v).is_integer(), "an integer"),
+    "numbers": (lambda v: isinstance(v, list) and bool(v) and all(map(is_number, v)),
                 "a nonempty list of finite numbers"),
     "list": (lambda v: isinstance(v, list) and bool(v), "a nonempty list"),
     "name": (lambda v: isinstance(v, str) and v != "" and Path(v).name == v,
              "a plain file name"),
     # (a list, not the dict: a JSON kind may be an unhashable list or object)
-    "state": (lambda v: isinstance(v, dict) and v.get("kind") in list(_STATE_KEYS),
-              f"an object whose kind is one of {', '.join(_STATE_KEYS)}"),
+    "state": (lambda v: isinstance(v, dict) and v.get("kind") in list(STATE_SPEC_KEYS),
+              f"an object whose kind is one of {', '.join(STATE_SPEC_KEYS)}"),
     "modes": (lambda v: isinstance(v, dict) and bool(v) and all(
-        m.removeprefix("-").isdecimal() and (_is_number(a) or isinstance(a, list)
-                                             and len(a) == 2 and all(map(_is_number, a)))
+        m.removeprefix("-").isdecimal() and (is_number(a) or isinstance(a, list)
+                                             and len(a) == 2 and all(map(is_number, a)))
         for m, a in v.items()),
         "an object of integer modes to amplitudes (a number or [re, im])"),
 }
@@ -175,7 +162,7 @@ def _walk(root: dict, table: dict, errors: list, warnings: list, where: str = ""
         *parents, name = key.split(".")
         block = functools.reduce(dict.__getitem__, parents, root)
         if name not in block:
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 errors.append(f"{where}{key} is required")
             elif parents == ["output"]:
                 block[name] = default
@@ -185,7 +172,7 @@ def _walk(root: dict, table: dict, errors: list, warnings: list, where: str = ""
         if not (test(val) and all(map(_RANGES[rng], val if kind == "numbers" else [val]))):
             errors.append(f"{where}{key} must be {text} {rng}".rstrip())
         elif kind == "state":
-            _walk(val, _STATE_KEYS[val["kind"]], errors, warnings, f"{where}{key}.", "kind")
+            _walk(val, STATE_SPEC_KEYS[val["kind"]], errors, warnings, f"{where}{key}.", "kind")
     blocks = {key.split(".")[0] for key in table if "." in key}
     for name, val in root.items():
         for key in ([f"{name}.{sub}" for sub in val] if name in blocks else [name]):
@@ -266,15 +253,15 @@ def validate_config(cfg: dict) -> tuple[list, list, dict]:
     if window is not None and not (len(window) == 2 and window[0] < window[1]):
         errors.append("params.t1_window must be [t1_min, t1_max] with t1_min < t1_max")
     if exp == "qsymbol":
-        if get("params.alpha") < 3:
-            warnings.append(f"alpha={get('params.alpha')} below recommended alpha >= 3 "
-                            "for Q-symbol scans")
+        if get("params.alpha") < QSYMBOL_MIN_ALPHA:
+            warnings.append(f"alpha={get('params.alpha')} below recommended alpha >= "
+                            f"{QSYMBOL_MIN_ALPHA} for Q-symbol scans")
         for spec in get("times"):
             keys = [k for k in _TIME_KEYS if isinstance(spec, dict) and k in spec]
             if len(keys) != 1:
                 errors.append("times entries must be objects with exactly one of "
                               + ", ".join(_TIME_KEYS))
-            elif not _is_number(spec[keys[0]]):
+            elif not is_number(spec[keys[0]]):
                 errors.append(f"times entry {spec!r}: {keys[0]} must be a finite number")
             elif get("params.mu") == 0 and keys[0] != "t":
                 errors.append("times: t_over_tq/t_over_trec undefined for mu = 0")
@@ -316,10 +303,8 @@ def _run_qsymbol(cfg, out_dir: Path):
 
     # Q(theta) at fixed detector angle phi depends on phi - theta only.  One
     # state serves every panel: pc_density at maximum localization is
-    # qsymbol's own expression, K |amp_state|^2, bit for bit, so the run
-    # gives qsymbol's warning itself
-    if cp.alpha < 3.0:
-        warn(f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3")
+    # qsymbol's own expression, K |amp_state|^2, bit for bit (validate_config
+    # gives the small-alpha advice)
     state = coherent_state(ms, cp)
     det = localization_matrix(DetectorKernel.max_localization(), ms)
     files = []

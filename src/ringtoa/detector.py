@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, SupportError, UnphysicalKernelError
 from .lattice import _chunks
-from .modes import ModeSpace, RotationFrame, omega, rotating_omega
+from .modes import ModeSpace, RotationFrame, as_float, is_number, omega, rotating_omega
 from .specfun import sinc
 
 __all__ = [
@@ -63,16 +63,18 @@ class DetectorKernel:
         to right-movers only), which keeps gamma1 > 0 kernels physical on the
         full lattice.
         """
-        if A <= 0 or gamma0 < 0 or gamma1 < 0:
-            raise DomainError("need A > 0 and gamma0, gamma1 >= 0")
+        if not (is_number(A) and A > 0 and is_number(gamma0) and gamma0 >= 0
+                and is_number(gamma1) and gamma1 >= 0):
+            raise DomainError(f"need A > 0 and gamma0, gamma1 >= 0, all finite, got A={A!r}, "
+                              f"gamma0={gamma0!r}, gamma1={gamma1!r}")
         return cls("max-localization",
                    {"A": A, "gamma0": gamma0, "gamma1": gamma1, "chiral": chiral})
 
     @classmethod
     def ring_exponential(cls, a: float, A: float = 1.0) -> "DetectorKernel":
         """One-sided kernel A exp(-a r omega) theta(m); on shell at mu=0 it is A e^(-a m)."""
-        if a <= 0 or A <= 0:
-            raise DomainError("need a > 0 and A > 0")
+        if not (is_number(a) and a > 0 and is_number(A) and A > 0):
+            raise DomainError(f"need a > 0 and A > 0, both finite, got a={a!r}, A={A!r}")
         return cls("ring-exponential", {"A": A, "a": a})
 
     # log-value floor marking zero/off-support table cells, and the log value
@@ -90,6 +92,8 @@ class DetectorKernel:
         1 for smooth positive kernels).  Zero cells and points outside the
         table evaluate to zero.  With log_values=True the table entries are
         log R directly, which permits kernels whose linear values overflow.
+        Grid nodes and entries must be finite, save a log entry of -inf (a
+        zero cell); DomainError otherwise.
         """
         og = np.asarray(omega_grid, dtype=float)
         mg = np.asarray(m_grid, dtype=float)
@@ -99,14 +103,19 @@ class DetectorKernel:
                 f"table shape {vals.shape} does not match grids ({og.size},{mg.size})"
             )
         for name, grid in (("omega", og), ("m", mg)):
-            if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-                raise DomainError(f"{name} grid must hold at least 2 strictly ascending nodes")
+            if (grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0)
+                    or not np.all(np.isfinite(grid))):
+                raise DomainError(f"{name} grid must hold at least 2 strictly ascending "
+                                  "finite nodes")
         if log_values:
-            # log 0 = -inf is a zero cell, as a zero linear entry is below
+            # log 0 = -inf is a zero cell, as a zero linear entry is below;
+            # NaN and +inf fail the comparison
+            if not np.all(vals < np.inf):
+                raise DomainError("log kernel table entries must be finite or -inf")
             logs = np.maximum(vals, cls._LOG_FLOOR)
         else:
-            if np.any(vals < 0):
-                raise DomainError("kernel table must be nonnegative")
+            if not np.all((vals >= 0) & (vals < np.inf)):
+                raise DomainError("kernel table must be nonnegative and finite")
             with np.errstate(divide="ignore"):
                 logs = np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)),
                                 cls._LOG_FLOOR)
@@ -196,8 +205,9 @@ def _flag(val) -> bool:
 # an absent key takes the builder's own default
 _KERNEL_SPECS = {
     "max-localization": (DetectorKernel.max_localization, {
-        "A": float, "gamma0": float, "gamma1": float, "chiral": _flag}, ()),
-    "ring-exponential": (DetectorKernel.ring_exponential, {"a": float, "A": float}, ("a",)),
+        "A": as_float, "gamma0": as_float, "gamma1": as_float, "chiral": _flag}, ()),
+    "ring-exponential": (DetectorKernel.ring_exponential,
+                         {"a": as_float, "A": as_float}, ("a",)),
     "custom": (_from_rows, {"table": lambda v: np.asarray(v, dtype=float)}, ("table",)),
 }
 
@@ -209,8 +219,8 @@ def kernel_from_spec(spec: dict) -> DetectorKernel:
     chiral?}; ring-exponential {a, A?}; custom {table: [[omega, m, value],
     ...]} with the table listing each point of a rectangular (omega, m) grid
     once.  An absent optional key takes the constructor's default.  A key the
-    family does not declare, a missing key or a malformed value raises
-    DomainError naming it.
+    family does not declare, a missing key or a malformed value (a number
+    that modes.is_number refuses) raises DomainError naming it.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise DomainError("kernel spec must be an object with a 'family' field")

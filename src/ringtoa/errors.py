@@ -14,7 +14,7 @@ class DomainError(RingToAError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class InvalidFrameError(RingToAError, ValueError):
+class InvalidFrameError(DomainError):
     """Rotating frame with |Omega_D * r| >= 1: no timelike Killing vector."""
 
 

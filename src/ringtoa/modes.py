@@ -12,6 +12,7 @@ All operations are pure and accept either scalar ``m`` or integer arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,23 @@ __all__ = [
     "velocity",
     "rotating_omega",
     "rotating_velocity",
+    "is_number", "as_float",
 ]
+
+
+def is_number(val) -> bool:
+    """The package's one number rule: a finite real number, not a bool."""
+    try:
+        return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def as_float(val) -> float:
+    """float(val) for a value is_number admits; TypeError otherwise."""
+    if not is_number(val):
+        raise TypeError(f"{val!r} is not a finite number")
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -42,12 +59,13 @@ class ModeSpace:
     m_max: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise DomainError(f"mass must be finite and >= 0, got mu={self.mu}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise DomainError(f"radius must be finite and > 0, got r={self.r}")
-        if self.m_max < 1:
-            raise DomainError(f"mode cutoff must be >= 1, got m_max={self.m_max}")
+        if not (is_number(self.mu) and self.mu >= 0):
+            raise DomainError(f"mass must be finite and >= 0, got mu={self.mu!r}")
+        if not (is_number(self.r) and self.r > 0):
+            raise DomainError(f"radius must be finite and > 0, got r={self.r!r}")
+        if not (isinstance(self.m_max, numbers.Integral) and is_number(self.m_max)
+                and self.m_max >= 1):
+            raise DomainError(f"mode cutoff must be an integer >= 1, got m_max={self.m_max!r}")
 
     def modes(self) -> np.ndarray:
         """Integer lattice [-m_max, m_max]."""
@@ -62,8 +80,8 @@ class RotationFrame:
     modespace: ModeSpace
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_d):
-            raise DomainError(f"frame rotation rate must be finite, got omega_d={self.omega_d}")
+        if not is_number(self.omega_d):
+            raise DomainError(f"frame rotation rate must be finite, got omega_d={self.omega_d!r}")
         if abs(self.omega_d * self.modespace.r) >= 1.0:
             raise InvalidFrameError(
                 f"|Omega_D * r| = {abs(self.omega_d * self.modespace.r)} >= 1: "

@@ -23,11 +23,12 @@ from .amplitudes import _speed_weights, amp_state, quad
 from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
 from .errors import DomainError, SeriesError, StateError
 from .lattice import _double_sum, _mode_sum
-from .modes import ModeSpace, RotationFrame, omega, rotating_omega
+from .modes import ModeSpace, RotationFrame, is_number, omega, rotating_omega
 from .states import CoherentParams, RingState, coherent_state
 
 __all__ = [
     "NORMALIZATION_TAG",
+    "QSYMBOL_MIN_ALPHA",
     "Timescales",
     "pc_density",
     "qsymbol",
@@ -41,6 +42,7 @@ __all__ = [
 # massless positive-momentum packets.
 B_GAMMA = 1.0
 NORMALIZATION_TAG = "B=1;unit-integral-per-period"
+QSYMBOL_MIN_ALPHA = 3  # below it qsymbol, and a qsymbol config, warn: alpha >> 1 fails
 
 
 def _k_norm(ms: ModeSpace) -> float:
@@ -104,11 +106,9 @@ def qsymbol(ms: ModeSpace, cp: CoherentParams, t, phi):
     Q(t, phi) = |B_t(phi - theta, xi)|^2 / (2 pi r), evaluated through the
     coherent-state mode sum.
     """
-    if cp.alpha < 3.0:
-        warnings.warn(
-            f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below 3",
-            stacklevel=2,
-        )
+    if cp.alpha < QSYMBOL_MIN_ALPHA:
+        warnings.warn(f"Q-symbol regime assumes alpha >> 1; alpha={cp.alpha} is below "
+                      f"{QSYMBOL_MIN_ALPHA}", stacklevel=2)
     return _density(ms, amp_state(coherent_state(ms, cp), ms, t, phi))
 
 
@@ -194,10 +194,11 @@ def timescales(ms: ModeSpace, xi: float, alpha: float) -> Timescales:
     T_rec = 4 pi omega_xi^3 r^2 / mu^2 = 4 pi alpha T_q: partial revivals;
     tau = 2 pi r^2 omega_xi / |xi|: tick period, the same in either direction
     of travel.  Massless packets disperse not at all: T_q and T_rec are
-    infinite.
+    infinite.  xi and alpha > 0 must be finite numbers (DomainError).
     """
-    if xi == 0:
-        raise DomainError("timescales need xi != 0")
+    if not (is_number(xi) and xi != 0 and is_number(alpha) and alpha > 0):
+        raise DomainError(f"timescales need finite xi != 0 and alpha > 0, got xi={xi!r}, "
+                          f"alpha={alpha!r}")
     w_xi = math.sqrt(ms.mu**2 + (xi / ms.r) ** 2)
     tick = 2.0 * math.pi * ms.r**2 * w_xi / abs(xi)
     if ms.mu == 0:
@@ -218,8 +219,7 @@ def autocorrelation(state: RingState, t):
     return np.abs(val) ** 2
 
 
-def pgamma_validation(state: RingState, dk: DetectorKernel, ms: ModeSpace,
-                      gamma: float) -> dict:
+def pgamma_validation(state: RingState, dk: DetectorKernel, gamma: float) -> dict:
     """Regularized total detection probability as a consistency check.
 
     Implements P_gamma = (r/2) ∫ dy/y R(omega_y, y) sum_{m,m'}
@@ -234,8 +234,7 @@ def pgamma_validation(state: RingState, dk: DetectorKernel, ms: ModeSpace,
     """
     if gamma <= 0:
         raise DomainError("regulator width must be positive")
-    if state.modespace != ms:
-        raise StateError("state lives on a different mode space")
+    ms = state.modespace
     rho = state.density_matrix()
     m = ms.modes()
     keep = state.occupation() > 1e-16

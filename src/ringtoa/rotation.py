@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplitudes import amp_rotating_split
 from .errors import DomainError, StateError
-from .modes import ModeSpace, RotationFrame, velocity
+from .modes import ModeSpace, RotationFrame, is_number, velocity
 from .detector import DetectorKernel
 from .probability import _density, _eta_sum, timescales
 from .states import RingState
@@ -53,9 +53,7 @@ def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> list[tuple[float, i
     """
     points, rest = [], None
     for omega_d in omega_d_grid:
-        x = omega_d * ms.r
-        if abs(x) >= 1.0:
-            raise DomainError(f"|Omega_D r| = {abs(x)} >= 1: frame is not timelike")
+        RotationFrame(omega_d, ms)  # a finite number, |Omega_D r| < 1
         if rest is None:
             rest = _eta_sum(dk, ms, 0.0)
         num, m_num, tail_num = _eta_sum(dk, ms, omega_d)
@@ -69,10 +67,10 @@ def eta_closed_form(a: float, omega_d_r: float) -> float:
     Valid for the one-sided exponential kernel at mu = 0; rests on
     sum_m e^(-am)/m = -log(1 - e^(-a)).
     """
-    if a <= 0:
-        raise DomainError("kernel decay constant must be positive")
-    if not -1.0 < omega_d_r < 1.0:
-        raise DomainError("need |Omega_D r| < 1")
+    if not (is_number(a) and a > 0):
+        raise DomainError(f"kernel decay constant must be finite and positive, got a={a!r}")
+    if not (is_number(omega_d_r) and -1.0 < omega_d_r < 1.0):
+        raise DomainError(f"need a number |Omega_D r| < 1, got {omega_d_r!r}")
     return math.log1p(-math.exp(-a * (1.0 - omega_d_r))) / math.log1p(-math.exp(-a))
 
 
@@ -92,9 +90,12 @@ class NoiseCurve:
 
 
 def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
-    """Evaluate the noise ratio over a grid of angular velocities."""
+    """Evaluate the noise ratio over a grid of angular velocities.
+
+    Each entry must be a finite number with |Omega_D r| < 1 (DomainError).
+    """
+    points = _eta(dk, ms, omega_d_grid)  # checks each entry as given
     omega_d_grid = np.asarray(omega_d_grid, dtype=float)
-    points = _eta(dk, ms, omega_d_grid)
     vals = np.array([value for value, _, _ in points])
     closed = None
     if dk.family == "ring-exponential" and ms.mu == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CutoffError, DomainError, QuadratureError, StateError
 from .lattice import _chunks
-from .modes import ModeSpace
+from .modes import ModeSpace, as_float, is_number
 from .oracle import _line_quadrature, _ratio
 from .specfun import coherent_norm
 
@@ -66,12 +66,12 @@ class CoherentParams:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"coherent spread must be finite and > 0, got alpha={self.alpha}")
-        if not math.isfinite(self.xi):
-            raise DomainError(f"coherent mean momentum must be finite, got xi={self.xi}")
-        if not math.isfinite(self.theta):
-            raise DomainError(f"coherent mean angle must be finite, got theta={self.theta}")
+        if not (is_number(self.alpha) and self.alpha > 0):
+            raise DomainError(f"coherent spread must be finite and > 0, got alpha={self.alpha!r}")
+        if not is_number(self.xi):
+            raise DomainError(f"coherent mean momentum must be finite, got xi={self.xi!r}")
+        if not is_number(self.theta):
+            raise DomainError(f"coherent mean angle must be finite, got theta={self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class LineState:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"line state needs finite p and sigma > 0, got p={self.p}, "
-                              f"sigma={self.sigma}")
+        if not (is_number(self.p) and is_number(self.sigma) and self.sigma > 0):
+            raise DomainError(f"line state needs finite p and sigma > 0, got p={self.p!r}, "
+                              f"sigma={self.sigma!r}")
         if self.family not in LINE_FAMILIES:
             raise DomainError(f"unknown line-state family {self.family!r}")
 
@@ -381,9 +381,9 @@ def post_select(state: RingState, weights) -> RingState:
 
 
 # how state_from_spec reads a value of each type (a choice as it is)
-_CASTS = {"float": float, "modes": lambda val: {
-    int(m): complex(*a) if isinstance(a, list) and len(a) == 2 else complex(a)
-    for m, a in val.items()}}
+_CASTS = {"float": as_float, "modes": lambda val: {
+    int(m): complex(*map(as_float, a)) if isinstance(a, list) and len(a) == 2
+    else complex(as_float(a)) for m, a in val.items()}}
 
 
 def state_from_spec(ms: ModeSpace, spec: dict) -> RingState:
@@ -391,7 +391,8 @@ def state_from_spec(ms: ModeSpace, spec: dict) -> RingState:
     required keys and defaults STATE_SPEC_KEYS declares per kind.
 
     Keys the table does not declare are ignored.  A missing or malformed
-    value raises StateError naming the kind and key.
+    value (a number or amplitude part that modes.is_number refuses) raises
+    StateError naming the kind and key.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise StateError("state spec must be an object with a 'kind' field")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from ringtoa import cli
 from ringtoa.cli import main, validate_config
+from ringtoa.states import REQUIRED, STATE_SPEC_KEYS
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -443,15 +445,20 @@ def test_qsymbol_run_builds_its_state_once(tmp_path, monkeypatch, mu, xi, m_max)
         assert data["value"].tobytes() == expected.tobytes()
 
 
-def test_qsymbol_run_warns_below_alpha_3_once(tmp_path):
+def test_qsymbol_run_warns_below_alpha_3_once(tmp_path, capsys):
+    # the config check prints the advice; the run raises no second warning
     cfg = write_config(tmp_path, "q.json", {
         "experiment": "qsymbol",
         "params": {"mu": 0.0, "r": 1.0, "m_max": 60, "xi": 20.0, "alpha": 2.5},
         "times": [{"t": 0.5}, {"t": 1.0}], "grid": {"n_theta": 16},
     })
-    with pytest.warns(UserWarning, match="Q-symbol regime assumes alpha") as record:
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len([w for w in record if "Q-symbol regime" in str(w.message)]) == 1
+    captured = capsys.readouterr()
+    advice = "warning: alpha=2.5 below recommended alpha >= 3 for Q-symbol scans"
+    assert (captured.out + captured.err).count(advice) == 1
+    assert not [w for w in record if issubclass(w.category, UserWarning)]
 
 
 def _header(path: Path) -> list:
@@ -669,7 +676,7 @@ def _cell(spec) -> str:
     kind, rng, default = spec
     if not isinstance(kind, str):
         kind = "one of " + ", ".join(f"`{c}`" for c in kind)
-    if default is cli._REQUIRED or isinstance(default, cli._Derived):
+    if default is REQUIRED or isinstance(default, cli._Derived):
         default = f"*{default}*"
     else:
         default = f"`{json.dumps(default)}`"
@@ -684,7 +691,7 @@ def _reference_rows() -> set:
     rows = {f"{row} {'all' if len(exps) == len(cli._SCHEMA) else ', '.join(exps)} |"
             for row, exps in groups.items()}
     return rows | {f"| `{kind}` | `{key}` | {_cell(spec)} |"
-                   for kind, table in cli._STATE_KEYS.items() for key, spec in table.items()}
+                   for kind, table in STATE_SPEC_KEYS.items() for key, spec in table.items()}
 
 
 def test_readme_config_reference_matches_the_schema():

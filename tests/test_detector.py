@@ -1,4 +1,7 @@
+import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from ringtoa import (
     wigner_weyl,
 )
 from ringtoa import lattice
-from ringtoa.detector import kernel_from_spec
-from ringtoa.modes import rotating_omega
+from ringtoa.detector import _KERNEL_SPECS, _flag, kernel_from_spec
+from ringtoa.modes import as_float, rotating_omega
 from ringtoa.errors import DomainError, SupportError, UnphysicalKernelError
 
 
@@ -379,6 +382,9 @@ def test_kernel_from_spec_rejects_an_undeclared_key(spec, key):
     ({"family": "max-localization", "chiral": "false"}, "chiral"),
     ({"family": "custom", "table": "abc"}, "table"),
     ({"family": "custom", "table": [[0, 0, 1], [1, 0]]}, "table"),
+    # a bool or a numeric string is no number, as in a config
+    ({"family": "ring-exponential", "a": True}, "a"),
+    ({"family": "max-localization", "gamma1": "0.5"}, "gamma1"),
 ])
 def test_kernel_from_spec_names_a_malformed_value(spec, key):
     with pytest.raises(DomainError, match=f"kernel spec: bad '{key}' field"):
@@ -392,6 +398,27 @@ def test_kernel_from_spec_defaults_are_the_constructors():
             == DetectorKernel.ring_exponential(2.0))
     with pytest.raises(DomainError, match="need A > 0"):
         kernel_from_spec({"family": "max-localization", "gamma1": -1.0})
+
+
+# the type column of README's kernel-spec table, per cast
+KERNEL_SPEC_TYPES = {as_float: "float", _flag: "bool"}
+TABLE_TYPE = "rows `[omega, m, value]`, each point of a full (omega, m) grid once"
+
+
+def test_readme_kernel_spec_table_matches_the_specs():
+    # README lists each family's keys, types and the constructors' defaults
+    rows = set()
+    for family, (build, casts, required) in _KERNEL_SPECS.items():
+        params = inspect.signature(build).parameters
+        for key, cast in casts.items():
+            default = params[key].default
+            assert (key in required) == (default is inspect.Parameter.empty)
+            cell = "*required*" if key in required else f"`{json.dumps(default)}`"
+            rows.add(f"| `{family}` | `{key}` | {KERNEL_SPEC_TYPES.get(cast, TABLE_TYPE)} "
+                     f"| {cell} |")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Detector kernel specs", 1)[1].split("\n#", 1)[0]
+    assert {ln for ln in section.splitlines() if ln.startswith("| `")} == rows
 
 
 def test_kernel_from_spec_rejects_repeated_table_points():

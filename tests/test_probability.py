@@ -25,7 +25,7 @@ from ringtoa import (
 from ringtoa.modes import omega
 from ringtoa import oracle
 from ringtoa.probability import _k_norm, pgamma_validation
-from ringtoa.errors import DomainError, SeriesError, StateError
+from ringtoa.errors import DomainError, SeriesError
 
 
 MS0 = ModeSpace(mu=0.0, r=1.0, m_max=1100)
@@ -472,21 +472,9 @@ def test_pgamma_regularized_normalization_validation():
     dk = DetectorKernel.ring_exponential(a=0.5)
     ratios, offdiag = [], []
     for gamma in (0.2, 0.1, 0.05):
-        out = pgamma_validation(st, dk, ms, gamma)
+        out = pgamma_validation(st, dk, gamma)
         ratios.append(out["ratio"])
         offdiag.append(out["offdiag_fraction"])
     assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0) + 1e-9
     assert offdiag[-1] < 1e-10
-
-
-@pytest.mark.parametrize("other", [ModeSpace(mu=25.0, r=3.0, m_max=60),
-                                   ModeSpace(mu=1.0, r=1.0, m_max=61)])
-def test_pgamma_validation_refuses_another_mode_space(other):
-    # the ring passed beside the state must be its own: another one of the
-    # same size gave another total with a ratio still near 1, a larger one
-    # a bare broadcast error
-    st = coherent_state(ModeSpace(mu=1.0, r=1.0, m_max=60),
-                        CoherentParams(theta=0.0, xi=30.0, alpha=3.0))
-    with pytest.raises(StateError, match="different mode space"):
-        pgamma_validation(st, DetectorKernel.ring_exponential(a=0.5), other, 0.1)

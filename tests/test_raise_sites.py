@@ -2,7 +2,9 @@
 
 One case per raise site that the rest of the suite does not reach: the
 argument checks of states, detectors, amplitudes, probabilities, clocks,
-rotation and two-particle analysis.
+rotation and two-particle analysis.  Then each scalar slot of the public
+constructors and functions, and each number field of a state or kernel
+spec, against values that are not finite numbers.
 """
 
 import math
@@ -33,6 +35,7 @@ from ringtoa import (
     localization_matrix,
     mi_inequality_cs,
     mi_inequality_j,
+    noise_curve,
     pc_density,
     post_select,
     sagnac_scan,
@@ -40,7 +43,7 @@ from ringtoa import (
     timescales,
     vacuum_noise,
 )
-from ringtoa.detector import kernel_from_spec
+from ringtoa.detector import _KERNEL_SPECS, kernel_from_spec
 from ringtoa.emit import write_csv
 from ringtoa.errors import (
     CutoffError,
@@ -50,8 +53,9 @@ from ringtoa.errors import (
     TickError,
 )
 from ringtoa.lattice import _double_sum
+from ringtoa.modes import as_float
 from ringtoa.probability import pgamma_validation
-from ringtoa.states import state_from_spec
+from ringtoa.states import STATE_SPEC_KEYS, state_from_spec
 
 MS = ModeSpace(mu=0.0, r=1.0, m_max=40)
 OTHER = ModeSpace(mu=0.0, r=1.0, m_max=41)
@@ -148,10 +152,10 @@ CASES = {  # name -> (error, a fragment of its message, the call)
     "timescales xi = 0": (DomainError, "xi != 0", lambda: timescales(MS, 0.0, 2.0)),
     "autocorrelation mixed": (StateError, "pure states", lambda: autocorrelation(MIXED, 0.5)),
     "pgamma_validation gamma = 0": (DomainError, "regulator width",
-                                    lambda: pgamma_validation(COH, MAX_LOC, MS, 0.0)),
+                                    lambda: pgamma_validation(COH, MAX_LOC, 0.0)),
     "pgamma_validation no positive support": (
         StateError, "support on positive modes",
-        lambda: pgamma_validation(from_modes(MS, {-3: 1.0}), MAX_LOC, MS, 0.1)),
+        lambda: pgamma_validation(from_modes(MS, {-3: 1.0}), MAX_LOC, 0.1)),
     # rotation
     "eta_closed_form a <= 0": (DomainError, "decay constant",
                                lambda: eta_closed_form(-1.0, 0.1)),
@@ -195,6 +199,109 @@ def test_raise_site_raises_the_package_error(case):
     error, match, call = CASES[case]
     with pytest.raises(error, match=match):
         call()
+
+
+# N11's contract for scalar slots: a value that is not a finite number is
+# refused with the package's error, never a bare TypeError, ValueError or
+# OverflowError, and never built into an object.  Array arguments hold
+# numpy's cast of their entries, so a table cell or grid node is only fed
+# the values that cast to no finite float.
+NOT_NUMBERS = (math.nan, math.inf, -math.inf, True, "1", None)
+NOT_FINITE = (math.nan, math.inf, -math.inf, None)
+RING_EXP = DetectorKernel.ring_exponential(a=1.0)
+GRID = [0.0, 1.0]
+STATE_SPECS = {"coherent": {"kind": "coherent", "xi": 10.0, "alpha": 2.0},
+               "gaussian-line": {"kind": "gaussian-line", "p": 10.0, "sigma": 0.5}}
+KERNEL_SPECS = {"max-localization": {"family": "max-localization"},
+                "ring-exponential": {"family": "ring-exponential", "a": 1.0}}
+
+
+def _tabulated(cell=1.0, node=1.0, log_values=False):
+    return DetectorKernel.tabulated(GRID, [0.0, node], [[1.0, cell], [1.0, 1.0]], log_values)
+
+
+SLOTS = {  # name -> (error, call of the slot's value, a valid value, values refused)
+    "ModeSpace mu": (DomainError, lambda v: ModeSpace(v, 1.0, 5), 0.0, NOT_NUMBERS),
+    "ModeSpace r": (DomainError, lambda v: ModeSpace(0.0, v, 5), 1.0, NOT_NUMBERS),
+    "ModeSpace m_max": (DomainError, lambda v: ModeSpace(0.0, 1.0, v), np.int64(5),
+                        NOT_NUMBERS + (2.5, 3.0)),
+    "RotationFrame omega_d": (DomainError, lambda v: RotationFrame(v, MS), 0.5, NOT_NUMBERS),
+    "CoherentParams theta": (DomainError, lambda v: CoherentParams(v, 10.0, 2.0), 0.0,
+                             NOT_NUMBERS),
+    "CoherentParams xi": (DomainError, lambda v: CoherentParams(0.0, v, 2.0), 10.0,
+                          NOT_NUMBERS),
+    "CoherentParams alpha": (DomainError, lambda v: CoherentParams(0.0, 10.0, v), 2.0,
+                             NOT_NUMBERS),
+    "LineState p": (DomainError, lambda v: LineState(v, 0.5), 10.0, NOT_NUMBERS),
+    "LineState sigma": (DomainError, lambda v: LineState(10.0, v), 0.5, NOT_NUMBERS),
+    "max_localization A": (DomainError, lambda v: DetectorKernel.max_localization(A=v), 2.0,
+                           NOT_NUMBERS + (10**400,)),
+    "max_localization gamma0": (DomainError,
+                                lambda v: DetectorKernel.max_localization(gamma0=v), 0.5,
+                                NOT_NUMBERS),
+    "max_localization gamma1": (DomainError,
+                                lambda v: DetectorKernel.max_localization(gamma1=v), 0.5,
+                                NOT_NUMBERS),
+    "ring_exponential a": (DomainError, lambda v: DetectorKernel.ring_exponential(v), 1.0,
+                           NOT_NUMBERS),
+    "ring_exponential A": (DomainError, lambda v: DetectorKernel.ring_exponential(1.0, v),
+                           2.0, NOT_NUMBERS),
+    "tabulated value cell": (DomainError, lambda v: _tabulated(cell=v), 0.0, NOT_FINITE),
+    # log 0 = -inf is a zero cell
+    "tabulated log value cell": (DomainError, lambda v: _tabulated(cell=v, log_values=True),
+                                 -math.inf, (math.nan, math.inf, None)),
+    "tabulated grid node": (DomainError, lambda v: _tabulated(node=v), 2.0, NOT_FINITE),
+    "timescales xi": (DomainError, lambda v: timescales(MASSIVE, v, 2.0), 10.0, NOT_NUMBERS),
+    "timescales alpha": (DomainError, lambda v: timescales(MASSIVE, 10.0, v), 2.0,
+                         NOT_NUMBERS),
+    "eta_closed_form a": (DomainError, lambda v: eta_closed_form(v, 0.1), 1.0, NOT_NUMBERS),
+    "eta_closed_form omega_d_r": (DomainError, lambda v: eta_closed_form(1.0, v), 0.1,
+                                  NOT_NUMBERS),
+    # a NaN rate once passed eta's own timelike check and walked the cutoff
+    # to 1.6e6 modes before a SeriesError
+    "eta omega_d": (DomainError, lambda v: eta(RING_EXP, MS, v), 0.1, NOT_NUMBERS),
+    "noise_curve grid entry": (DomainError, lambda v: noise_curve(RING_EXP, MS, [0.1, v]),
+                               0.2, NOT_NUMBERS),
+    "state_from_spec mode-list amplitude": (
+        StateError, lambda v: state_from_spec(MS, {"kind": "mode-list", "modes": {"3": v}}),
+        1.0, NOT_NUMBERS),
+    "state_from_spec mode-list amplitude re": (
+        StateError,
+        lambda v: state_from_spec(MS, {"kind": "mode-list", "modes": {"3": [v, 0.0]}}),
+        1.0, NOT_NUMBERS),
+    "state_from_spec mode-list amplitude im": (
+        StateError,
+        lambda v: state_from_spec(MS, {"kind": "mode-list", "modes": {"3": [1.0, v]}}),
+        1.0, NOT_NUMBERS),
+} | {  # every number field of the spec tables
+    f"state_from_spec {kind} {key}": (
+        StateError, lambda v, kind=kind, key=key: state_from_spec(
+            MS, STATE_SPECS[kind] | {key: v}), STATE_SPECS[kind].get(key, 0.0), NOT_NUMBERS)
+    for kind, table in STATE_SPEC_KEYS.items() for key, (typ, _, _) in table.items()
+    if typ == "float"
+} | {
+    f"kernel_from_spec {family} {key}": (
+        DomainError, lambda v, family=family, key=key: kernel_from_spec(
+            KERNEL_SPECS[family] | {key: v}), 1.0, NOT_NUMBERS)
+    for family, (_, casts, _) in _KERNEL_SPECS.items() for key, cast in casts.items()
+    if cast is as_float
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{value!r}")
+    for name, (_, _, _, refused) in SLOTS.items() for value in refused])
+def test_scalar_slot_refuses_what_is_not_a_finite_number(name, value):
+    error, call, _, _ = SLOTS[name]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(SLOTS))
+def test_scalar_slot_takes_its_valid_value(name):
+    # so that each refusal above is the slot's own
+    _, call, valid, _ = SLOTS[name]
+    call(valid)
 
 
 def test_product_pair_has_no_overlap_weight():

@@ -385,6 +385,11 @@ def test_state_from_spec_names_a_missing_key(spec, key):
     ({"kind": "coherent", "xi": 10.0, "alpha": "wide"}, "alpha"),
     ({"kind": "gaussian-line", "p": 20.0, "sigma": 0.3, "theta0": [0.0]}, "theta0"),
     ({"kind": "symmetric", "base": {"kind": "coherent", "xi": {}, "alpha": 2.0}}, "xi"),
+    # a bool or a numeric string is no number, as in a config
+    ({"kind": "coherent", "xi": True, "alpha": 2.0}, "xi"),
+    ({"kind": "coherent", "xi": 10.0, "alpha": "2"}, "alpha"),
+    ({"kind": "mode-list", "modes": {"1": "1"}}, "modes"),
+    ({"kind": "mode-list", "modes": {"1": [True, 0.0]}}, "modes"),
 ])
 def test_state_from_spec_names_a_malformed_value(spec, key):
     # a value the builder cannot read is a StateError naming the key, not a
