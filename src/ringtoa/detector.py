@@ -18,6 +18,7 @@ must keep it in [0, 1], and the builder rejects anything above 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,33 @@ __all__ = [
 L_UPPER_TOL = 1e-12
 
 
+def _flag(val, name: str = "value") -> bool:
+    """val as a bool if it is one, Python's or numpy's; DomainError otherwise.
+
+    bool() would read the string "false" as True.
+    """
+    if not isinstance(val, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a bool, got {val!r}")
+    return bool(val)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """values as a float array if each entry is a real number; DomainError otherwise.
+
+    A bool, a string or a ragged row is no real number, though
+    np.asarray(..., dtype=float) would read True and "1" as 1.0.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if not all(issubclass(tp, numbers.Real) and not issubclass(tp, (bool, np.bool_))
+               for tp in types):
+        raise DomainError(f"{name} entries must be real numbers")
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{name} entries must be finite") from None
+
+
 @dataclass(frozen=True)
 class DetectorKernel:
     """Detector response kernel R(omega, m).
@@ -61,14 +89,14 @@ class DetectorKernel:
 
         chiral=True additionally restricts support to m > 0 (detector coupled
         to right-movers only), which keeps gamma1 > 0 kernels physical on the
-        full lattice.
+        full lattice.  chiral must be a bool (_flag): DomainError otherwise.
         """
         if not (is_number(A) and A > 0 and is_number(gamma0) and gamma0 >= 0
                 and is_number(gamma1) and gamma1 >= 0):
             raise DomainError(f"need A > 0 and gamma0, gamma1 >= 0, all finite, got A={A!r}, "
                               f"gamma0={gamma0!r}, gamma1={gamma1!r}")
-        return cls("max-localization",
-                   {"A": A, "gamma0": gamma0, "gamma1": gamma1, "chiral": chiral})
+        return cls("max-localization", {"A": A, "gamma0": gamma0, "gamma1": gamma1,
+                                        "chiral": _flag(chiral, "chiral")})
 
     @classmethod
     def ring_exponential(cls, a: float, A: float = 1.0) -> "DetectorKernel":
@@ -92,12 +120,13 @@ class DetectorKernel:
         1 for smooth positive kernels).  Zero cells and points outside the
         table evaluate to zero.  With log_values=True the table entries are
         log R directly, which permits kernels whose linear values overflow.
-        Grid nodes and entries must be finite, save a log entry of -inf (a
-        zero cell); DomainError otherwise.
+        Grid nodes and entries must be finite real numbers, not bools or
+        strings, save a log entry of -inf (a zero cell), and log_values a
+        bool; DomainError otherwise.
         """
-        og = np.asarray(omega_grid, dtype=float)
-        mg = np.asarray(m_grid, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        og, mg = _reals(omega_grid, "omega grid"), _reals(m_grid, "m grid")
+        vals = _reals(values, "kernel table")
+        log_values = _flag(log_values, "log_values")
         if vals.shape != (og.size, mg.size):
             raise DomainError(
                 f"table shape {vals.shape} does not match grids ({og.size},{mg.size})"
@@ -194,13 +223,6 @@ def _from_rows(table: np.ndarray) -> DetectorKernel:
     return DetectorKernel.tabulated(og, mg, vals)
 
 
-def _flag(val) -> bool:
-    """A JSON bool as is; bool() would read the string "false" as True."""
-    if not isinstance(val, (bool, np.bool_)):
-        raise TypeError(f"{val!r} is not a bool")
-    return bool(val)
-
-
 # a kernel spec's fields per family: (builder, {key: cast}, required keys);
 # an absent key takes the builder's own default
 _KERNEL_SPECS = {
@@ -208,7 +230,7 @@ _KERNEL_SPECS = {
         "A": as_float, "gamma0": as_float, "gamma1": as_float, "chiral": _flag}, ()),
     "ring-exponential": (DetectorKernel.ring_exponential,
                          {"a": as_float, "A": as_float}, ("a",)),
-    "custom": (_from_rows, {"table": lambda v: np.asarray(v, dtype=float)}, ("table",)),
+    "custom": (_from_rows, {"table": lambda v: _reals(v, "table")}, ("table",)),
 }
 
 

@@ -2,7 +2,9 @@
 
 The mode sum sum_m c_m exp(i(m phi - omega_m t)) (_mode_sum) and the double
 sum of a general localization matrix (_double_sum), on a broadcast (t, phi)
-grid.  Every chunked loop of the package sizes its chunks by _chunks.
+grid.  Each of their phases e^{ix} comes from one kernel, _unit_phasors (a
+table of roots of unity and short series; the line oracle keeps libm's exp).
+Every chunked loop of the package sizes its chunks by _chunks.
 """
 
 from __future__ import annotations
@@ -14,13 +16,31 @@ import numpy as np
 from .errors import DomainError
 
 # entries of the temporaries one chunked loop holds at once (modes x points
-# for the mode sums' phase matrices): 4 MB of complex values, which stay in
-# cache while a chunk is formed and summed; the one copy, read by _chunks
+# for the mode sums' phase matrices, 4 MB of complex values); the one copy,
+# read by _chunks
 _CHUNK_BUDGET = 1 << 18
 
+# Unit phasors e^{ix} (see _unit_phasors): x = k 2 pi / _TABLE_N + r with
+# k = rint(x _TABLE_SCALE), e^{ix} = _TABLE[k mod _TABLE_N] e^{ir}, the table
+# step of Tang (ACM TOMS 15(2), 1989).  _TABLE_SPLIT is 2 pi / _TABLE_N as
+# three parts of at most 12 bits, whose products with any |k| < 2^41 are
+# exact, and a 53-bit tail: together 2 pi / N to about 2^-98 (Cody and
+# Waite, Software Manual for the Elementary Functions, 1980).
+# |x| <= _TABLE_REACH keeps |k| under 2^41.  Arrays of fewer than _MIN_TABLE
+# entries, where the kernel's fixed cost of about twenty numpy calls
+# outweighs its saving, and arrays reaching beyond _TABLE_REACH take libm's
+# exp.  A block of _PHASOR_BLOCK entries keeps its temporaries in a 2 MB L2.
+_TABLE_N = 4096
+_TABLE_SCALE = _TABLE_N / (2.0 * math.pi)
+_TABLE_SPLIT = tuple(float.fromhex(h) for h in (
+    "0x1.92p-10", "0x1.fb4p-22", "0x1.444p-34", "0x1.68c234c4c6629p-49"))
+_TABLE_REACH = 2.0**31
+_MIN_TABLE = 1 << 10
+_PHASOR_BLOCK = 1 << 15
+
 # Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
-# n points costs modes x (_BLOCK + n / _BLOCK) complex exps instead of
-# modes x n; a full period of angles at one t costs modes exps and one FFT.
+# n points costs modes x (_BLOCK + n / _BLOCK) unit phasors instead of
+# modes x n; a full period of angles at one t costs modes phasors and one FFT.
 # Grids shorter than _MIN_UNIFORM save too little and stay dense.  A grid
 # counts as uniform when every point lies within tol_t = _UNIFORM_ULPS ulps
 # of max|t| (tol_phi: of max|phi|) of the progression (_grid_tol), and as a
@@ -57,6 +77,25 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = 134217729.0 * v  # 2^27 + 1
     hi -= hi - v
     return hi, v - hi
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """e^{2 pi i j / n} for j < n, n a multiple of 8, from cos and sin on one octant.
+
+    Angles up to pi/4 round 2 pi j / n by under one unit roundoff; the other
+    entries follow exactly by cos(pi/2 - a) = sin(a) and quarter turns.
+    """
+    a = np.arange(n // 8 + 1) * (2.0 * math.pi / n)
+    c, s = np.cos(a), np.sin(a)
+    q = n // 8
+    c0, s0 = np.concatenate([c, s[q - 1:0:-1]]), np.concatenate([s, c[q - 1:0:-1]])
+    out = np.empty(n, dtype=complex)
+    out.real = np.concatenate([c0, -s0, -c0, s0])
+    out.imag = np.concatenate([s0, c0, -s0, -c0])
+    return out
+
+
+_TABLE = _roots_of_unity(_TABLE_N)
 
 
 def _on_grid(t, phi, fill):
@@ -104,20 +143,50 @@ def _significant(mag: np.ndarray) -> np.ndarray:
     return mag > _UNIT_ROUNDOFF * mag.sum() / max(np.count_nonzero(mag), 1)
 
 
+def _unit_phasors(x: np.ndarray) -> np.ndarray:
+    """e^{ix} elementwise, within 4 u (u the unit roundoff): the one lattice phasor kernel.
+
+    With k = rint(x N / 2 pi), N = _TABLE_N, the Cody-Waite split reduces
+    r = x - k 2 pi / N to within 2^-59 rad, with |r| <= pi / N (1 + 2^-10),
+    and e^{ix} = T_k + T_k (cos r - 1 + i sin r), T_k = _TABLE[k mod N], with
+    cos r - 1 = r^2 (r^2 / 24 - 1 / 2) and sin r = r - r^3 / 6 (truncated
+    under 2^-58).  The error is the table's (under 2 u) plus one rounding of
+    the last sum.  Small arrays and arrays with |x| >
+    _TABLE_REACH take np.exp (libm's, within about u) instead.  The table
+    path runs through x in _PHASOR_BLOCK-entry blocks (_chunks).
+    """
+    if x.size < _MIN_TABLE or not max(x.max(), -x.min()) <= _TABLE_REACH:
+        return np.exp(x * 1j)
+    out = np.empty(x.shape, dtype=complex)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    for sl in _chunks(xf.size, 1, _PHASOR_BLOCK):
+        xb, ob = xf[sl], of[sl]
+        k = np.rint(xb * _TABLE_SCALE)
+        r = xb - k * _TABLE_SPLIT[0]
+        for part in _TABLE_SPLIT[1:]:
+            r -= k * part
+        head = _TABLE[k.astype(np.intp) & (_TABLE_N - 1)]
+        r2 = r * r
+        ob.real = r2 * (r2 * (1.0 / 24.0) - 0.5)
+        ob.imag = r - r * (r2 * (1.0 / 6.0))
+        ob *= head
+        ob += head
+    return out
+
+
 def _phases(m, w, t, phi):
     """exp(i(m phi - w t)) as a modes x points matrix: the one lattice phase formula.
 
-    Formed in one buffer: the same products, difference and exp as
-    np.exp(1j * (m phi - w t)) elementwise, so the same bits.
+    x = m phi - w t is formed in one buffer, with the same bits as the
+    elementwise expression, and _unit_phasors takes it from there.
     """
     x = np.multiply.outer(m, phi)
     x -= np.multiply.outer(w, t)
-    x = x * 1j
-    return np.exp(x, out=x)
+    return _unit_phasors(x)
 
 
 def _dense_sum(c, mm, ww, tf, pf):
-    """The reference evaluation: one complex exp per mode x point, chunked over modes."""
+    """The reference evaluation: one unit phasor per mode x point, chunked over modes."""
     out = np.zeros(tf.size, dtype=complex)
     for sl in _chunks(c.size, tf.size):
         out += c[sl] @ _phases(mm[sl], ww[sl], tf, pf)
@@ -129,14 +198,15 @@ def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
 
     Point b*B + k of block b has phase theta_m(b*B) + k beta_m, beta_m =
     m dp - omega_m dt: the block-start phases come from the grid values by
-    _phases, the in-block steps from a modes x B table that also carries
-    the coefficients, formed a chunk of modes at a time.
+    _phases, the in-block steps from a modes x B table of
+    _unit_phasors(k beta_m) that also carries the coefficients, formed a
+    chunk of modes at a time.
     """
     heads_t, heads_p = tf[::_BLOCK], pf[::_BLOCK]
     out = np.zeros((heads_t.size, _BLOCK), dtype=complex)
     for part in _chunks(c.size, _BLOCK):
         m_, w_ = mm[part], ww[part]
-        steps = c[part, None] * np.exp(1j * np.outer(m_ * dp - w_ * dt, np.arange(_BLOCK)))
+        steps = c[part, None] * _unit_phasors(np.outer(m_ * dp - w_ * dt, np.arange(_BLOCK)))
         for sl in _chunks(heads_t.size, m_.size):
             out[sl] += _phases(m_, w_, heads_t[sl], heads_p[sl]).T @ steps
     return out.ravel()[:tf.size]

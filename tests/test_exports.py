@@ -63,6 +63,23 @@ def test_evaluator_modules_import_only_below_them(name, allowed):
     assert _package_imports(name) <= allowed
 
 
+def test_oracle_takes_only_the_chunk_rule_and_exact_product_from_the_lattice():
+    # the oracle keeps libm's exponentials, so it stays an independent check
+    # of the lattice's phasor kernel: no name but these two crosses over, and
+    # the module itself is never imported whole
+    tree = ast.parse((Path(ringtoa.__file__).parent / "oracle.py").read_text())
+    taken, whole = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("lattice", "ringtoa.lattice"):
+                taken |= {a.name for a in node.names}
+            whole |= any(a.name == "lattice" for a in node.names)
+        elif isinstance(node, ast.Import):
+            whole |= any(a.name == "ringtoa.lattice" for a in node.names)
+    assert taken == {"_chunks", "_product_err"} and not whole
+
+
 def test_probability_imports_nothing_from_the_oracle():
     assert "oracle" not in _package_imports("probability")
 
@@ -71,7 +88,8 @@ def test_probability_imports_nothing_from_the_oracle():
 # so a test that patches one anywhere else fails instead of patching nothing
 HOMES = {
     "lattice": ("_CHUNK_BUDGET", "_BLOCK", "_MIN_UNIFORM", "_UNIFORM_ULPS", "_UNIT_ROUNDOFF",
-                "REALITY_TOL"),
+                "REALITY_TOL", "_TABLE_N", "_TABLE_SCALE", "_TABLE_SPLIT", "_TABLE_REACH",
+                "_MIN_TABLE", "_PHASOR_BLOCK", "_TABLE"),
     "oracle": ("_NODE_BUDGET", "_PANEL_PHASE", "_MIN_PANELS", "_GRADE_RATIO", "_GRADE_LEVELS",
                "_GL_NODES", "_GL_WEIGHTS", "_TWO_PI_LO", "_REACH_SIGMAS", "_REACH_P_SIGMA"),
 }

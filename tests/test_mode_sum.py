@@ -7,7 +7,7 @@ from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringtoa import (
     CoherentParams,
@@ -144,24 +144,89 @@ def test_structured_path_takes_more_modes_than_one_step_table_chunk():
     assert np.max(np.abs(got - want)) <= bound
 
 
-@settings(max_examples=100, deadline=None)
+def _phasor_excess(x, got):
+    """max over entries of |got - e^{ix}| minus the kernel's bound, e^{ix} to 40 digits.
+
+    The bound is 4 u for |x| <= lattice._TABLE_REACH (2^31) and 4 u + |x| u beyond.
+    """
+    worst = -math.inf
+    with mpmath.workdps(40):
+        for xv, g in zip(x.ravel().tolist(), got.ravel().tolist()):
+            bound = 4.0 * U + (abs(xv) * U if abs(xv) > lattice._TABLE_REACH else 0.0)
+            err = abs(mpmath.mpc(g) - mpmath.expj(mpmath.mpf(xv)))
+            worst = max(worst, float(err) - bound)
+    return worst
+
+
+R_MAX = math.pi / lattice._TABLE_N  # |r| of a reduction half-way between table nodes
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     modes=st.integers(1, 40),
-    points=st.integers(1, 70),
+    points=st.integers(1, 100),
     m_scale=st.floats(1.0, 1e4),
     w_scale=st.floats(0.0, 1e4),
-    t_scale=st.floats(0.0, 1e5),
+    t_log=st.floats(-1.0, 7.0),
+    x0=st.floats(-2.0**33, 2.0**33),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phases_is_the_elementwise_formula(modes, points, m_scale, w_scale, t_scale, seed):
-    # formed in one buffer, to the bit the same as the textbook expression
+@example(modes=30, points=40, m_scale=100.0, w_scale=10.0, t_log=1.0, x0=0.0, seed=1)
+@example(modes=30, points=40, m_scale=100.0, w_scale=10.0, t_log=1.0, x0=R_MAX, seed=2)
+@example(modes=30, points=40, m_scale=100.0, w_scale=10.0, t_log=1.0, x0=-R_MAX, seed=3)
+@example(modes=30, points=40, m_scale=100.0, w_scale=10.0, t_log=1.0, x0=3.0 * R_MAX, seed=4)
+@example(modes=30, points=40, m_scale=100.0, w_scale=10.0, t_log=1.0, x0=-2469.0 * R_MAX,
+         seed=5)
+@example(modes=30, points=40, m_scale=1e3, w_scale=1e3, t_log=4.0, x0=5e7, seed=6)
+@example(modes=30, points=40, m_scale=1e3, w_scale=1e3, t_log=4.0, x0=-5e7, seed=7)
+@example(modes=30, points=40, m_scale=1e3, w_scale=1e3, t_log=4.0, x0=2.0**31, seed=8)
+@example(modes=30, points=40, m_scale=1e4, w_scale=1e4, t_log=7.0, x0=-3e11, seed=9)
+def test_phases_within_four_unit_roundoffs_of_40_digit_phasors(modes, points, m_scale, w_scale,
+                                                               t_log, x0, seed):
+    # x = m phi - w t is formed to the bit of the textbook expression, and
+    # e^{ix} is within 4 u of its 40-digit value (4 u + |x| u past 2^31);
+    # entry (0, 0) is x0 (m = 1, w = 0, phi = x0)
     rng = np.random.default_rng(seed)
     m = np.round(rng.uniform(-m_scale, m_scale, modes))
     w = rng.uniform(0.0, w_scale, modes)
+    t_scale = 10.0**t_log
     t, phi = rng.uniform(-t_scale, t_scale, points), rng.uniform(-7.0, 7.0, points)
-    want = np.exp(1j * (m[:, None] * phi[None, :] - w[:, None] * t[None, :]))
-    got = lattice._phases(m, w, t, phi)
-    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    m[0], w[0], phi[0] = 1.0, 0.0, x0
+    want_x = m[:, None] * phi[None, :] - w[:, None] * t[None, :]
+    with mock.patch.object(lattice, "_unit_phasors", wraps=lattice._unit_phasors) as kernel:
+        got = lattice._phases(m, w, t, phi)
+    (x,), _ = kernel.call_args
+    assert x.shape == want_x.shape and np.array_equal(x.view(np.int64), want_x.view(np.int64))
+    assert x[0, 0] == x0 and got.shape == x.shape
+    assert _phasor_excess(x, got) <= 0.0
+
+
+def test_phasor_table_and_split_against_mpmath():
+    # the table: e^{2 pi i j / N} within 2 u; the split: three parts of at most
+    # 12 bits, exact times any |k| < 2^41, that with the tail give 2 pi / N
+    # to 2^-98; and _TABLE_REACH keeps |k| = rint(|x| N / 2 pi) under 2^41
+    n = lattice._TABLE_N
+    with mpmath.workdps(40):
+        errs = [float(abs(mpmath.mpc(complex(z)) - mpmath.expj(2 * mpmath.pi * j / n)))
+                for j, z in enumerate(lattice._TABLE)]
+        split = sum(mpmath.mpf(part) for part in lattice._TABLE_SPLIT)
+        assert abs(split - 2 * mpmath.pi / n) <= mpmath.mpf(2) ** -98
+    assert len(errs) == n and max(errs) <= 2.0 * U
+    for part in lattice._TABLE_SPLIT[:3]:
+        mant, _ = math.frexp(part)
+        assert math.ldexp(mant, 12).is_integer()
+    assert lattice._TABLE_REACH * lattice._TABLE_SCALE * (1.0 + 4.0 * U) + 0.5 < 2.0**41
+
+
+def test_small_and_far_phase_arrays_take_libm_exp():
+    # under _MIN_TABLE entries, or reaching past _TABLE_REACH, the kernel is
+    # np.exp to the bit; from _MIN_TABLE entries within reach, the table
+    rng = np.random.default_rng(4)
+    for size, scale, libm in ((lattice._MIN_TABLE - 1, 1e3, True),
+                              (lattice._MIN_TABLE, 1e3, False),
+                              (4 * lattice._MIN_TABLE, 3.0 * lattice._TABLE_REACH, True)):
+        x = rng.uniform(-scale, scale, size)
+        assert np.array_equal(lattice._unit_phasors(x), np.exp(1j * x)) == libm
 
 
 def test_perturbed_grid_takes_dense_path_bit_for_bit():

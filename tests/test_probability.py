@@ -23,7 +23,7 @@ from ringtoa import (
     velocity,
 )
 from ringtoa.modes import omega
-from ringtoa import oracle
+from ringtoa import lattice, oracle
 from ringtoa.probability import _k_norm, pgamma_validation
 from ringtoa.errors import DomainError, SeriesError
 
@@ -111,8 +111,6 @@ def test_pc_density_general_localization_damps_interference():
 
 def test_pc_density_general_sum_chunks_over_points(monkeypatch):
     # the double sum holds at most _CHUNK_BUDGET active modes x points at once
-    from ringtoa import lattice
-
     ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
     st = from_modes(ms, {4: 1.0, 9: 0.5j, -6: 0.7, 13: 0.2})
     rho = 0.6 * st.density_matrix() + 0.4 * from_modes(ms, {5: 1.0, -2: 1.0}).density_matrix()
@@ -234,7 +232,8 @@ def test_pc_density_factorized_drops_modes_off_support(omega_d_r):
 
 
 def _full_kernel_sum(state, det, t, phi):
-    """The general double sum as it was first written: the full n x n kernel, pruned."""
+    """The general double sum as it was first written (the full n x n kernel, pruned),
+    with the phases of lattice._phases: the kernel is not under test here."""
     from ringtoa.amplitudes import _velocities
     from ringtoa.modes import omega
 
@@ -246,7 +245,7 @@ def _full_kernel_sum(state, det, t, phi):
     active = np.any(np.abs(kernel) > 0.0, axis=1)
     kernel = kernel[np.ix_(active, active)]
     ma, wa = m[active].astype(float), freq[active]
-    u = np.exp(1j * (ma[:, None] * phi[None, :] - wa[:, None] * t[None, :]))
+    u = lattice._phases(ma, wa, t, phi)
     vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
     return _k_norm(ms) * vals.real
 

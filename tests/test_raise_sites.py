@@ -108,6 +108,19 @@ CASES = {  # name -> (error, a fragment of its message, the call)
         lambda: DetectorKernel.tabulated([0.0, 1.0], [0.0, 1.0], [[1.0, -1.0], [1.0, 1.0]])),
     "kernel_from_spec not an object": (DomainError, "must be an object",
                                        lambda: kernel_from_spec(5)),
+    "tabulated bool and string cells": (
+        DomainError, "kernel table entries must be real numbers",
+        lambda: DetectorKernel.tabulated([0.0, 1.0], [0.0, 1.0], [[1, True], ["1", 1]])),
+    "tabulated bool array": (
+        DomainError, "kernel table entries must be real numbers",
+        lambda: DetectorKernel.tabulated([0.0, 1.0], [0.0, 1.0], np.ones((2, 2), dtype=bool))),
+    "tabulated ragged rows": (
+        DomainError, "m grid entries must be real numbers",
+        lambda: DetectorKernel.tabulated([0.0, 1.0], [[0.0], [1.0, 2.0]], np.ones((2, 2)))),
+    "kernel_from_spec bool table cell": (
+        DomainError, "bad 'table' field",
+        lambda: kernel_from_spec({"family": "custom", "table": [
+            [0, 0, True], [0, 1, 1], [1, 0, 1], [1, 1, 1]]})),
     "kernel_from_spec rows of 2": (
         DomainError, "rows of",
         lambda: kernel_from_spec({"family": "custom", "table": [[1.0, 2.0]]})),
@@ -203,11 +216,11 @@ def test_raise_site_raises_the_package_error(case):
 
 # N11's contract for scalar slots: a value that is not a finite number is
 # refused with the package's error, never a bare TypeError, ValueError or
-# OverflowError, and never built into an object.  Array arguments hold
-# numpy's cast of their entries, so a table cell or grid node is only fed
-# the values that cast to no finite float.
+# OverflowError, and never built into an object.  A table cell or grid node
+# is held to the same rule, though numpy's float cast would take True and
+# "1" as 1.0; a flag is a bool, never a string or number read by its truth.
 NOT_NUMBERS = (math.nan, math.inf, -math.inf, True, "1", None)
-NOT_FINITE = (math.nan, math.inf, -math.inf, None)
+NOT_FLAGS = ("false", "true", 0, 1, 1.0, None)
 RING_EXP = DetectorKernel.ring_exponential(a=1.0)
 GRID = [0.0, 1.0]
 STATE_SPECS = {"coherent": {"kind": "coherent", "xi": 10.0, "alpha": 2.0},
@@ -246,11 +259,17 @@ SLOTS = {  # name -> (error, call of the slot's value, a valid value, values ref
                            NOT_NUMBERS),
     "ring_exponential A": (DomainError, lambda v: DetectorKernel.ring_exponential(1.0, v),
                            2.0, NOT_NUMBERS),
-    "tabulated value cell": (DomainError, lambda v: _tabulated(cell=v), 0.0, NOT_FINITE),
+    "max_localization chiral": (DomainError,
+                                lambda v: DetectorKernel.max_localization(chiral=v), True,
+                                NOT_FLAGS),
+    "tabulated value cell": (DomainError, lambda v: _tabulated(cell=v), 0.0,
+                             NOT_NUMBERS + (10**400,)),
     # log 0 = -inf is a zero cell
     "tabulated log value cell": (DomainError, lambda v: _tabulated(cell=v, log_values=True),
-                                 -math.inf, (math.nan, math.inf, None)),
-    "tabulated grid node": (DomainError, lambda v: _tabulated(node=v), 2.0, NOT_FINITE),
+                                 -math.inf, (math.nan, math.inf, True, "1", None)),
+    "tabulated grid node": (DomainError, lambda v: _tabulated(node=v), 2.0,
+                            NOT_NUMBERS + (10**400,)),
+    "tabulated log_values": (DomainError, lambda v: _tabulated(log_values=v), True, NOT_FLAGS),
     "timescales xi": (DomainError, lambda v: timescales(MASSIVE, v, 2.0), 10.0, NOT_NUMBERS),
     "timescales alpha": (DomainError, lambda v: timescales(MASSIVE, 10.0, v), 2.0,
                          NOT_NUMBERS),
