@@ -116,8 +116,9 @@ EXPERIMENTS = tuple(_SCHEMA)
 # most.  Bytes a mode and a point (a time or angle sample, its CSV row
 # included) cost at most; tracemalloc measured 142 a mode (fig-steps) and
 # 444-893 a point (fig-probcoh, fig-steps, sagnac, fig-miviolation).  Mode x
-# point work is chunked to lattice._CHUNK_BUDGET entries (2^18: 4 MB of complex
-# phases a chunk, whatever the config's size) and is not counted.
+# point work is chunked by lattice._chunks to at most lattice._CHUNK_BUDGET
+# entries (2^18: 4 MB of complex phases; the scattered-grid sums take blocks
+# of 2^15, 512 KB), whatever the config's size, and is not counted.
 MEMORY_BUDGET = 1 << 32
 _MODE_BYTES, _POINT_BYTES = 256, 1024
 

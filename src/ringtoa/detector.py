@@ -18,14 +18,14 @@ must keep it in [0, 1], and the builder rejects anything above 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SupportError, UnphysicalKernelError
 from .lattice import _chunks
-from .modes import ModeSpace, RotationFrame, as_float, is_number, omega, rotating_omega
+from .modes import (ModeSpace, RotationFrame, as_float, is_number, number_array, omega,
+                    rotating_omega)
 from .specfun import sinc
 
 __all__ = [
@@ -51,23 +51,6 @@ def _flag(val, name: str = "value") -> bool:
     if not isinstance(val, (bool, np.bool_)):
         raise DomainError(f"{name} must be a bool, got {val!r}")
     return bool(val)
-
-
-def _reals(values, name: str) -> np.ndarray:
-    """values as a float array if each entry is a real number; DomainError otherwise.
-
-    A bool, a string or a ragged row is no real number, though
-    np.asarray(..., dtype=float) would read True and "1" as 1.0.
-    """
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
-    if not all(issubclass(tp, numbers.Real) and not issubclass(tp, (bool, np.bool_))
-               for tp in types):
-        raise DomainError(f"{name} entries must be real numbers")
-    try:
-        return arr.astype(float)
-    except OverflowError:  # an int too large for a float
-        raise DomainError(f"{name} entries must be finite") from None
 
 
 @dataclass(frozen=True)
@@ -124,8 +107,10 @@ class DetectorKernel:
         strings, save a log entry of -inf (a zero cell), and log_values a
         bool; DomainError otherwise.
         """
-        og, mg = _reals(omega_grid, "omega grid"), _reals(m_grid, "m grid")
-        vals = _reals(values, "kernel table")
+        # copies: the kernel keeps its grids
+        og = number_array(omega_grid, "omega grid").copy()
+        mg = number_array(m_grid, "m grid").copy()
+        vals = number_array(values, "kernel table")
         log_values = _flag(log_values, "log_values")
         if vals.shape != (og.size, mg.size):
             raise DomainError(
@@ -230,7 +215,7 @@ _KERNEL_SPECS = {
         "A": as_float, "gamma0": as_float, "gamma1": as_float, "chiral": _flag}, ()),
     "ring-exponential": (DetectorKernel.ring_exponential,
                          {"a": as_float, "A": as_float}, ("a",)),
-    "custom": (_from_rows, {"table": lambda v: _reals(v, "table")}, ("table",)),
+    "custom": (_from_rows, {"table": lambda v: number_array(v, "table")}, ("table",)),
 }
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 
-# entries of the temporaries one chunked loop holds at once (modes x points
-# for the mode sums' phase matrices, 4 MB of complex values); the one copy,
-# read by _chunks
+# entries of the temporaries a chunked loop holds at once by default, and
+# the cap on any loop's own budget (4 MB of complex values: the uniform sums'
+# block-head phase matrices); the one copy, read by _chunks
 _CHUNK_BUDGET = 1 << 18
 
 # Unit phasors e^{ix} (see _unit_phasors): x = k 2 pi / _TABLE_N + r with
@@ -29,7 +29,11 @@ _CHUNK_BUDGET = 1 << 18
 # |x| <= _TABLE_REACH keeps |k| under 2^41.  Arrays of fewer than _MIN_TABLE
 # entries, where the kernel's fixed cost of about twenty numpy calls
 # outweighs its saving, and arrays reaching beyond _TABLE_REACH take libm's
-# exp.  A block of _PHASOR_BLOCK entries keeps its temporaries in a 2 MB L2.
+# exp.  A block of _PHASOR_BLOCK entries (512 KB of complex values) keeps its
+# temporaries in a 2 MB L2: the table path runs a block at a time, and the
+# scattered-grid sums (_dense_sum, _double_sum) form, take and contract their
+# phases a block of modes x points at a time, so the allocator hands back
+# warm memory instead of freshly mapped pages.
 _TABLE_N = 4096
 _TABLE_SCALE = _TABLE_N / (2.0 * math.pi)
 _TABLE_SPLIT = tuple(float.fromhex(h) for h in (
@@ -59,10 +63,12 @@ REALITY_TOL = 1e-10
 def _chunks(n: int, width: int, budget: int | None = None) -> list[slice]:
     """Slices of range(n), each of about budget entries of width each (at least one item).
 
-    budget defaults to _CHUNK_BUDGET, read at call time: every chunked loop
-    of the package sizes its chunks here, so one patched value reaches all.
+    budget defaults to _CHUNK_BUDGET, and an explicit budget is capped at it,
+    read at call time: every chunked loop of the package sizes its chunks
+    here, so one patched value reaches all.
     """
-    step = max(1, (_CHUNK_BUDGET if budget is None else budget) // max(width, 1))
+    cap = _CHUNK_BUDGET if budget is None else min(budget, _CHUNK_BUDGET)
+    step = max(1, cap // max(width, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -186,10 +192,15 @@ def _phases(m, w, t, phi):
 
 
 def _dense_sum(c, mm, ww, tf, pf):
-    """The reference evaluation: one unit phasor per mode x point, chunked over modes."""
-    out = np.zeros(tf.size, dtype=complex)
-    for sl in _chunks(c.size, tf.size):
-        out += c[sl] @ _phases(mm[sl], ww[sl], tf, pf)
+    """The reference evaluation: one unit phasor per mode x point.
+
+    Chunked over points, a _PHASOR_BLOCK of entries a chunk (one point when
+    the modes alone exceed it): each point is one product c @ phases over
+    all of its modes.
+    """
+    out = np.empty(tf.size, dtype=complex)
+    for sl in _chunks(tf.size, c.size, _PHASOR_BLOCK):
+        out[sl] = c @ _phases(mm, ww, tf[sl], pf[sl])
     return out
 
 
@@ -263,8 +274,9 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     """The real sum_{j,k} kernel_jk exp(i((m_j - m_k) phi - (freq_j - freq_k) t)) on a grid.
 
     Rows and columns whose row sums of |kernel| fall under _significant are
-    dropped (at most 2 u sum|kernel|).  kernel must be Hermitian: an
-    imaginary residue above REALITY_TOL of max(1, max|real|) raises DomainError.
+    dropped (at most 2 u sum|kernel|).  Chunked over points as _dense_sum is.
+    kernel must be Hermitian: an imaginary residue above REALITY_TOL of
+    max(1, max|real|) raises DomainError.
     """
     active = _significant(np.abs(kernel).sum(axis=1))
     kernel = kernel[np.ix_(active, active)]
@@ -272,7 +284,7 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
 
     def fill(tf, pf):
         vals = np.empty(tf.size, dtype=complex)
-        for sl in _chunks(tf.size, ma.size):
+        for sl in _chunks(tf.size, ma.size, _PHASOR_BLOCK):
             u = _phases(ma, wa, tf[sl], pf[sl])
             vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
         resid = float(np.max(np.abs(vals.imag), initial=0.0))

@@ -26,7 +26,7 @@ __all__ = [
     "velocity",
     "rotating_omega",
     "rotating_velocity",
-    "is_number", "as_float",
+    "is_number", "as_float", "number_array",
 ]
 
 
@@ -43,6 +43,26 @@ def as_float(val) -> float:
     if not is_number(val):
         raise TypeError(f"{val!r} is not a finite number")
     return float(val)
+
+
+def number_array(values, name: str, error: type = DomainError,
+                 dtype: type = float) -> np.ndarray:
+    """values as a float array (complex, with dtype complex); error if an entry is no such number.
+
+    A bool, a string or a ragged row is no number, though np.asarray would
+    read True and "1" as 1, and a complex entry is no real number.  An
+    ndarray is judged by its dtype alone, in O(1), and comes back as it is
+    when it has that dtype already; other input is judged entry by entry.
+    """
+    kind = numbers.Real if dtype is float else numbers.Complex
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if not all(issubclass(tp, kind) and not issubclass(tp, (bool, np.bool_)) for tp in types):
+        raise error(f"{name} entries must be {'real ' if dtype is float else ''}numbers")
+    try:
+        return arr.astype(dtype, copy=False)
+    except OverflowError:  # an int too large for a float
+        raise error(f"{name} entries must be finite") from None
 
 
 @dataclass(frozen=True)

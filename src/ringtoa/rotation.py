@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplitudes import amp_rotating_split
 from .errors import DomainError, StateError
-from .modes import ModeSpace, RotationFrame, is_number, velocity
+from .modes import ModeSpace, RotationFrame, is_number, number_array, velocity
 from .detector import DetectorKernel
 from .probability import _density, _eta_sum, timescales
 from .states import RingState
@@ -92,10 +92,11 @@ class NoiseCurve:
 def noise_curve(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> NoiseCurve:
     """Evaluate the noise ratio over a grid of angular velocities.
 
-    Each entry must be a finite number with |Omega_D r| < 1 (DomainError).
+    Each entry must be a finite real number, not a bool or string, with
+    |Omega_D r| < 1 (DomainError).
     """
-    points = _eta(dk, ms, omega_d_grid)  # checks each entry as given
-    omega_d_grid = np.asarray(omega_d_grid, dtype=float)
+    omega_d_grid = number_array(omega_d_grid, "omega_d_grid")
+    points = _eta(dk, ms, omega_d_grid)  # checks each entry's range
     vals = np.array([value for value, _, _ in points])
     closed = None
     if dk.family == "ring-exponential" and ms.mu == 0:

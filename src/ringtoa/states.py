@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CutoffError, DomainError, QuadratureError, StateError
 from .lattice import _chunks
-from .modes import ModeSpace, as_float, is_number
+from .modes import ModeSpace, as_float, is_number, number_array
 from .oracle import _line_quadrature, _ratio
 from .specfun import coherent_norm
 
@@ -134,7 +134,8 @@ class RingState:
     coeffs is indexed by m + m_max (lattice order -m_max..m_max).  packet is
     the line packet whose samples the coefficients are, for coherent and
     line-sampled states (None for any other); the Poisson images use it,
-    mode sums never need it.
+    mode sums never need it.  coeffs and rho must hold numbers, not bools or
+    strings (modes.number_array): StateError otherwise.
     """
 
     modespace: ModeSpace
@@ -147,7 +148,7 @@ class RingState:
         if (self.coeffs is None) == (self.rho is None):
             raise StateError("exactly one of coeffs (pure) or rho (mixed) is required")
         if self.coeffs is not None:
-            c = np.asarray(self.coeffs, dtype=complex)
+            c = number_array(self.coeffs, "coeffs", StateError, complex)
             if c.shape != (n,):
                 raise StateError(f"coeffs must have shape ({n},), got {c.shape}")
             norm2 = float(np.sum(np.abs(c) ** 2))
@@ -155,7 +156,7 @@ class RingState:
                 raise StateError(f"pure state not normalized: sum|psi|^2 = {norm2!r}")
             object.__setattr__(self, "coeffs", c)
         else:
-            rho = np.asarray(self.rho, dtype=complex)
+            rho = number_array(self.rho, "rho", StateError, complex)
             if rho.shape != (n, n):
                 raise StateError(f"rho must have shape ({n},{n}), got {rho.shape}")
             object.__setattr__(self, "rho", rho)
@@ -354,14 +355,15 @@ def post_select(state: RingState, weights) -> RingState:
     """Reweight by the detector absorption and renormalize to unit trace.
 
     weights: absorption a(m) as an array aligned with the mode lattice, or
-    any object with an ``of_lattice(ms)`` method (an AbsorptionProfile).
+    any object with an ``of_lattice(ms)`` method (an AbsorptionProfile); an
+    array must hold real numbers, not bools or strings (StateError).
     rho_ps(m, m') = rho(m, m') sqrt(a(m) a(m')) / trace.
     """
     ms = state.modespace
     if hasattr(weights, "of_lattice"):
         a = weights.of_lattice(ms)
     else:
-        a = np.asarray(weights, dtype=float)
+        a = number_array(weights, "absorption weights", StateError)
     if a.shape != (2 * ms.m_max + 1,):
         raise StateError(f"absorption weights must match the lattice, got {a.shape}")
     if np.any(a < 0):

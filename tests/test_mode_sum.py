@@ -3,6 +3,7 @@ that drops the terms under one unit roundoff of the sum."""
 
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -558,3 +559,67 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
     np.testing.assert_allclose(got[2], want[2], rtol=1e-13, atol=0)
     assert np.array_equal(got[3], want[3]) and got[4] is want[4] is True
     assert np.array_equal(got[5], want[5]) and np.array_equal(got[6], want[6])
+
+
+def _scattered(rng, n):
+    return rng.uniform(0.0, 50.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+
+
+def test_scattered_sums_hold_a_bounded_block_of_temporaries():
+    # _dense_sum and _double_sum form, take and contract their phases a
+    # _PHASOR_BLOCK of modes x points at a time, so beyond their output they
+    # hold the same few blocks of complex values at any grid size
+    rng = np.random.default_rng(5)
+    m = np.arange(-12.0, 12.0)
+    freq = np.hypot(3.0, m)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    a = rng.normal(size=(m.size, m.size)) + 1j * rng.normal(size=(m.size, m.size))
+    kernel = a @ a.conj().T
+    bound = 8 * lattice._PHASOR_BLOCK * 16
+    for n in (4096, 65536):
+        t, phi = _scattered(rng, n)
+        for run in (lambda: lattice._dense_sum(c, m, freq, t, phi),
+                    lambda: lattice._double_sum(kernel, m, freq, t, phi)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * n + bound
+
+
+def test_dense_sum_takes_one_point_a_chunk_past_a_block_of_modes():
+    # 40001 active modes, more than _PHASOR_BLOCK: each chunk holds one point
+    # with all of its modes, as one unchunked product does
+    m = np.arange(-20000.0, 20001.0)
+    freq = np.hypot(3.0, m)
+    rng = np.random.default_rng(8)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    t, phi = _scattered(rng, 5)
+    assert m.size > lattice._PHASOR_BLOCK
+    assert len(lattice._chunks(t.size, c.size, lattice._PHASOR_BLOCK)) == t.size
+    got = lattice._dense_sum(c, m, freq, t, phi)
+    want = c @ lattice._phases(m, freq, t, phi)
+    assert np.max(np.abs(got - want)) <= phase_bound(c, freq, m, t, phi)
+
+
+def test_scattered_sums_take_libm_exp_in_a_small_last_chunk():
+    # the last chunk holds 10 points x 16 modes, under _MIN_TABLE entries, so
+    # its phases come from np.exp, the others' from the table
+    m = np.arange(-8.0, 8.0)
+    freq = np.hypot(3.0, m)
+    rng = np.random.default_rng(9)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    a = rng.normal(size=(m.size, m.size)) + 1j * rng.normal(size=(m.size, m.size))
+    kernel = a @ a.conj().T
+    t, phi = _scattered(rng, 2 * lattice._PHASOR_BLOCK // m.size + 10)
+    last = lattice._chunks(t.size, m.size, lattice._PHASOR_BLOCK)[-1]
+    assert (last.stop - last.start) * m.size < lattice._MIN_TABLE
+    u = lattice._phases(m, freq, t, phi)
+    got = lattice._dense_sum(c, m, freq, t, phi)
+    assert np.max(np.abs(got - c @ u)) <= phase_bound(c, freq, m, t, phi)
+    got = lattice._double_sum(kernel, m, freq, t, phi)
+    want = np.einsum("mp,mn,np->p", u, kernel, u.conj()).real
+    bound = float(np.sum(np.abs(kernel))) * (2.0 * U + 8.0 * EPS * m.size)
+    assert np.max(np.abs(got - want)) <= bound

@@ -173,6 +173,9 @@ CASES = {  # name -> (error, a fragment of its message, the call)
     "eta_closed_form a <= 0": (DomainError, "decay constant",
                                lambda: eta_closed_form(-1.0, 0.1)),
     "eta_closed_form superluminal": (DomainError, "Omega_D r", lambda: eta_closed_form(1.0, 1.0)),
+    "noise_curve bool grid": (
+        DomainError, "omega_d_grid entries must be real numbers",
+        lambda: noise_curve(DetectorKernel.ring_exponential(1.0), MS, np.array([False, True]))),
     "sagnac_scan mixed": (StateError, "pure symmetric state",
                           lambda: sagnac_scan(MIXED, RotationFrame(0.1, MS), T2)),
     # states
@@ -186,6 +189,12 @@ CASES = {  # name -> (error, a fragment of its message, the call)
                                lambda: RingState(MS, coeffs=np.ones(3))),
     "RingState rho shape": (StateError, "rho must have shape",
                             lambda: RingState(MS, rho=np.eye(3))),
+    # numpy's complex cast would read "1" and True as 1+0j
+    "RingState string coeffs": (
+        StateError, "coeffs entries must be numbers",
+        lambda: RingState(MS, coeffs=np.where(np.arange(81) == 40, "1", "0"))),
+    "RingState bool rho": (StateError, "rho entries must be numbers",
+                           lambda: RingState(MS, rho=np.diag(np.arange(81) == 40))),
     "overlap mixed": (StateError, "requires pure states", lambda: MIXED.overlap(COH)),
     "from_modes outside the lattice": (CutoffError, "outside lattice",
                                        lambda: from_modes(MS, {41: 1.0})),
@@ -196,6 +205,8 @@ CASES = {  # name -> (error, a fragment of its message, the call)
                           lambda: post_select(COH, np.ones(3))),
     "post_select negative": (StateError, "must be nonnegative",
                              lambda: post_select(COH, -np.ones(81))),
+    "post_select bool weights": (StateError, "absorption weights entries must be real numbers",
+                                 lambda: post_select(COH, np.ones(81, dtype=bool))),
     "post_select annihilates a mixed state": (StateError, "annihilates",
                                               lambda: post_select(MIXED, np.zeros(81))),
     "state_from_spec not an object": (StateError, "must be an object",
