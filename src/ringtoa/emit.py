@@ -6,14 +6,20 @@ float cell holds the bytes of repr(float(x)): the shortest decimal that
 reads back as x, the nearest to x among those ("nan" for every NaN).
 Outputs are byte-identical across runs with the same configuration; the run
 manifest additionally records wall time, which is the single volatile field.
+A metadata key or value holding a line break is refused, since it would end
+its '#' line inside the metadata.
 
 Formatting is the cost of writing, so it runs in numpy, and each distinct
 column is formatted once.  A column's cells are an (n, w) uint8 array padded
 with NULs (_cells); _float_cells makes repr's bytes without a per-cell str
 (a column under _SHORT_COLUMN cells takes repr itself), and a file's rows
-are joined as one buffer whose NULs are dropped.  A float column whose
-values are all bitwise equal costs one repr (so -0.0 and 0.0 are never
-merged).  A column whose dtype and bytes (floats as float64) equal
+are joined as one buffer whose NULs are dropped.  _float_cells works a
+chunk of cells (lattice._chunks) at a time: about 160 numpy calls, each
+over one value a cell, find the digits and lay out their bytes, the last
+step a block of L2-sized byte index at a time, so a chunk's temporaries
+are a few dozen arrays of one value a cell and no n x w index.  A float
+column whose values are all bitwise equal costs one repr (so -0.0 and 0.0
+are never merged).  A column whose dtype and bytes (floats as float64) equal
 those of an earlier column, in the same write_csv call or the one before it,
 reuses that column's cells.  Only the previous call's cells are kept, keyed
 by the exact bytes, not a hash alone, so a column changed in place is
@@ -30,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import _chunks, _product_err
+from . import lattice
+from .lattice import _chunks, _split
 from .probability import NORMALIZATION_TAG
 
 __all__ = ["format_float", "write_csv", "write_json"]
@@ -42,12 +49,17 @@ def format_float(x) -> str:
 
 
 def _meta_lines(metadata: dict) -> list[str]:
+    """The '#' lines of a data file; a key or value holding a line break raises ValueError."""
     lines = [f"# normalization: {NORMALIZATION_TAG}"]
     for key in sorted(metadata):
         val = metadata[key]
         if isinstance(val, float):
             val = format_float(val)
-        lines.append(f"# {key}: {val}")
+        line = f"# {key}: {val}"
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r} holds a line break, which would end its "
+                             "'#' line inside the metadata")
+        lines.append(line)
     return lines
 
 
@@ -59,42 +71,65 @@ def _meta_lines(metadata: dict) -> list[str]:
 # position of the decimal point or the exponent's sign and width.  Each
 # class has a template of byte indices into a source row of 32 bytes: the
 # digits (10^p at byte 19 - p), the exponent's 4 digits (bytes 20-23), then
-# _CONSTANTS.  One take fills a chunk of cells.
+# _CONSTANTS.  _lay_out takes a chunk's cells from their source rows a block
+# of lattice._PHASOR_BLOCK entries of byte index (256 KB) at a time, so the
+# index stays in the L2 cache and reuses the same pages block after block.
 
 # |x| in [2^-940, 2^996) scales into [1e16, 1e17) by 10^k, k in [_K_MIN, _K_MAX],
 # with no overflow in Dekker's split of |x| or 10^k
-_K_MIN, _K_MAX = -284, 300
+_K_MIN, _K_MAX = -284, 299
 _BIASED_EXP = (1023 - 940, 1023 + 996)
-# far above the 2^-46 error of every decision in _shortest
+# far above the 2^-45 error of every comparison in _shortest
 _MARGIN = 2.0**-30
 _WIDTH = 24  # the longest repr of a float64, as -1.2345678901234567e-300
 _MINUS, _DOT, _ZERO, _E, _PLUS, _NUL = range(24, 30)
 _CONSTANTS = np.frombuffer(b"-.0e+\0\0\0", dtype=np.uint32)
 _POW10 = 10 ** np.arange(18)
 _FORMS = 24  # point -3..16 in fixed notation, then e-xx, e-xxx, e+xx, e+xxx
+# a cell's point (digits before the decimal point) lies in (-_POINTS, _POINTS)
+_POINTS = 340
 # a float column of fewer cells costs less as one repr a cell than as
-# _float_cells, whose fixed cost is about 150 numpy calls (0.1-0.3 ms); the two
-# crossed at 200-250 cells on a 2-core Xeon
-_SHORT_COLUMN = 200
+# _float_cells, whose fixed cost is about 160 numpy calls (0.11-0.13 ms); the
+# two crossed at 140-150 cells on a 2-core Xeon
+_SHORT_COLUMN = 150
 
 
 @functools.cache
-def _powers_of_ten():
-    """10^k = hi + lo to about 2^-106 of it, for k in [_K_MIN, _K_MAX]; built on first use."""
-    hi, lo = [], []
+def _scales():
+    """Tables of a float's scaling by 10^k, indexed by j = 2 e + b; built on first use.
+
+    e is the biased exponent and b is 0 or 1, and k = 15 - F + b with
+    F = floor((e - 1023) log10 2), taken as ((e - 1023) 78913) >> 18 (exact
+    for |e - 1023| <= 1100, as in Adams's Ryu, PLDI 2018).  Entry j holds
+    hi, hi's Dekker split and lo, with 10^k = hi + lo to about 2^-106 of it,
+    then 2^(e - 1076) hi and -k.  Exponents outside _BIASED_EXP take the
+    entries of e = 1023; the first table, True at 2 e just for those inside,
+    tells them apart.
+    """
+    pow_hi, pow_lo = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         h = num / den  # int / int rounds correctly, and so does the remainder
         a, b = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * b - a * den) / (den * b))
-    return np.array(hi), np.array(lo)
+        pow_hi.append(h)
+        pow_lo.append((num * b - a * den) / (den * b))
+    e = np.arange(2048)
+    inside = (e >= _BIASED_EXP[0]) & (e < _BIASED_EXP[1])
+    e = np.repeat(np.where(inside, e, 1023), 2)
+    k = 15 - ((e - 1023) * 78913 >> 18) + np.arange(e.size) % 2
+    hi = np.array(pow_hi)[k - _K_MIN]
+    return (np.repeat(inside, 2), hi, *_split(hi), np.array(pow_lo)[k - _K_MIN],
+            np.ldexp(hi, e - 1076), -k)
 
 
 @functools.cache
 def _templates():
-    """(class templates, class lengths, "%04d" of 0..9999 as uint32); built on first use."""
-    templates = np.full((2, 17, _FORMS, _WIDTH), _NUL, dtype=np.intp)
+    """(class templates, class lengths, "%04d" of 0..9999 as uint32, the form
+    of each point in [-_POINTS, _POINTS) less _FORMS); built on first use.
+
+    A cell's class is its form + (nsig - 1) _FORMS, plus 17 _FORMS if negative.
+    """
+    templates = np.full((2, 17, _FORMS, _WIDTH), _NUL, dtype=np.uint8)
     lengths = np.zeros((2, 17, _FORMS), dtype=np.intp)
     for sign, nsig, form in itertools.product(range(2), range(1, 18), range(_FORMS)):
         digits = list(range(20 - nsig, 20))
@@ -112,7 +147,11 @@ def _templates():
         templates[sign, nsig - 1, form, :len(cell)] = cell
         lengths[sign, nsig - 1, form] = len(cell)
     groups = np.array([b"%04d" % i for i in range(10_000)]).view(np.uint32)
-    return templates.reshape(-1, _WIDTH), lengths.ravel(), groups
+    point = np.arange(-_POINTS, _POINTS)
+    e10 = np.abs(point - 1)
+    forms = np.where((point > -4) & (point <= 16), point + 3,
+                     20 + 2 * (point > 1) + (e10 >= 100)) - _FORMS
+    return templates.reshape(-1, _WIDTH), lengths.ravel(), groups, forms
 
 
 def _shortest(x: np.ndarray):
@@ -121,24 +160,27 @@ def _shortest(x: np.ndarray):
 
     ok is False for zeros, subnormals, infinities, NaNs, |x| outside
     [2^-940, 2^996), power-of-two mantissas (their round-trip interval is
-    lopsided), and wherever a decision below is within _MARGIN of a tie.
+    lopsided), and wherever a comparison below, taken or not, is within
+    _MARGIN of a tie.
 
     Otherwise |x| = M 2^e with M in (2^52, 2^53), and every real in
     (v - h, v + h) reads back as x, where v = |x| 10^k and h = 2^(e-1) 10^k.
-    k is the one making 1e16 <= fl(|x| P) < 1e17 (P below), so v is in
-    [1e16 - 1, 1e17 + 8] and h in (0.55, 11.2).  repr's digits are the
-    multiple of 10^j in that interval nearest to v, for the largest j that
-    has one.
+    With F = floor(log10 2^(e+52)), |x| 10^(15-F) lies in [1e15, 10^16.31);
+    k is 15 - F where fl(|x| P) >= 1e16 for P the table's 10^(15-F), and
+    16 - F where it is below (_scales).  So v is in [1e16 - 3, 1e17 + 22]
+    and h in (0.55, 11.2).  repr's digits are the multiple of 10^j in that
+    interval nearest to v, for the largest j that has one.
 
     Error.  With 10^k = P + p + O(2^-106 P) (the table), |x| P = hi + err
     exactly (TwoProduct), lo = fl(err + fl(|x| p)), N = hi + floor(lo) and
     f = lo - floor(lo) exactly, N + f is within 2^-50 + 2^-49 + 2^-49 < 2^-47
-    of v, and 2^(e-1) P within 2^-53 h < 2^-49 of h.  Each decision compares
-    a distance from N + f to a multiple of 10^j (or f to 1/2) with h (or
-    with another distance); formed with at most two more roundings of 2^-50,
-    it is within 2^-46 of its exact value.  So a decision farther than
-    _MARGIN from a tie is the exact one, and the ties (an interval edge that
-    reads back only for even M, two nearest multiples) go to repr.
+    of v, and 2^(e-1) P within 2^-53 h < 2^-49 of h.  Each comparison sets
+    a distance from N + f to a multiple of 10^j (or f to 1/2) against h (or
+    the distances to two multiples against each other); formed with at most
+    two more roundings of 2^-50, each side is within 2^-46 of its exact
+    value.  So a comparison farther than _MARGIN from a tie is the exact
+    one, and the ties (an interval edge that reads back only for even M,
+    two nearest multiples) go to repr.
 
     The levels.  j >= 2: since h < 12, a multiple of 100 within h of N + f
     is R = N + 12 - ((N + 12) mod 100), the only one within 12, and it is a
@@ -146,52 +188,73 @@ def _shortest(x: np.ndarray):
     j = 1: the nearer multiple of 10.  j = 0: the nearest integer, always
     within h > 1/2.
     """
-    pow_hi, pow_lo = _powers_of_ten()
-    bits = x.view(np.uint64)
-    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
-    ok = (biased >= _BIASED_EXP[0]) & (biased < _BIASED_EXP[1]) & (bits << np.uint64(12) != 0)
-    biased = np.where(ok, biased, 1023)
-    a = np.where(ok, np.abs(x), 1.0)
-    # a table index; log10 may be off by one next to a power of 10
-    k = 16 - _K_MIN - np.floor(np.log10(a)).astype(np.int64)
-    hi = a * pow_hi[k]
-    k += (hi < 1e16).astype(np.int64) - (hi >= 1e17)
-    p = pow_hi[k]
-    hi = a * p
-    lo = _product_err(a, p, hi) + a * pow_lo[k]
-    whole = np.floor(lo)
-    n = hi.astype(np.int64) + whole.astype(np.int64)
-    f = lo - whole
-    h = ((biased - 53) << 52).view(np.float64) * p  # 2^(biased - 1076): half an ulp
-    # j >= 2
-    w, low = np.divmod(n + 12, 100)
-    near = low <= 23
-    d = np.abs((low - 12) + f)
-    on = near & (d < h)
-    unsure = near & (np.abs(d - h) < _MARGIN)
-    w = w.astype(np.float64)  # < 2^53, so w / 10^s is whole just when 10^s divides w
-    zeros = np.zeros_like(n)
+    inside, p_hi, _, _, _, half, neg_k = _scales()
+    bits = x.view(np.int64)
+    j = (bits >> 51) & 0xFFE  # 2 e, e the biased exponent: the _scales index for b = 0
+    ok = inside.take(j) & (bits << 12 != 0)
+    a = np.abs(x)
+    bad = np.flatnonzero(~ok)
+    a[bad], j[bad] = 1.0, 2 * 1023  # any finite value in range
+    j += a * p_hi.take(j) < 1e16
+    n, f = _scaled(a, j)
+    h = half.take(j)
+    # each comparison's distance from its tie, whether it decides or not
+    ties = np.empty((4, x.size))
+    # j >= 2: the distance to R is |(N - 100 w) + f|, w = (N + 12) // 100
+    w = n + 12
+    w //= 100
+    d = np.abs((n - 100 * w) + f)
+    on = d < h
+    np.subtract(d, h, out=ties[0])
+    # j = 1: N + f - c is the multiple of 10 halfway between the two nearest
+    q = n // 10
+    c = np.add(n - 10 * q - 5, f, out=ties[1])
+    d = 5.0 - np.abs(c)
+    on1 = d < h
+    np.subtract(d, h, out=ties[2])
+    # j = 0
+    np.subtract(f, 0.5, out=ties[3])
+    sig = np.where(on1, q + (c > 0), n + (f > 0.5))
+    unsure = np.abs(ties, out=ties).min(axis=0) < _MARGIN
+    shift = neg_k.take(j)
+    exp = on1 + shift
+    # strip R's trailing zeros, on its cells alone
+    i = np.flatnonzero(on)
+    w = w[i].astype(np.float64)  # < 2^53, so w / 10^s is whole just when 10^s divides w
+    zeros = shift[i] + 2
     for s in (8, 4, 2, 1):
         q = w / 10.0**s
         divisible = q == np.floor(q)
         w = np.where(divisible, q, w)
         zeros += s * divisible
-    # j = 1
-    r = n % 10
-    down, up = r + f, (10 - r) - f
-    d = np.minimum(down, up)
-    on1 = ~on & (d < h)
-    unsure |= ~on & ((np.abs(d - h) < _MARGIN) | (np.abs(down - up) < _MARGIN) & (d < h))
-    # j = 0
-    unsure |= ~on & ~on1 & (np.abs(f - 0.5) < _MARGIN)
-    sig = np.where(on, w.astype(np.int64), np.where(on1, n // 10 + (up < down), n + (f > 0.5)))
-    exp = np.where(on, zeros + 2, on1.astype(np.int64)) - (k + _K_MIN)
+    sig[i], exp[i] = w, zeros
     return ok & ~unsure, sig, exp
+
+
+def _scaled(a: np.ndarray, j: np.ndarray):
+    """(N, f): a 10^k = N + f to within 2^-47, N an integer and f in [0, 1),
+    for 10^k the _scales entry j (see _shortest)."""
+    _, p_hi, p_hi_hi, p_hi_lo, p_lo, _, _ = _scales()
+    hi = a * p_hi.take(j)
+    ah, al = _split(a)
+    ph, pl = p_hi_hi.take(j), p_hi_lo.take(j)
+    # TwoProduct's error, ((ah ph - hi) + ah pl + al ph) + al pl, as _product_err
+    lo = ah * ph
+    lo -= hi
+    lo += ah * pl
+    lo += al * ph
+    lo += al * pl
+    lo += a * p_lo.take(j)
+    whole = np.floor(lo)
+    n = hi.astype(np.int64)
+    n += whole.astype(np.int64)
+    lo -= whole
+    return n, lo
 
 
 def _float_cells(a: np.ndarray) -> np.ndarray:
     """repr's bytes of each float64 of a, as an (n, w) uint8 array padded with NULs."""
-    templates, lengths, groups = _templates()
+    templates, lengths, groups, forms = _templates()
     out = np.zeros((a.size, _WIDTH), np.uint8)
     width = 0
     for sl in _chunks(a.size, _WIDTH):
@@ -199,31 +262,52 @@ def _float_cells(a: np.ndarray) -> np.ndarray:
         ok, sig, exp = _shortest(x)
         nsig = np.searchsorted(_POW10, sig, side="right")
         point = nsig + exp
-        e10 = point - 1
-        form = np.where((point > -4) & (point <= 16), point + 3,
-                        20 + 2 * (e10 > 0) + (np.abs(e10) >= 100))
-        negative = (x.view(np.uint64) >> np.uint64(63)).astype(np.int64)
-        cls = np.where(ok, (negative * 17 + nsig - 1) * _FORMS + form, 0)
-        quads = np.empty((x.size, 6), np.int64)
-        high, quads[:, 4] = np.divmod(sig, 10**4)
-        high, quads[:, 3] = np.divmod(high, 10**4)
-        quads[:, 0], high = np.divmod(high, 10**8)
-        quads[:, 1], quads[:, 2] = np.divmod(high, 10**4)
-        np.abs(e10, out=quads[:, 5])
-        source = np.empty((x.size, 8), np.uint32)
-        source[:, :6] = groups.take(quads)
-        source[:, 6:] = _CONSTANTS
-        w = lengths[cls].max()
-        index = templates[:, :w][cls]
-        index += 32 * np.arange(x.size)[:, None]
-        out[sl, :w] = source.view(np.uint8).ravel().take(index)
-        width = max(width, w)
+        cls = forms.take(point + _POINTS)
+        cls += nsig * _FORMS
+        cls += (x < 0) * (17 * _FORMS)
         bad = np.flatnonzero(~ok)
+        cls[bad] = 0
+        # a row of "%04d" groups: sig's digits, the exponent's, then _CONSTANTS
+        source = np.empty((x.size, 8), np.uint32)
+        for g in (4, 3, 2, 1):
+            high = sig // 10**4
+            source[:, g] = groups.take(sig - high * 10**4)
+            sig = high
+        source[:, 0] = groups.take(sig)
+        if point.min() < -3 or point.max() > 16:  # a cell in scientific form
+            source[:, 5] = groups.take(np.abs(point - 1))
+        source[:, 6], source[:, 7] = _CONSTANTS
+        _lay_out(templates, cls, source, out[sl])
+        width = max(width, lengths.take(cls).max())
         if bad.size:
             texts = [repr(v) for v in x[bad].tolist()]
             out[sl][bad] = np.array(texts, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
             width = max(width, *map(len, texts))
     return out[:, :width]
+
+
+def _lay_out(templates: np.ndarray, cls: np.ndarray, source: np.ndarray, out: np.ndarray):
+    """out[i] = the bytes of source row i at the indices templates[cls[i]],
+    a block of lattice._PHASOR_BLOCK entries of byte index at a time."""
+    rows = source.view(np.uint8).ravel()
+    offsets = _block_offsets()
+    index = np.empty(offsets.shape, np.intp)
+    for sl in _chunks(cls.size, _WIDTH, offsets.size):
+        m = sl.stop - sl.start
+        np.add(templates.take(cls[sl], axis=0), offsets[:m], out=index[:m])
+        rows[32 * sl.start:32 * sl.stop].take(index[:m], out=out[sl], mode="clip")
+
+
+@functools.cache
+def _block_offsets() -> np.ndarray:
+    """The byte offset of each source row of a _lay_out block, _WIDTH times a row.
+
+    Full size, since numpy adds an (m, 1) column to an (m, _WIDTH) array a
+    row at a time."""
+    rows = lattice._PHASOR_BLOCK // _WIDTH
+    offsets = np.arange(rows * _WIDTH) // _WIDTH * 32
+    offsets.flags.writeable = False
+    return offsets.reshape(rows, _WIDTH)
 
 
 def _text_cells(texts: list[str]) -> np.ndarray:
@@ -276,6 +360,7 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("all columns must have equal length")
+    head = "\n".join([*_meta_lines(metadata), ",".join(names)]) + "\n"
     earlier, seen, cells = _previous, {}, []
     for name, a in zip(names, arrays):
         if a.dtype.kind == "c":
@@ -288,7 +373,6 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
             seen[key] = earlier[key] if key in earlier else _cells(a)
         cells.append(seen[key])
     _previous = seen
-    head = "\n".join([*_meta_lines(metadata), ",".join(names)]) + "\n"
     with path.open("wb") as fh:
         fh.write(head.encode())
         for rows in _rows(cells, n):

@@ -274,19 +274,23 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     """The real sum_{j,k} kernel_jk exp(i((m_j - m_k) phi - (freq_j - freq_k) t)) on a grid.
 
     Rows and columns whose row sums of |kernel| fall under _significant are
-    dropped (at most 2 u sum|kernel|).  Chunked over points as _dense_sum is.
-    kernel must be Hermitian: an imaginary residue above REALITY_TOL of
-    max(1, max|real|) raises DomainError.
+    dropped (at most 2 u sum|kernel|).  Chunked over points as _dense_sum is;
+    einsum plans the contraction on the first chunk and follows that plan on
+    every chunk.  kernel must be Hermitian: an imaginary residue above
+    REALITY_TOL of max(1, max|real|) raises DomainError.
     """
     active = _significant(np.abs(kernel).sum(axis=1))
     kernel = kernel[np.ix_(active, active)]
     ma, wa = m[active], freq[active]
 
     def fill(tf, pf):
-        vals = np.empty(tf.size, dtype=complex)
+        vals, path = np.empty(tf.size, dtype=complex), None
         for sl in _chunks(tf.size, ma.size, _PHASOR_BLOCK):
             u = _phases(ma, wa, tf[sl], pf[sl])
-            vals[sl] = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+            operands = (u, kernel, u.conj())
+            if path is None:
+                path = np.einsum_path("mp,mn,np->p", *operands, optimize=True)[0]
+            vals[sl] = np.einsum("mp,mn,np->p", *operands, optimize=path)
         resid = float(np.max(np.abs(vals.imag), initial=0.0))
         if resid > REALITY_TOL * max(float(np.max(np.abs(vals.real), initial=0.0)), 1.0):
             raise DomainError(

@@ -116,7 +116,15 @@ ETA_TAIL_TOL = 1e-12
 ETA_HARD_CAP = 2_000_000
 
 
-def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, int, float]:
+def _eta_modes(ms: ModeSpace, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modes 0 < |m| <= m_max and their frequencies omega_m."""
+    m = np.arange(-m_max, m_max + 1)
+    m = m[m != 0]
+    return m, omega(ms, m)
+
+
+def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float,
+             modes=None) -> tuple[float, int, float]:
     """(sum, cutoff reached, tail bound / sum) of sum_m R(omega_m - m Omega_D, m) / omega_m.
 
     The kernel is evaluated at the literal rotating argument (no support
@@ -124,7 +132,9 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
     the geometric tail bound drops below 1e-12 of the partial sum;
     non-decaying tails raise SeriesError.  The zero
     mode adds R(mu, 0) / mu, whatever Omega_D, and at mu = 0 raises
-    SeriesError unless R(0, 0) = 0.
+    SeriesError unless R(0, 0) = 0.  modes(m_max) gives each cutoff's modes
+    and frequencies (_eta_modes by default), so a caller summing at many
+    Omega_D can build them once a cutoff.
     """
     zero = float(dk.raw_value(ms.mu, 0, r=ms.r))
     if zero > 0 and ms.mu == 0:
@@ -132,9 +142,7 @@ def _eta_sum(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> tuple[float, 
     zero = zero / ms.mu if zero > 0 else 0.0
     m_max = max(ms.m_max, 2)  # each tail's ratio needs two modes on its side
     while True:
-        m = np.arange(-m_max, m_max + 1)
-        m = m[m != 0]
-        w = omega(ms, m)
+        m, w = modes(m_max) if modes else _eta_modes(ms, m_max)
         vals = dk.raw_value(w - m * omega_d, m, r=ms.r)
         terms = vals / w
         total = float(terms.sum()) + zero

@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .amplitudes import amp_rotating_split
 from .errors import DomainError, StateError
 from .modes import ModeSpace, RotationFrame, is_number, number_array, velocity
 from .detector import DetectorKernel
-from .probability import _density, _eta_sum, timescales
+from .probability import _density, _eta_modes, _eta_sum, timescales
 from .states import RingState
 
 __all__ = [
@@ -49,14 +50,16 @@ def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
 def _eta(dk: DetectorKernel, ms: ModeSpace, omega_d_grid) -> list[tuple[float, int, float]]:
     """Per Omega_D: (eta, larger cutoff reached, larger tail bound / sum) of its two sums.
 
-    The rest-frame sum is the same for every Omega_D and is computed once.
+    The rest-frame sum is the same for every Omega_D and is computed once,
+    and so are each cutoff's modes and frequencies.
     """
     points, rest = [], None
+    modes = functools.cache(functools.partial(_eta_modes, ms))
     for omega_d in omega_d_grid:
         RotationFrame(omega_d, ms)  # a finite number, |Omega_D r| < 1
         if rest is None:
-            rest = _eta_sum(dk, ms, 0.0)
-        num, m_num, tail_num = _eta_sum(dk, ms, omega_d)
+            rest = _eta_sum(dk, ms, 0.0, modes)
+        num, m_num, tail_num = _eta_sum(dk, ms, omega_d, modes)
         points.append((num / rest[0], max(m_num, rest[1]), max(tail_num, rest[2])))
     return points
 

@@ -1,13 +1,16 @@
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringtoa import emit
+from ringtoa import emit, lattice
 from ringtoa.cli import main
 from ringtoa.emit import format_float, write_csv, write_json
 from ringtoa.probability import NORMALIZATION_TAG
@@ -76,6 +79,16 @@ def test_write_csv_refuses_complex_columns(tmp_path):
     with pytest.raises(ValueError, match="amp"):
         write_csv(tmp_path / "c.csv", cols, {})
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("metadata, key", [({"s": "a\nb"}, "s"), ({"note": "a\rb"}, "note"),
+                                           ({"x\ny": 1.0, "a": 2}, "x\ny")])
+def test_write_csv_refuses_line_breaks_in_metadata(tmp_path, metadata, key):
+    # a break would end the '#' line inside the metadata: its rest would be
+    # read as a data row above the header
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        write_csv(tmp_path / "m.csv", {"t": np.arange(3.0)}, metadata)
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_write_csv_refuses_no_columns(tmp_path):
@@ -307,3 +320,87 @@ def test_shipped_configs_write_every_float_cell_as_repr(tmp_path):
                 assert [repr(float(c)) for c in column] == list(column), path.name
                 checked += len(column)
     assert checked > 100_000
+
+
+def _cells_text(cells: np.ndarray) -> list[bytes]:
+    return [bytes(c).rstrip(b"\0") for c in cells]
+
+
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The significant digits of each repr."""
+    mantissas = (repr(v).lstrip("-").split("e")[0].replace(".", "").strip("0") for v in x.tolist())
+    return np.array([len(m) for m in mantissas])
+
+
+@pytest.mark.parametrize("budget", [24 * 7, 24 * 64, 24 * 1000])
+def test_float_cells_of_a_column_are_those_of_its_pieces(monkeypatch, budget):
+    # chunks of 7, 64 or 1000 cells, and blocks of as many: the cells do not
+    # depend on where the chunks and blocks of the layout fall
+    x = _sweep(np.random.default_rng(budget))[::97]
+    pieces = [emit._float_cells(x[i:i + 333]) for i in range(0, x.size, 333)]
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", budget)
+    assert len(lattice._chunks(x.size, emit._WIDTH)) > 1
+    whole = emit._float_cells(x)
+    assert _cells_text(whole) == [t for p in pieces for t in _cells_text(p)]
+    assert _cells_text(whole) == [repr(v).encode() for v in x.tolist()]
+
+
+def test_float_cells_in_chunks_with_no_or_every_cell_at_two_zeros(monkeypatch):
+    # a repr of at most 14 digits is a multiple of 100 near the scaled value
+    # (j >= 2 in _shortest), one of 16 or 17 never is: chunks of either kind
+    # alone, next to each other
+    rng = np.random.default_rng(28)
+    short = np.array([float(f"{m}e{e}") for m, e in zip(
+        rng.integers(-10**14, 10**14, 256), rng.integers(-60, 60, 256))])
+    long = rng.standard_normal(1000) * 10.0 ** rng.integers(-60, 60, 1000)
+    long = long[_digits(long) >= 16][:256]
+    assert long.size == 256 and all(_digits(short) <= 14)
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 64 * emit._WIDTH)
+    for x in (short, long, np.concatenate([short[:64], long[:64], short[64:128], long[64:]])):
+        _assert_cells_are_repr(x)
+
+
+@pytest.mark.parametrize("scientific", [
+    [1.5e-300, -2.25e17, 6.02e23, 1e-5, -3.3e-120, 7.0e100],
+    [1.5e-5, -9.25e-5],  # the point next to fixed notation's, on either side
+    [1.5e16, -2.5e16]])
+def test_float_cells_in_a_fixed_chunk_next_to_a_scientific_one(monkeypatch, scientific):
+    # a chunk whose cells all take fixed notation builds no exponent group;
+    # the chunk before or after it holds cells in scientific form
+    rng = np.random.default_rng(29)
+    fixed = rng.uniform(-1e15, 1e15, 64) * 10.0 ** rng.integers(-18, 0, 64)
+    fixed = fixed[[-4 < math.floor(math.log10(abs(v))) + 1 <= 16 for v in fixed.tolist()]][:40]
+    fixed[:2] = 1.5e-4, -9.5e15  # the points at fixed notation's ends
+    scientific = np.resize(scientific, 40)
+    assert fixed.size == 40 and all("e" not in repr(v) for v in fixed.tolist())
+    assert all("e" in repr(v) for v in scientific.tolist())
+    monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 40 * emit._WIDTH)
+    for x in (np.concatenate([fixed, scientific, fixed]), np.concatenate([scientific, fixed])):
+        _assert_cells_are_repr(x)
+
+
+def test_exponent_estimate_is_the_floor_of_e_log10_2():
+    # Ryu's estimate behind _scales: ((e - 1023) 78913) >> 18 = floor((e - 1023) log10 2)
+    # past every biased exponent e, and 2^(e-1023) 10^k, k = 15 - F, lies in [1e15, 1e16)
+    with mpmath.workdps(50):
+        log2 = mpmath.log10(2)
+        assert all((e * 78913) >> 18 == int(mpmath.floor(e * log2)) for e in range(-1100, 1100))
+        for e in range(*emit._BIASED_EXP):
+            f = ((e - 1023) * 78913) >> 18
+            assert 10**15 <= mpmath.mpf(2) ** (e - 1023) * mpmath.mpf(10) ** (15 - f) < 10**16
+            assert emit._K_MIN <= 15 - f and 16 - f <= emit._K_MAX
+
+
+def test_float_cells_hold_a_chunk_of_temporaries():
+    # beyond their output, a chunk's arrays of one value a cell and a block of
+    # byte index: no n x w index of the whole chunk
+    x = np.random.default_rng(30).standard_normal(65536) * 1e3
+    emit._float_cells(x[:1000])  # tables built on first use
+    chunk = lattice._chunks(x.size, emit._WIDTH)[0]
+    tracemalloc.start()
+    try:
+        emit._float_cells(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.size * emit._WIDTH + 32 * 8 * (chunk.stop - chunk.start)
