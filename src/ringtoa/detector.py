@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, SupportError, UnphysicalKernelError
 from .lattice import _chunks
@@ -183,7 +184,8 @@ def _bracket(grid: np.ndarray, x: np.ndarray):
     """
     xc = np.clip(x, grid[0], grid[-1])
     i = np.searchsorted(grid[1:-1], xc, side="right")
-    y = (xc - grid[i]) / (grid[i + 1] - grid[i])
+    y = xc - grid.take(i)
+    y /= np.diff(grid).take(i)
     return i, y, xc == x
 
 
@@ -199,12 +201,16 @@ def _from_rows(table: np.ndarray) -> DetectorKernel:
         raise DomainError("custom kernel table must be rows of [omega, m, value]")
     og = np.unique(table[:, 0])
     mg = np.unique(table[:, 1])
-    if (og.size * mg.size != table.shape[0]
-            or np.unique(table[:, :2], axis=0).shape[0] != table.shape[0]):
+    io, im = np.searchsorted(og, table[:, 0]), np.searchsorted(mg, table[:, 1])
+    cells = io * mg.size + im
+    # a point with a NaN coordinate is a cell of its own: NaN equals nothing
+    odd = np.isnan(table[:, :2]).any(axis=1)
+    cells[odd] = og.size * mg.size + np.arange(np.count_nonzero(odd))
+    if og.size * mg.size != table.shape[0] or np.bincount(cells).max(initial=0) > 1:
         raise DomainError("custom kernel table must cover a full (omega, m) grid, "
                           "each point once")
     vals = np.zeros((og.size, mg.size))
-    vals[np.searchsorted(og, table[:, 0]), np.searchsorted(mg, table[:, 1])] = table[:, 2]
+    vals[io, im] = table[:, 2]
     return DetectorKernel.tabulated(og, mg, vals)
 
 
@@ -386,36 +392,50 @@ def localization_matrix(dk: DetectorKernel, ms: ModeSpace,
     sup = logs > DetectorKernel._LOG_ZERO
     if frame is None:
         sup &= _in_cone(energies, m, ms.r)
-    n = m.size
+    n, a = m.size, 2 * m.size - 1
     L = np.empty((n, n))
     worst = 0.0
     # (m_i + m_j) / 2 = m_0 + (i + j) / 2 depends on the anti-diagonal i + j
     # alone: log_raw's m step once per anti-diagonal, its omega step per
-    # pair, so each entry is log_raw's to the bit
+    # pair, so each entry is log_raw's to the bit.  A row block reads the
+    # per-anti-diagonal arrays through _hankel views, and both omega columns
+    # of a pair in one take from the (omega cell, anti-diagonal) rows of pairs
     table, og = dk.params["logs"], dk.params["omega_grid"]
-    j, y, m_in = _bracket(dk.params["m_grid"], 0.5 * (2.0 * m[0] + np.arange(2 * n - 1)))
+    j, y, m_in = _bracket(dk.params["m_grid"], 0.5 * (2.0 * m[0] + np.arange(a)))
     cols = _lerp(table[:, j], table[:, j + 1], y)
+    pairs = np.stack([cols[:-1], cols[1:]], axis=-1).reshape(-1, 2)
+    anti = np.arange(a)
     # the ratio is symmetric to the bit (its sums commute), so each row block
     # forms its columns from the block's first row on and mirrors them
     for rows in _chunks(n, 16 * n):
         c = slice(rows.start, n)
-        anti = np.add.outer(np.arange(rows.start, rows.stop), np.arange(c.start, n))
-        i, x, w_in = _bracket(og, 0.5 * (energies[rows, None] + energies[None, c]))
-        log_mid = np.where(m_in[anti] & w_in,
-                           _lerp(cols[i, anti], cols[i + 1, anti], x), DetectorKernel._LOG_FLOOR)
+        i, x, inside = _bracket(og, 0.5 * (energies[rows, None] + energies[None, c]))
+        i *= a
+        i += _hankel(anti, rows, n)
+        lo_hi = pairs.take(i, axis=0)
+        log_mid = _lerp(lo_hi[..., 0], lo_hi[..., 1], x)
+        inside &= _hankel(m_in, rows, n)
+        log_mid[~inside] = DetectorKernel._LOG_FLOOR
         expo = log_mid - 0.5 * (logs[rows, None] + logs[None, c])
-        pair = sup[rows, None] & sup[None, c]
+        keep = sup[rows, None] & sup[None, c]
+        keep &= expo > DetectorKernel._LOG_ZERO
+        blk = np.zeros(expo.shape)
         with np.errstate(over="ignore"):
-            blk = np.where(pair & (expo > DetectorKernel._LOG_ZERO),
-                           np.exp(np.where(pair, expo, 0.0)), 0.0)
+            np.exp(expo, where=keep, out=blk)
         diag = np.arange(blk.shape[0])
-        blk[diag, diag] = np.where(sup[rows], 1.0, 0.0)
+        blk[diag, diag] = sup[rows]
         worst = max(worst, float(blk.max(initial=0.0)))
         np.clip(blk, 0.0, 1.0, out=blk)
         L[rows, c] = blk
         L[c, rows] = blk.T
     _check_upper(worst)
     return LocalizationMatrix(ms, L, sup, frame=frame)
+
+
+def _hankel(arr: np.ndarray, rows: slice, n: int) -> np.ndarray:
+    """The read-only view H[r, c] = arr[2 rows.start + r + c] over a row block of an
+    n x n matrix from its column rows.start on: arr indexed by the anti-diagonal."""
+    return sliding_window_view(arr[2 * rows.start:], n - rows.start)[:rows.stop - rows.start]
 
 
 def _check_upper(worst: float):

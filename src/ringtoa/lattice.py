@@ -275,8 +275,8 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
 
     Rows and columns whose row sums of |kernel| fall under _significant are
     dropped (at most 2 u sum|kernel|).  Chunked over points as _dense_sum is;
-    einsum plans the contraction on the first chunk and follows that plan on
-    every chunk.  kernel must be Hermitian: an imaginary residue above
+    each chunk of phases u is one GEMM v = kernel^T u, then the column sums
+    of v * conj(u).  kernel must be Hermitian: an imaginary residue above
     REALITY_TOL of max(1, max|real|) raises DomainError.
     """
     active = _significant(np.abs(kernel).sum(axis=1))
@@ -284,13 +284,12 @@ def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     ma, wa = m[active], freq[active]
 
     def fill(tf, pf):
-        vals, path = np.empty(tf.size, dtype=complex), None
+        vals = np.empty(tf.size, dtype=complex)
         for sl in _chunks(tf.size, ma.size, _PHASOR_BLOCK):
             u = _phases(ma, wa, tf[sl], pf[sl])
-            operands = (u, kernel, u.conj())
-            if path is None:
-                path = np.einsum_path("mp,mn,np->p", *operands, optimize=True)[0]
-            vals[sl] = np.einsum("mp,mn,np->p", *operands, optimize=path)
+            v = kernel.T @ u
+            v *= np.conjugate(u, out=u)
+            vals[sl] = v.sum(axis=0)
         resid = float(np.max(np.abs(vals.imag), initial=0.0))
         if resid > REALITY_TOL * max(float(np.max(np.abs(vals.real), initial=0.0)), 1.0):
             raise DomainError(

@@ -40,6 +40,13 @@ __all__ = [
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
+# largest |rho - rho^H| entry a density matrix may hold
+HERMITIAN_TOL = 1e-12
+# least eigenvalue a density matrix may have is -POSITIVE_TOL; the rows left
+# out of its factorized block may take up to _DROP_TOL of that (see
+# _check_positive)
+POSITIVE_TOL = 1e-10
+_DROP_TOL = 0.1 * POSITIVE_TOL
 # largest occupied block of a density matrix that RingState eigenchecks for
 # positivity (O(k^3)); above it the check is skipped with a warning
 EIGENCHECK_MAX_MODES = 2049
@@ -166,9 +173,7 @@ class RingState:
             occ = self.occupied()
             k = int(np.count_nonzero(occ))
             blk = rho if k == n else rho[np.ix_(occ, occ)]
-            # about 40 bytes an entry: _CHUNK_BUDGET / 2 entries a row block is ~5 MB
-            if not all(np.allclose(blk[b], blk[:, b].conj().T, atol=1e-12)
-                       for b in _chunks(k, 2 * k)):
+            if not all(_hermitian_rows(blk, b) for b in _chunks(k, 2 * k)):
                 raise StateError("rho is not Hermitian")
             tr = float(np.real(np.trace(rho)))
             if abs(tr - 1.0) > NORM_TOL:
@@ -196,9 +201,9 @@ class RingState:
             return self.coeffs != 0
         occ = np.zeros(self.rho.shape[0], dtype=bool)
         for b in _chunks(occ.size, 2 * occ.size):
-            nz = self.rho[b] != 0
-            occ[b] |= nz.any(axis=1)
-            occ |= nz.any(axis=0)
+            rows = self.rho[b]
+            occ[b] |= rows.any(axis=1)
+            occ |= rows.any(axis=0)
         return occ
 
     def occupation(self) -> np.ndarray:
@@ -214,20 +219,55 @@ class RingState:
         return complex(np.vdot(self.coeffs, other.coeffs))
 
 
-def _check_positive(blk: np.ndarray):
-    """StateError unless the Hermitian blk has no eigenvalue below -1e-10.
+def _hermitian_rows(blk: np.ndarray, rows: slice) -> bool:
+    """Whether |blk - blk^H| <= HERMITIAN_TOL on the given rows, from their first
+    column on (NaN fails).
 
-    blk + 1e-10 I has a Cholesky factor iff it is positive definite; only a
-    failed factorization pays for the eigenvalues, to name the least.
+    |blk - blk^H| is symmetric, so row blocks that cover the rows of blk
+    check every entry.  The bound is absolute: no entry of a unit-trace
+    positive rho exceeds 1.
     """
-    shifted = blk.copy()
-    shifted.flat[:: blk.shape[0] + 1] += 1e-10
+    diff = blk[rows.start:, rows].T.conj()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff -= blk[rows, rows.start:]
+    return bool((np.abs(diff) <= HERMITIAN_TOL).all())
+
+
+def _check_positive(blk: np.ndarray):
+    """StateError unless the Hermitian blk has no eigenvalue below -POSITIVE_TOL.
+
+    The rows whose squared norms, smallest first, sum to at most (delta/2)^2,
+    delta = _DROP_TOL, are left out with their columns.  What they hold, E,
+    has ||E||_2 <= ||E||_F <= delta, so by Weyl's inequality a Cholesky
+    factor of the kept block plus (POSITIVE_TOL - delta) I proves that blk
+    has no eigenvalue below -POSITIVE_TOL.  Only when that factorization
+    fails is blk + POSITIVE_TOL I factorized, and only when that fails too
+    do the eigenvalues decide the borderline and name the least.
+    """
+    k = blk.shape[0]
+    norm2 = np.empty(k)
+    for b in _chunks(k, 2 * k):
+        norm2[b] = np.vecdot(blk[b], blk[b]).real
+    order = np.argsort(norm2)
+    keep = np.ones(k, dtype=bool)
+    keep[order[:np.searchsorted(np.cumsum(norm2[order]), 0.25 * _DROP_TOL**2,
+                                side="right")]] = False
+    if (_factorizes(blk[np.ix_(keep, keep)], POSITIVE_TOL - _DROP_TOL)
+            or _factorizes(blk.copy(), POSITIVE_TOL)):
+        return
+    lo = float(np.linalg.eigvalsh(blk)[0])
+    if lo < -POSITIVE_TOL:
+        raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})")
+
+
+def _factorizes(a: np.ndarray, shift: float) -> bool:
+    """Whether a + shift I has a Cholesky factor (positive definite); a is overwritten."""
+    a.flat[:: a.shape[0] + 1] += shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        lo = float(np.linalg.eigvalsh(blk)[0])
-        if lo < -1e-10:
-            raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})") from None
+        return False
+    return True
 
 
 def coherent_state(ms: ModeSpace, cp: CoherentParams) -> RingState:

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,45 @@ def test_kernel_from_spec_rejects_repeated_table_points():
     with pytest.raises(DomainError, match="each point once"):
         kernel_from_spec({"family": "custom",
                           "table": [[0, 0, 1], [0, 0, 2], [1, 0, 1], [1, 1, 1]]})
+
+
+GRID_TABLE = np.array([[w, m, 1.0 + w + 0.5 * m] for w in (0.0, 2.0, 5.0)
+                       for m in (-1.0, 0.0, 1.5, 3.0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(len(GRID_TABLE))))
+def test_kernel_from_spec_table_row_order_is_free(order):
+    # any order of the rows lists the same points: the same kernel, to the bit
+    want = kernel_from_spec({"family": "custom", "table": GRID_TABLE}).params
+    got = kernel_from_spec({"family": "custom", "table": GRID_TABLE[list(order)]}).params
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], strict=True)
+
+
+def _with(table, row, col, value):
+    """table with one entry replaced."""
+    out = table.copy()
+    out[row, col] = value
+    return out
+
+
+GRID_MESSAGE = "custom kernel table must cover a full (omega, m) grid, each point once"
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.vstack([GRID_TABLE, GRID_TABLE[4]]), GRID_MESSAGE),
+    # row 5's point made row 4's: still 12 rows on a 3 x 4 grid
+    (_with(_with(GRID_TABLE, 5, 0, 2.0), 5, 1, -1.0), GRID_MESSAGE),
+    (GRID_TABLE[1:], GRID_MESSAGE),
+    (_with(GRID_TABLE, 6, 0, np.nan), GRID_MESSAGE),
+    (_with(GRID_TABLE, 6, 2, np.nan), "kernel table must be nonnegative and finite"),
+], ids=["duplicate-row", "repeated-point", "missing-cell", "nan-point", "nan-value"])
+def test_kernel_from_spec_rejects_a_bad_ndarray_table(table, message):
+    # the rows of an ndarray table face the same checks as a JSON list's
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        kernel_from_spec({"family": "custom", "table": table})
 
 
 def test_kernel_spec_validation():

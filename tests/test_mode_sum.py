@@ -8,6 +8,7 @@ from unittest import mock
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ringtoa import (
@@ -27,6 +28,7 @@ from ringtoa import (
     timescales,
 )
 from ringtoa import amplitudes, emit, lattice
+from ringtoa.errors import DomainError
 from ringtoa.modes import omega, rotating_omega
 from ringtoa.probability import _k_norm
 
@@ -623,3 +625,35 @@ def test_scattered_sums_take_libm_exp_in_a_small_last_chunk():
     want = np.einsum("mp,mn,np->p", u, kernel, u.conj()).real
     bound = float(np.sum(np.abs(kernel))) * (2.0 * U + 8.0 * EPS * m.size)
     assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=st.integers(1, 40), points=st.integers(1, 3000), mu=st.floats(0.0, 5.0),
+       hermitian=st.sampled_from(["psd", "indefinite"]), seed=st.integers(0, 2**16))
+def test_double_sum_within_roundoff_of_the_three_operand_einsum(modes, points, mu, hermitian,
+                                                                seed):
+    # one GEMM kernel^T u and a column sum of its product with conj u per
+    # chunk, over one chunk or several: within the roundoff of sum|kernel|
+    # of the three-operand contraction on the same phases
+    rng = np.random.default_rng(seed)
+    m = np.arange(modes) - modes // 2.0
+    freq = np.hypot(mu, m)
+    a = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    kernel = a @ a.conj().T if hermitian == "psd" else a + a.conj().T
+    t, phi = _scattered(rng, points)
+    u = lattice._phases(m, freq, t, phi)
+    want = np.einsum("mp,mn,np->p", u, kernel, u.conj()).real
+    got = lattice._double_sum(kernel, m, freq, t, phi)
+    bound = float(np.sum(np.abs(kernel))) * (2.0 * U + 8.0 * EPS * modes)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_double_sum_of_a_non_hermitian_kernel_raises():
+    # the imaginary residue is read on every chunk's points
+    rng = np.random.default_rng(12)
+    m = np.arange(-10.0, 10.0)
+    kernel = rng.normal(size=(m.size, m.size)) + 1j * rng.normal(size=(m.size, m.size))
+    t, phi = _scattered(rng, 3 * lattice._PHASOR_BLOCK // m.size)
+    assert len(lattice._chunks(t.size, m.size, lattice._PHASOR_BLOCK)) > 1
+    with pytest.raises(DomainError, match="non-Hermitian input: imaginary residue"):
+        lattice._double_sum(kernel, m, np.hypot(2.0, m), t, phi)

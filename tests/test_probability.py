@@ -232,8 +232,9 @@ def test_pc_density_factorized_drops_modes_off_support(omega_d_r):
 
 
 def _full_kernel_sum(state, det, t, phi):
-    """The general double sum as it was first written (the full n x n kernel, pruned),
-    with the phases of lattice._phases: the kernel is not under test here."""
+    """The general double sum on the full n x n kernel, pruned to its non-zero rows,
+    contracted as lattice._double_sum contracts (kernel^T u, times conj u, summed
+    over modes), with the phases of lattice._phases: the kernel is not under test here."""
     from ringtoa.amplitudes import _velocities
     from ringtoa.modes import omega
 
@@ -246,7 +247,7 @@ def _full_kernel_sum(state, det, t, phi):
     kernel = kernel[np.ix_(active, active)]
     ma, wa = m[active].astype(float), freq[active]
     u = lattice._phases(ma, wa, t, phi)
-    vals = np.einsum("mp,mn,np->p", u, kernel, u.conj(), optimize=True)
+    vals = ((kernel.T @ u) * u.conj()).sum(axis=0)
     return _k_norm(ms) * vals.real
 
 

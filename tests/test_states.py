@@ -486,6 +486,98 @@ def test_ring_state_positivity_by_cholesky(monkeypatch):
     assert calls == [(6, 6)]
 
 
+def _check_positive_as_first_written(blk):
+    """The positivity check before the kept block: the reference for its decisions.
+
+    StateError unless blk + 1e-10 I has a Cholesky factor or the least
+    eigenvalue of blk is at least -1e-10.
+    """
+    shifted = blk.copy()
+    shifted.flat[:: blk.shape[0] + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(blk)[0])
+        if lo < -1e-10:
+            raise StateError(f"rho not positive semidefinite (min eig {lo:.3e})") from None
+
+
+def _tailed_rho(k, rank, alpha, centre, lo, seed):
+    """Unit-trace rho on k modes with least eigenvalue lo, the others 1 - lo shared by
+    rank modes; every eigenvector has the envelope exp(-(j - centre)^2 / (2 alpha^2))."""
+    rng = np.random.default_rng(seed)
+    env = np.exp(-((np.arange(k) - centre) ** 2) / (2.0 * alpha**2))
+    q, _ = np.linalg.qr(env[:, None] * (rng.normal(size=(k, rank + 1))
+                                        + 1j * rng.normal(size=(k, rank + 1))))
+    eig = np.append(lo, rng.dirichlet(np.ones(rank)) * (1.0 - lo))
+    blk = (q * eig) @ q.conj().T
+    return 0.5 * (blk + blk.conj().T)
+
+
+def _spy_linalg(monkeypatch):
+    """Record the shapes np.linalg.cholesky and np.linalg.eigvalsh are called on."""
+    calls = {"cholesky": [], "eigvalsh": []}
+    for name, shapes in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, real=real, shapes=shapes: shapes.append(a.shape) or real(a))
+    return calls
+
+
+def test_ring_state_positivity_factors_only_the_significant_block(monkeypatch):
+    # 12 modes of weight and 40 of Gaussian tail rows under 1e-13: the tail
+    # rows' squared norms sum to well under (1e-11 / 2)^2, so only the
+    # 12 x 12 block is factorized and no eigenvalue is computed
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=30)
+    rng = np.random.default_rng(4)
+    c = np.zeros(2 * ms.m_max + 1, dtype=complex)
+    c[5:17] = rng.normal(size=12) + 1j * rng.normal(size=12)
+    c[17:57] = 1e-14 * np.exp(-0.01 * np.arange(40) ** 2)
+    d = c.copy()
+    d[5:17] = rng.normal(size=12)
+    rho = 0.7 * np.outer(c, c.conj()) / np.vdot(c, c).real \
+        + 0.3 * np.outer(d, d.conj()) / np.vdot(d, d).real
+    calls = _spy_linalg(monkeypatch)
+    RingState(ms, rho=rho)
+    assert calls == {"cholesky": [(12, 12)], "eigvalsh": []}
+
+
+def test_ring_state_positivity_rejection_reads_the_whole_block(monkeypatch):
+    # a least eigenvalue of -2e-10 fails the kept block and the whole
+    # occupied block; one eigvalsh on the whole block names it, as before
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=30)
+    rho = np.zeros((61, 61), dtype=complex)
+    rho[3:58, 3:58] = _tailed_rho(55, 3, 2.0, 20.0, -2e-10, seed=8)
+    occupied = 55
+    calls = _spy_linalg(monkeypatch)
+    with pytest.raises(StateError, match=r"^rho not positive semidefinite \(min eig -2\.0\d*e-10\)$"):
+        RingState(ms, rho=rho)
+    kept = calls["cholesky"][0][0]
+    assert kept < occupied
+    assert calls == {"cholesky": [(kept, kept), (occupied, occupied)],
+                     "eigvalsh": [(occupied, occupied)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(6, 60), rank=st.integers(1, 4), alpha=st.floats(0.5, 6.0),
+       centre=st.floats(0.0, 1.0), lo=st.floats(-1.5e-10, -0.5e-10) | st.just(0.0),
+       seed=st.integers(0, 2**16))
+def test_ring_state_positivity_decides_as_first_written(k, rank, alpha, centre, lo, seed):
+    # low-rank rho with Gaussian tails, least eigenvalue around -1e-10: the
+    # kept-block check accepts and rejects, with its message, as the
+    # whole-block check did
+    blk = _tailed_rho(k, rank, alpha, centre * (k - 1), lo, seed)
+
+    def decide(check):
+        try:
+            check(blk)
+        except StateError as exc:
+            return str(exc)
+        return None
+
+    assert decide(states._check_positive) == decide(_check_positive_as_first_written)
+
+
 def test_ring_state_eigencheck_skip_warns(monkeypatch):
     ms = ModeSpace(mu=1.0, r=1.0, m_max=3)
     bad = _two_mode_rho(7, 1, 5, 0.9)
@@ -578,17 +670,30 @@ def test_ring_state_hermiticity_on_a_sparse_occupied_block():
             assert _not_hermitian(ms, rho), (i, j)
 
 
+def test_ring_state_hermiticity_tolerance_is_absolute():
+    # 2e-6 off between 0.3 and its mirror: within numpy's relative tolerance
+    # of 1e-5, far above the absolute 1e-12
+    ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
+    rho = _two_mode_rho(9, 2, 6, 0.3)
+    rho[2, 6] += 2e-6
+    with pytest.raises(StateError, match="rho is not Hermitian"):
+        RingState(ms, rho=rho)
+    rho[2, 6] = 0.3 + 1e-13
+    RingState(ms, rho=rho)
+
+
 @settings(max_examples=200, deadline=None)
 @given(i=st.integers(0, 8), j=st.integers(0, 8),
        size=st.sampled_from([0.0, 5e-13, 2e-12, 1e-6, 1e-5, 1e-3, math.nan, math.inf]),
        rows=st.integers(1, 9))
 def test_ring_state_hermiticity_is_allclose(i, j, size, rows):
-    # the blocked check accepts exactly what np.allclose(rho, rho^H) accepts
+    # the blocked check accepts exactly what |rho - rho^H| <= 1e-12 accepts
     ms = ModeSpace(mu=1.0, r=1.0, m_max=4)
     n = 9
     rho = np.full((n, n), 0.01, dtype=complex) + 0.1 * np.eye(n)
     rho[i, j] += size
-    want = not np.allclose(rho, rho.conj().T, atol=1e-12)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is NaN: not Hermitian
+        want = not (np.abs(rho - rho.conj().T) <= 1e-12).all()
     saved = lattice._CHUNK_BUDGET
     lattice._CHUNK_BUDGET = 2 * n * rows
     try:
