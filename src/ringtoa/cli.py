@@ -31,7 +31,7 @@ from . import __version__
 from .amplitudes import amp_poisson, amp_state
 from .clock import clock_quality, cumulative, extract_ticks
 from .detector import DetectorKernel, localization_matrix
-from .emit import format_float, write_csv, write_json
+from .emit import format_float, write_csv, write_json, write_text
 from .errors import RingToAError
 from .modes import ModeSpace, RotationFrame, is_number, velocity
 from .multitime import PAIR_KINDS, TwoParticleState, kolmogorov_check, violation_scan
@@ -498,9 +498,7 @@ def _emit_gnuplot_stub(out_dir: Path, prefix: str, outputs: list) -> Path:
         if str(f).endswith(".csv"):
             lines.append(f"plot '{Path(f).name}' using 1:2 with lines")
             lines.append("pause -1")
-    path = out_dir / f"{prefix}_plot.gp"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text(out_dir / f"{prefix}_plot.gp", "\n".join(lines) + "\n")
 
 
 def _load_config(path: str) -> tuple[int, dict]:
@@ -563,7 +561,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process and shared: parse_args keeps
+    no state in it, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="ringtoa",
         description="Time-of-arrival experiments for particles on a ring",

@@ -24,6 +24,14 @@ those of an earlier column, in the same write_csv call or the one before it,
 reuses that column's cells.  Only the previous call's cells are kept, keyed
 by the exact bytes, not a hash alone, so a column changed in place is
 formatted again.
+
+Every output file, JSON and the gnuplot stub included, is written through
+_replace: an existing file is unlinked and a new one created, never
+truncated in place.  On ext4 with its default auto_da_alloc, closing a file
+that was truncated to zero starts write-back of its data, and the next
+run's truncating open waits for that I/O (so does a rename over it).  A
+symlink or hard link at an output path is therefore replaced, not written
+through, and a new file takes its mode from the umask.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +49,7 @@ from . import lattice
 from .lattice import _chunks, _split
 from .probability import NORMALIZATION_TAG
 
-__all__ = ["format_float", "write_csv", "write_json"]
+__all__ = ["format_float", "write_csv", "write_json", "write_text"]
 
 
 def format_float(x) -> str:
@@ -373,7 +382,7 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
             seen[key] = earlier[key] if key in earlier else _cells(a)
         cells.append(seen[key])
     _previous = seen
-    with path.open("wb") as fh:
+    with _replace(path) as fh:
         fh.write(head.encode())
         for rows in _rows(cells, n):
             fh.write(rows)
@@ -382,10 +391,26 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], metadata: dict) -> Pat
 
 def write_json(path: Path, payload: dict) -> Path:
     """Stable RFC 8259 JSON: sorted keys, fixed separators, non-finite floats as null."""
-    path = Path(path)
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    return write_text(path, text + "\n")
+
+
+def write_text(path: Path, text: str) -> Path:
+    """Write text as UTF-8; returns the path."""
+    path = Path(path)
+    with _replace(path) as fh:
+        fh.write(text.encode())
     return path
+
+
+def _replace(path: Path):
+    """A new file at path, open for binary writing: an existing file (or
+    symlink) is unlinked first, never opened with truncation."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "xb")
 
 
 def _jsonable(obj):

@@ -17,7 +17,7 @@ from .errors import DomainError
 
 # entries of the temporaries a chunked loop holds at once by default, and
 # the cap on any loop's own budget (4 MB of complex values: the uniform sums'
-# block-head phase matrices); the one copy, read by _chunks
+# step tables); the one copy, read by _chunks
 _CHUNK_BUDGET = 1 << 18
 
 # Unit phasors e^{ix} (see _unit_phasors): x = k 2 pi / _TABLE_N + r with
@@ -31,9 +31,9 @@ _CHUNK_BUDGET = 1 << 18
 # outweighs its saving, and arrays reaching beyond _TABLE_REACH take libm's
 # exp.  A block of _PHASOR_BLOCK entries (512 KB of complex values) keeps its
 # temporaries in a 2 MB L2: the table path runs a block at a time, and the
-# scattered-grid sums (_dense_sum, _double_sum) form, take and contract their
-# phases a block of modes x points at a time, so the allocator hands back
-# warm memory instead of freshly mapped pages.
+# lattice sums (_dense_sum, _double_sum, _blocked_sum's block heads) form,
+# take and contract their phases a block of modes x points at a time, so the
+# allocator hands back warm memory instead of freshly mapped pages.
 _TABLE_N = 4096
 _TABLE_SCALE = _TABLE_N / (2.0 * math.pi)
 _TABLE_SPLIT = tuple(float.fromhex(h) for h in (
@@ -211,14 +211,15 @@ def _blocked_sum(c, mm, ww, tf, pf, dt, dp):
     m dp - omega_m dt: the block-start phases come from the grid values by
     _phases, the in-block steps from a modes x B table of
     _unit_phasors(k beta_m) that also carries the coefficients, formed a
-    chunk of modes at a time.
+    chunk of modes at a time.  The heads' phases go a _PHASOR_BLOCK of
+    modes x heads at a time, as the scattered sums' do.
     """
     heads_t, heads_p = tf[::_BLOCK], pf[::_BLOCK]
     out = np.zeros((heads_t.size, _BLOCK), dtype=complex)
     for part in _chunks(c.size, _BLOCK):
         m_, w_ = mm[part], ww[part]
         steps = c[part, None] * _unit_phasors(np.outer(m_ * dp - w_ * dt, np.arange(_BLOCK)))
-        for sl in _chunks(heads_t.size, m_.size):
+        for sl in _chunks(heads_t.size, m_.size, _PHASOR_BLOCK):
             out[sl] += _phases(m_, w_, heads_t[sl], heads_p[sl]).T @ steps
     return out.ravel()[:tf.size]
 

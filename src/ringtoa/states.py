@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,13 +142,16 @@ class RingState:
     the line packet whose samples the coefficients are, for coherent and
     line-sampled states (None for any other); the Poisson images use it,
     mode sums never need it.  coeffs and rho must hold numbers, not bools or
-    strings (modes.number_array): StateError otherwise.
+    strings (modes.number_array): StateError otherwise.  rho is scanned for
+    its occupied modes once, at construction; occupied() returns that
+    read-only mask, so rho must not change afterwards.
     """
 
     modespace: ModeSpace
     coeffs: np.ndarray | None = None
     rho: np.ndarray | None = None
     packet: LineProfileOnRing | None = None
+    _occupied: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = 2 * self.modespace.m_max + 1
@@ -170,7 +173,9 @@ class RingState:
             # every non-zero entry lies in the occupied block, so rho is
             # Hermitian iff the block is, and the block carries every
             # eigenvalue of rho that is not 0
-            occ = self.occupied()
+            occ = _occupied_modes(rho)
+            occ.flags.writeable = False
+            object.__setattr__(self, "_occupied", occ)
             k = int(np.count_nonzero(occ))
             blk = rho if k == n else rho[np.ix_(occ, occ)]
             if not all(_hermitian_rows(blk, b) for b in _chunks(k, 2 * k)):
@@ -196,15 +201,11 @@ class RingState:
         return np.outer(self.coeffs, self.coeffs.conj())
 
     def occupied(self) -> np.ndarray:
-        """Modes whose row or column of rho holds a non-zero entry."""
+        """Modes whose row or column of rho holds a non-zero entry (read-only
+        for a mixed state, found at construction)."""
         if self.coeffs is not None:
             return self.coeffs != 0
-        occ = np.zeros(self.rho.shape[0], dtype=bool)
-        for b in _chunks(occ.size, 2 * occ.size):
-            rows = self.rho[b]
-            occ[b] |= rows.any(axis=1)
-            occ |= rows.any(axis=0)
-        return occ
+        return self._occupied
 
     def occupation(self) -> np.ndarray:
         """Diagonal rho(m, m) as a real array over the lattice."""
@@ -217,6 +218,17 @@ class RingState:
         if not (self.is_pure and other.is_pure):
             raise StateError("overlap requires pure states")
         return complex(np.vdot(self.coeffs, other.coeffs))
+
+
+def _occupied_modes(rho: np.ndarray) -> np.ndarray:
+    """Mask of the modes whose row or column of rho holds a non-zero entry,
+    scanned a row block at a time."""
+    occ = np.zeros(rho.shape[0], dtype=bool)
+    for b in _chunks(occ.size, 2 * occ.size):
+        rows = rho[b]
+        occ[b] |= rows.any(axis=1)
+        occ |= rows.any(axis=0)
+    return occ
 
 
 def _hermitian_rows(blk: np.ndarray, rows: slice) -> bool:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -376,6 +377,64 @@ def test_run_io_failure_exit_4(tmp_path, capsys, blocked):
     (out / blocked).mkdir(parents=True)
     assert main(["run", str(cfg), "--out", str(out), "--gnuplot-stub"]) == 4
     assert "error: I/O failure" in capsys.readouterr().err
+
+
+def test_main_twice_in_one_process_takes_the_defaults_the_second_time(tmp_path, monkeypatch):
+    # the parser is built once a process; options of one call never leak into the next
+    cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "custom"), "--gnuplot-stub"]) == 0
+    assert main(["run", str(cfg)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    made = sorted(p.name for p in cwd.iterdir())
+    assert made == ["noise_a0.5.csv", "noise_a1.0.csv", "run_manifest.json"]
+    assert "noise_plot.gp" in {p.name for p in (tmp_path / "custom").iterdir()}
+    assert json.loads((cwd / "run_manifest.json").read_text())["outputs"] == made[:2]
+
+
+def _without_wall_time(path: Path) -> bytes:
+    return re.sub(rb'"wall_time_s": [^\n]*', b"", path.read_bytes())
+
+
+def test_second_run_into_the_same_out_replaces_each_file(tmp_path):
+    # hard links keep the first run's files: the second run leaves the same
+    # bytes (the manifest but for its wall time) in new inodes
+    cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    assert main(["run", str(cfg), "--out", str(out), "--gnuplot-stub"]) == 0
+    kept.mkdir()
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 4
+    for name in names:
+        os.link(out / name, kept / name)
+    assert main(["run", str(cfg), "--out", str(out), "--gnuplot-stub"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert _without_wall_time(out / name) == _without_wall_time(kept / name)
+        assert (out / name).stat().st_ino != (kept / name).stat().st_ino
+        assert (out / name).stat().st_nlink == 1
+
+
+@pytest.mark.parametrize("name", ["noise_a0.5.csv", "noise_plot.gp", "run_manifest.json"])
+def test_run_replaces_a_symlink_or_read_only_file_at_an_output_path(tmp_path, name):
+    cfg = write_config(tmp_path, "noise.json", NOISE_CFG)
+    target = tmp_path / "target"
+    target.write_bytes(b"untouched\n")
+    linked, read_only = tmp_path / "linked", tmp_path / "read_only"
+    linked.mkdir()
+    (linked / name).symlink_to(target)
+    read_only.mkdir()
+    (read_only / name).write_bytes(b"old\n")
+    (read_only / name).chmod(0o444)
+    for out in (linked, read_only):
+        assert main(["run", str(cfg), "--out", str(out), "--gnuplot-stub"]) == 0
+        path = out / name
+        assert path.is_file() and not path.is_symlink()
+        assert path.read_bytes() not in (b"untouched\n", b"old\n")
+    assert target.read_bytes() == b"untouched\n"
+    assert _without_wall_time(linked / name) == _without_wall_time(read_only / name)
 
 
 def test_run_clock_experiment(tmp_path):

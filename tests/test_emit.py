@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringtoa import emit, lattice
+from ringtoa import cli, emit, lattice
 from ringtoa.cli import main
 from ringtoa.emit import format_float, write_csv, write_json
 from ringtoa.probability import NORMALIZATION_TAG
@@ -404,3 +406,56 @@ def test_float_cells_hold_a_chunk_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= x.size * emit._WIDTH + 32 * 8 * (chunk.stop - chunk.start)
+
+
+# each writer of an output file, writing version k of its file into a directory
+WRITERS = {
+    "csv": lambda out, k: write_csv(out / "data.csv", {"x": np.arange(k)}, {"k": k}),
+    "json": lambda out, k: write_json(out / "run_manifest.json", {"k": k}),
+    "stub": lambda out, k: cli._emit_gnuplot_stub(out, "fig", [out / f"data{k}.csv"]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_replace_an_existing_file_never_truncating_it(tmp_path, writer):
+    # a hard link to the old file keeps its inode and its bytes: the writer
+    # unlinked the path and created a new file, opened "xb", never "wb"
+    path = WRITERS[writer](tmp_path, 3)
+    old = path.read_bytes()
+    os.link(path, tmp_path / "kept")
+    with mock.patch.object(emit, "open", create=True, wraps=open) as opened:
+        assert WRITERS[writer](tmp_path, 5) == path
+    assert [c.args[1] for c in opened.call_args_list] == ["xb"]
+    assert (tmp_path / "kept").read_bytes() == old != path.read_bytes()
+    assert path.stat().st_ino != (tmp_path / "kept").stat().st_ino
+    assert path.stat().st_nlink == 1
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_replace_a_symlink_and_leave_its_target(tmp_path, writer):
+    target = tmp_path / "elsewhere" / "target"
+    target.parent.mkdir()
+    target.write_bytes(b"untouched\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    path = WRITERS[writer](out, 3)
+    want = path.read_bytes()
+    path.unlink()
+    path.symlink_to(target)
+    WRITERS[writer](out, 3)
+    assert not path.is_symlink() and path.is_file()
+    assert path.read_bytes() == want
+    assert target.read_bytes() == b"untouched\n"
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_replace_a_read_only_file_in_a_writable_directory(tmp_path, writer):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    want = WRITERS[writer](fresh, 5)
+    path = WRITERS[writer](tmp_path, 3)
+    path.chmod(0o444)
+    WRITERS[writer](tmp_path, 5)
+    assert path.read_bytes() == want.read_bytes()
+    # a new file, whose mode comes from the umask, not from the old file
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(want.stat().st_mode) != 0o444

@@ -549,7 +549,7 @@ def test_one_budget_reaches_every_chunked_loop(monkeypatch):
     monkeypatch.setattr(lattice, "_CHUNK_BUDGET", 16)
     got = run()
     # "fill" is the double sum's grid fill
-    users = ("_dense_sum", "_blocked_sum", "fill", "__post_init__", "occupied",
+    users = ("_dense_sum", "_blocked_sum", "fill", "__post_init__", "_occupied_modes",
              "is_max_localization", "localization_matrix", "_float_cells")
     assert {user: min(chunks.get(user, [1])) > 1 for user in users} == dict.fromkeys(users, True)
 
@@ -657,3 +657,49 @@ def test_double_sum_of_a_non_hermitian_kernel_raises():
     assert len(lattice._chunks(t.size, m.size, lattice._PHASOR_BLOCK)) > 1
     with pytest.raises(DomainError, match="non-Hermitian input: imaginary residue"):
         lattice._double_sum(kernel, m, np.hypot(2.0, m), t, phi)
+
+
+@pytest.mark.parametrize("modes, heads_a_chunk", [(37, 40), (64, 20), (150, 25)])
+def test_blocked_sum_heads_in_several_chunks_give_the_bits_of_one(monkeypatch, modes,
+                                                                  heads_a_chunk):
+    # the heads' phases go a _PHASOR_BLOCK of modes x heads at a time; with
+    # every chunk at least _MIN_TABLE phases, each takes the table as the
+    # single chunk does, and the GEMM sums each head over the same modes
+    rng = np.random.default_rng(modes)
+    m = np.arange(modes) - modes // 2.0
+    freq = np.hypot(3.0, m)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    n = 200 * lattice._BLOCK - 5  # 200 block heads
+    t, phi = np.linspace(0.0, 40.0, n), np.linspace(0.0, 3.0, n)
+    dt, dp = lattice._arithmetic_step(t), lattice._arithmetic_step(phi)
+    assert len(lattice._chunks(200, modes, lattice._PHASOR_BLOCK)) == 1
+    one = lattice._blocked_sum(c, m, freq, t, phi, dt, dp)
+    monkeypatch.setattr(lattice, "_PHASOR_BLOCK", modes * heads_a_chunk)
+    assert modes * heads_a_chunk >= lattice._MIN_TABLE
+    assert len(lattice._chunks(200, modes, lattice._PHASOR_BLOCK)) == 200 // heads_a_chunk
+    with mock.patch.object(lattice, "_chunks", wraps=lattice._chunks) as spy:
+        many = lattice._blocked_sum(c, m, freq, t, phi, dt, dp)
+    assert mock.call(200, modes, modes * heads_a_chunk) in spy.call_args_list
+    assert np.array_equal(many, one)
+
+
+def test_blocked_sum_holds_a_bounded_block_of_head_phases():
+    # beyond its output and its step table, the block-factorized sum holds a
+    # few _PHASOR_BLOCKs of complex values on a grid of 1024 heads, where a
+    # chunk of the default budget's heads would be 4 MB of phases
+    rng = np.random.default_rng(6)
+    m = np.arange(-150.0, 150.0)
+    freq = np.hypot(3.0, m)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    n = 65536
+    t, phi = np.linspace(0.0, 40.0, n), np.linspace(0.0, 3.0, n)
+    dt, dp = lattice._arithmetic_step(t), lattice._arithmetic_step(phi)
+    lattice._blocked_sum(c, m, freq, t, phi, dt, dp)  # tables built
+    tracemalloc.start()
+    try:
+        lattice._blocked_sum(c, m, freq, t, phi, dt, dp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = 16 * m.size * lattice._BLOCK
+    assert peak <= 16 * n + steps + 8 * lattice._PHASOR_BLOCK * 16

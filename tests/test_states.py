@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,6 +17,8 @@ from ringtoa import (
     from_modes,
     gaussian_line,
     line_to_ring,
+    localization_matrix,
+    pc_density,
     post_select,
     spread_at_time,
     symmetric_superposition,
@@ -610,14 +613,16 @@ def test_ring_state_occupied_in_bounded_memory():
     n = 2 * ms.m_max + 1
     rho = _two_mode_rho(n, 10, 2000, 0.5)
     state = RingState(ms, rho=rho)
-    tracemalloc.start()
-    try:
-        occ = state.occupied()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(np.flatnonzero(occ), [10, 2000])
-    assert peak <= 0.01 * rho.nbytes
+    # the construction's scan, and occupied(), which returns its mask
+    for scan in (lambda: states._occupied_modes(state.rho), state.occupied):
+        tracemalloc.start()
+        try:
+            occ = scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.flatnonzero(occ), [10, 2000])
+        assert peak <= 0.01 * rho.nbytes
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 9])
@@ -633,6 +638,48 @@ def test_ring_state_occupied_blocks_miss_no_entry(monkeypatch, rows):
             rho[i, j] += 1e-300j
             occ = RingState(ms, rho=rho).occupied()
             assert np.array_equal(np.flatnonzero(occ), sorted({4, i, j}))
+
+
+@st.composite
+def _sparse_rho(draw):
+    """(mode space, rho): a mixture of a few pure states, each on a few modes."""
+    m_max = draw(st.integers(1, 12))
+    n = 2 * m_max + 1
+    rho = np.zeros((n, n), dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        modes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+        v = np.zeros(n, dtype=complex)
+        for i in modes:
+            v[i] = complex(draw(st.floats(0.1, 1.0)), draw(st.floats(-1.0, 1.0)))
+        rho += np.outer(v, v.conj())
+    return ModeSpace(mu=1.0, r=1.0, m_max=m_max), rho / np.trace(rho).real
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sparse_rho())
+def test_ring_state_stores_the_occupied_mask_of_a_fresh_scan(case):
+    ms, rho = case
+    state = RingState(ms, rho=rho)
+    nz = state.rho != 0
+    occ = state.occupied()
+    assert np.array_equal(occ, nz.any(axis=0) | nz.any(axis=1))
+    assert occ is state.occupied() and not occ.flags.writeable
+    with pytest.raises(ValueError):
+        occ[0] = not occ[0]
+
+
+def test_pc_density_of_a_mixed_state_does_not_scan_rho():
+    ms = ModeSpace(mu=2.0, r=1.0, m_max=30)
+    rho = 0.5 * (from_modes(ms, {4: 1.0, 9: 0.5j}).density_matrix()
+                 + from_modes(ms, {-6: 1.0, 2: 0.7}).density_matrix())
+    state = RingState(ms, rho=rho)
+    det = localization_matrix(DetectorKernel.max_localization(), ms)
+    with mock.patch.object(states, "_occupied_modes", wraps=states._occupied_modes) as scan:
+        got = pc_density(state, det, np.linspace(0.0, 3.0, 7), 0.4)
+        assert scan.call_count == 0
+        RingState(ms, rho=rho)
+        assert scan.call_count == 1
+    assert np.all(np.isfinite(got))
 
 
 def _not_hermitian(ms, rho):

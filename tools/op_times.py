@@ -14,18 +14,22 @@ around it, as the benchmark reports `pass_s`) and in wall seconds:
 then the sums of the medians as `pass`.  BLAS and OpenMP run on one thread,
 as in the benchmark.  The script reads the benchmark's files and edits
 none; it checks no output against the references (the benchmark does), and
-the figures workload writes its outputs to a temporary directory that is
-removed on exit.
+the figures workload writes its outputs to a directory under the checkout's
+git-ignored .bench_out/, as the benchmark does, removed on exit.  A system
+temporary directory could be tmpfs, which hides the write-back cost of the
+checkout's file system.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import run  # noqa: E402  (pins the thread counts before numpy loads)
 
@@ -44,11 +48,18 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     run.import_package()
-    with tempfile.TemporaryDirectory() as out:
-        wl = run.set_up(args, Path(out))
-        runner = run.Runner(args.workload, wl)
-        runner.run_pass(False)
-        samples = [runner.run_pass(False) for _ in range(args.passes)]
+    bench_out = ROOT / ".bench_out"
+    bench_out.mkdir(exist_ok=True)
+    try:
+        with tempfile.TemporaryDirectory(prefix=f"op_times-{args.workload}-",
+                                         dir=bench_out) as out:
+            wl = run.set_up(args, Path(out))
+            runner = run.Runner(args.workload, wl)
+            runner.run_pass(False)
+            samples = [runner.run_pass(False) for _ in range(args.passes)]
+    finally:
+        with contextlib.suppress(OSError):  # still used by another run
+            bench_out.rmdir()
     ref = run.median_per_op([runner.reference_times(s) for s in samples])
     wall = run.median_per_op([[w for w, *_ in s] for s in samples])
     names = [name for name, _ in wl.ops] + ["pass"]
