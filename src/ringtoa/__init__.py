@@ -34,7 +34,6 @@ from .amplitudes import (
     amp_poisson,
     amp_ring,
     amp_rotating_split,
-    amp_saddle,
     amp_state,
     line_arrival_amp,
 )
@@ -51,8 +50,6 @@ from .clock import ClockQuality, TickTrain, clock_quality, cumulative, extract_t
 from .rotation import (
     NoiseCurve,
     SagnacResult,
-    coincidence_report,
-    coincidence_winding,
     eta,
     eta_closed_form,
     noise_curve,

@@ -1,4 +1,4 @@
-"""Detection amplitudes: mode sums, their Poisson images, and saddles.
+"""Detection amplitudes: mode sums and their Poisson images.
 
 The arrival amplitude of a state psi on the ring is the mode sum
 
@@ -10,8 +10,7 @@ line_arrival_amp is the scalar quadrature that oracle is tested against.
 
 The bare (state-free) amplitude amp_ring is a distribution; it is only
 evaluated under a smooth momentum taper, and only state-contracted
-amplitudes are physically meaningful.  Its saddle-point form amp_saddle
-holds deep inside the light cones of a massive field.
+amplitudes are physically meaningful.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StateError
+from .errors import StateError
 from .lattice import _mode_sum, _on_grid
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
 from .oracle import _gate, _images, _warn_below_reach
@@ -31,7 +30,6 @@ __all__ = [
     "amp_state",
     "amp_ring",
     "amp_poisson",
-    "amp_saddle",
     "amp_rotating_split",
     "line_arrival_amp",
 ]
@@ -108,9 +106,9 @@ def line_arrival_amp(x: float, t: float, mu: float, k_range, profile=None,
     profile: callable k -> psi~(k) (complex); None means the bare amplitude,
     which converges only with a taper window over the k_range.  This is the
     scalar reference: two adaptive scipy quad runs over a Python integrand,
-    against which the line oracle's panel rule (oracle._line_quadrature) and
-    amp_saddle are tested.  The convergence gate scales with rel_tol, so
-    loose tolerances are allowed for the strongly oscillatory bare integrand.
+    against which the line oracle's panel rule (oracle._line_quadrature) is
+    tested.  The convergence gate scales with rel_tol, so loose tolerances
+    are allowed for the strongly oscillatory bare integrand.
     """
     k_lo, k_hi = k_range
 
@@ -153,46 +151,6 @@ def amp_poisson(ms: ModeSpace, t, phi, state: RingState):
                          "(coherent or line-sampled)")
     _warn_below_reach(packet)
     return _pointwise(t, phi, lambda ti, pi_: packet.pref * _images(ms, packet, ti, pi_).sum())
-
-
-def amp_saddle(ms: ModeSpace, t, phi):
-    """Saddle-point form of the bare massive amplitude, summed over windings.
-
-    Each winding n >= 1 inside the light cone contributes
-    sqrt(2 pi i mu r^3 t (phi + 2 pi n)) / [t^2 - (phi+2pi n)^2 r^2]^(3/4)
-    exp(-i mu sqrt(t^2 - (phi+2pi n)^2 r^2)), principal branch (sqrt(i) =
-    e^{i pi/4}).  Points within delta_lc = 10 / mu of any cone are rejected:
-    the [t^2 - x^2]^(-3/4) divergence there is an artifact of the
-    approximation.
-    """
-    if ms.mu <= 0:
-        raise DomainError("saddle-point amplitude requires mu > 0")
-    delta_lc = 10.0 / ms.mu
-    root_i = cmath.exp(1j * math.pi / 4.0)
-
-    def at(ti, pi_):
-        n_hi = int(math.floor((ti / ms.r - pi_) / (2.0 * math.pi))) + 1
-        total = 0.0 + 0.0j
-        for n in range(1, n_hi + 1):
-            x_n = (pi_ + 2.0 * math.pi * n) * ms.r
-            gap = ti - x_n
-            if abs(gap) < delta_lc:
-                raise DomainError(
-                    f"evaluation point (t={ti}, phi={pi_}) is within delta_lc="
-                    f"{delta_lc} of the winding-{n} light cone"
-                )
-            if gap <= 0:
-                continue
-            q = ti * ti - x_n * x_n
-            total += (
-                root_i
-                * math.sqrt(2.0 * math.pi * ms.mu * ms.r**3 * ti * (pi_ + 2 * math.pi * n))
-                / q**0.75
-                * cmath.exp(-1j * ms.mu * math.sqrt(q))
-            )
-        return total
-
-    return _pointwise(t, phi, at)
 
 
 def amp_rotating_split(state: RingState, rf: RotationFrame, t, phi):

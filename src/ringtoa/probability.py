@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _speed_weights, amp_state, quad
-from .detector import DetectorKernel, LocalizationMatrix, kernel_eval
+from .amplitudes import _speed_weights, amp_state
+from .detector import DetectorKernel, LocalizationMatrix
 from .errors import DomainError, SeriesError, StateError
 from .lattice import _double_sum, _mode_sum
 from .modes import ModeSpace, RotationFrame, is_number, omega, rotating_omega
@@ -35,7 +35,6 @@ __all__ = [
     "vacuum_noise",
     "timescales",
     "autocorrelation",
-    "pgamma_validation",
 ]
 
 # B(gamma) fixed to 1: unit detection probability per circulation period for
@@ -225,51 +224,3 @@ def autocorrelation(state: RingState, t):
     weights = (np.abs(state.coeffs) ** 2).astype(complex)
     val = _mode_sum(weights, np.zeros(m.size), omega(ms, m), t, 0.0)
     return np.abs(val) ** 2
-
-
-def pgamma_validation(state: RingState, dk: DetectorKernel, gamma: float) -> dict:
-    """Regularized total detection probability as a consistency check.
-
-    Implements P_gamma = (r/2) ∫ dy/y R(omega_y, y) sum_{m,m'}
-    f_gamma(y-m) f_gamma(y-m') rho(m,m') with Gaussian f_gamma, and reports
-
-    * ``ratio``: P_gamma normalized by sum_m rho(m,m) r R(omega_m,m)/(2m),
-      times the Gaussian overlap constant gamma sqrt(2 pi) - tends to 1 as
-      gamma -> 0, confirming that the regularized normalization is the trace
-      normalization used in post-selection;
-    * ``offdiag_fraction``: relative weight of m != m' cross terms, which
-      must vanish in the same limit.
-    """
-    if gamma <= 0:
-        raise DomainError("regulator width must be positive")
-    ms = state.modespace
-    rho = state.density_matrix()
-    m = ms.modes()
-    keep = state.occupation() > 1e-16
-    if not np.any(keep & (m > 0)):
-        raise StateError("validation needs support on positive modes")
-    idx = np.where(keep)[0]
-    mm = m[idx].astype(float)
-    sub = rho[np.ix_(idx, idx)]
-
-    def integrand(y, pairs):
-        f = np.exp(-((y - mm) ** 2) / gamma**2) / math.sqrt(math.pi * gamma**2)
-        wy = math.sqrt(ms.mu**2 + (y / ms.r) ** 2)
-        rr = kernel_eval(dk, wy, y, r=ms.r)
-        if pairs == "diag":
-            weight = float(np.real(np.sum(np.diag(sub) * f * f)))
-        else:
-            weight = float(np.real(f @ sub @ f))
-        return (ms.r / 2.0) * rr * weight / y
-
-    lo = max(1e-6, float(mm.min()) - 8 * gamma - 1)
-    hi = float(mm.max()) + 8 * gamma + 1
-    total, _ = quad(integrand, lo, hi, args=("all",), limit=400)
-    diag_only, _ = quad(integrand, lo, hi, args=("diag",), limit=400)
-    on_shell = kernel_eval(dk, omega(ms, m[idx]), m[idx], r=ms.r)
-    reference = float(
-        np.real(np.sum(np.diag(sub) * ms.r * on_shell / (2.0 * np.abs(mm))))
-    )
-    ratio = total * gamma * math.sqrt(2.0 * math.pi) / reference
-    off = abs(total - diag_only) / max(abs(total), 1e-300)
-    return {"total": total, "ratio": ratio, "offdiag_fraction": off}

@@ -1,4 +1,4 @@
-"""Rotating-ring observables: noise ratio, Sagnac fringes, coincidences.
+"""Rotating-ring observables: noise ratio and Sagnac fringes.
 
 Rotation leaves the vacuum alone but shifts the kernel argument of the
 state-independent noise, giving the ratio eta(Omega_D) > 1 that diverges
@@ -20,7 +20,7 @@ from .amplitudes import amp_rotating_split
 from .errors import DomainError, StateError
 from .modes import ModeSpace, RotationFrame, is_number, number_array, velocity
 from .detector import DetectorKernel
-from .probability import _density, _eta_modes, _eta_sum, timescales
+from .probability import _density, _eta_modes, _eta_sum
 from .states import RingState
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "eta_closed_form",
     "noise_curve",
     "sagnac_scan",
-    "coincidence_winding",
-    "coincidence_report",
 ]
 
 def eta(dk: DetectorKernel, ms: ModeSpace, omega_d: float) -> float:
@@ -190,21 +188,3 @@ def sagnac_scan(state: RingState, rf: RotationFrame, t_grid,
         fringe_frequency=fringe,
         expected_frequency=expected,
     )
-
-
-def coincidence_winding(phi: float, xi: float, omega_d: float) -> float:
-    """Winding count n = (pi - phi) / (xi Omega_D) at which counter-propagating
-    detections coincide; phi = pi coincides immediately (n = 0)."""
-    if omega_d == 0 or xi == 0:
-        raise DomainError("coincidence winding needs xi != 0 and Omega_D != 0")
-    return (math.pi - phi) / (xi * omega_d)
-
-
-def coincidence_report(phi: float, xi: float, omega_d: float,
-                       ms: ModeSpace, alpha: float) -> dict:
-    """Winding estimate plus the observability flag t(n) < T_q."""
-    n = coincidence_winding(phi, xi, omega_d)
-    v_xi = abs(velocity(ms, xi))
-    t_n = abs(n) * 2.0 * math.pi * ms.r / v_xi
-    t_q = timescales(ms, xi, alpha).t_quantum
-    return {"n": n, "t_n": t_n, "t_quantum": t_q, "observable": t_n < t_q}

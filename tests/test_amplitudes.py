@@ -19,7 +19,6 @@ from ringtoa import (
     amp_poisson,
     amp_ring,
     amp_rotating_split,
-    amp_saddle,
     amp_state,
     coherent_state,
     from_modes,
@@ -169,12 +168,6 @@ def test_poisson_rejects_non_finite_points(t, phi):
         amp_poisson(MS0, t, phi, state=coherent_state(MS0, COH))
 
 
-@pytest.mark.parametrize("t, phi", NON_FINITE_POINTS)
-def test_saddle_rejects_non_finite_points(t, phi):
-    with pytest.raises(DomainError, match="finite"):
-        amp_saddle(ModeSpace(mu=40.0, r=1.0, m_max=400), t, phi)
-
-
 def _lattice_evaluators():
     # each entry point of the mode and double sums, at (t, phi)
     from ringtoa import DetectorKernel, RingState, localization_matrix
@@ -257,53 +250,35 @@ def test_zero_mode_never_contributes():
     assert abs(a) == pytest.approx(abs(b) / math.sqrt(2.0), rel=1e-12)
 
 
-def test_saddle_zero_outside_cones():
+def test_amp_ring_phase_derivative_matches_stationary_phase_frequency():
+    # mu r >> 1, one active winding deep inside its light cone: the bare
+    # amplitude's phase turns at the stationary-phase frequency
+    # -mu t / sqrt(t^2 - x_1^2), within 1%
     ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
-    assert amp_saddle(ms, 3.0, 0.5) == 0j
+    phi, t = 0.5, 12.0
+    x1 = phi + 2.0 * math.pi
+    dt = 1e-4
+    d_ring = np.angle(amp_ring(ms, t + dt, phi) / amp_ring(ms, t - dt, phi)) / (2 * dt)
+    analytic = -ms.mu * t / math.sqrt(t * t - x1 * x1)
+    assert d_ring == pytest.approx(analytic, rel=0.01)
 
 
-def test_saddle_requires_mass_and_cone_distance():
-    with pytest.raises(DomainError):
-        amp_saddle(ModeSpace(mu=0.0, r=1.0, m_max=100), 3.0, 0.5)
-    ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
-    cone = 0.5 + 2.0 * math.pi
-    with pytest.raises(DomainError):
-        amp_saddle(ms, cone + 0.01, 0.5)
-
-
-def test_saddle_matches_quadrature_deep_in_cone():
-    # mu r >> 1, one active winding: modulus within 2%, phase derivative
-    # within 1% of the analytic saddle frequency and of the mode sum
+def test_line_arrival_amp_matches_stationary_phase_deep_in_cone():
+    # mu r >> 1, winding 1 deep inside its light cone: the tapered bare line
+    # amplitude at x_1 is the stationary-phase form
+    # sqrt(2 pi mu t x_1) / q^(3/4) exp(-i mu sqrt(q) - i pi/4), q = t^2 - x_1^2;
+    # the phase of k x - omega_k t is concave in k, hence e^{-i pi/4}
     ms = ModeSpace(mu=40.0, r=1.0, m_max=400)
     phi, t = 0.5, 12.0
     x1 = phi + 2.0 * math.pi
     taper = (lambda k: taper_window(np.asarray(k * ms.r), ms.m_max))
     a_quad = ms.r * line_arrival_amp(x1 * ms.r, t, ms.mu, k_range=(0.0, ms.m_max / ms.r),
                                      rel_tol=1e-8, taper=taper, limit=2000)
-    a_sad = amp_saddle(ms, t, phi)
-    assert abs(a_sad) / abs(a_quad) == pytest.approx(1.0, abs=0.02)
-
-    dt = 1e-4
-    d_sad = np.angle(amp_saddle(ms, t + dt, phi) / amp_saddle(ms, t - dt, phi)) / (2 * dt)
-    d_ring = np.angle(amp_ring(ms, t + dt, phi) / amp_ring(ms, t - dt, phi)) / (2 * dt)
-    analytic = -ms.mu * t / math.sqrt(t * t - x1 * x1)
-    assert d_sad == pytest.approx(analytic, rel=1e-6)
-    assert d_ring == pytest.approx(analytic, rel=0.01)
-
-
-def test_saddle_branch_constant():
-    # principal branch: one winding, check the e^{i pi/4} prefactor wiring
-    ms = ModeSpace(mu=25.0, r=1.0, m_max=300)
-    phi, t = 0.0, 9.0
-    x1 = 2.0 * math.pi
     q = t * t - x1 * x1
-    n1 = (
-        np.exp(1j * math.pi / 4)
-        * math.sqrt(2 * math.pi * ms.mu * t * (phi + 2 * math.pi))
-        / q**0.75
-        * np.exp(-1j * ms.mu * math.sqrt(q))
-    )
-    assert amp_saddle(ms, t, phi) == pytest.approx(n1, rel=1e-12)
+    a_sp = (math.sqrt(2.0 * math.pi * ms.mu * t * x1) / q**0.75
+            * cmath.exp(-1j * (ms.mu * math.sqrt(q) + math.pi / 4.0)))
+    assert abs(a_quad) / abs(a_sp) == pytest.approx(1.0, abs=0.02)
+    assert abs(cmath.phase(a_quad / a_sp)) < 0.01
 
 
 def test_rotating_split_static_reduction():
@@ -537,7 +512,7 @@ def test_oracle_never_calls_scalar_quad(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.integrate.quad called")
 
-    for owner in (scipy.integrate, amplitudes, probability):
+    for owner in (scipy.integrate, amplitudes):
         monkeypatch.setattr(owner, "quad", refuse)
     st_ = coherent_state(MS0, COH)
     # points near the packet, where images are integrated

@@ -2,12 +2,15 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import ringtoa
+from ringtoa import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ringtoa.__path__))
 
@@ -130,22 +133,104 @@ def test_no_unused_imports(path):
     assert not _unused_imports(path), f"{path.name} imports unused names"
 
 
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _direct_reads(path: Path) -> set[str]:
+    """Every `module.attr` of the package that path reads directly: a name it
+    imports from a ringtoa module, or an attribute of a module it imports."""
+    tree = ast.parse(path.read_text())
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ringtoa":
+            aliases |= {a.asname or a.name: a.name for a in node.names if a.name in MODULES}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ringtoa."):
+            reads |= {f"{node.module.split('.')[1]}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname: a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("ringtoa.") and a.asname}
+    return reads | {f"{aliases[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases}
+
+
 def _pinned_names() -> list[str]:
     """Every `module.attr` and `module.Class.attr` that benchmarks/tracer.py's
-    LAYERS wraps, read from its source without importing it."""
-    tracer = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    LAYERS wraps, and every module attribute that a benchmark file reads
+    directly, read from their sources without importing them."""
+    tracer = BENCHMARKS / "tracer.py"
     layers = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
                   if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
-    return sorted(f"{mod}.{attr}" for mod, attrs in layers.values() for attr in attrs)
+    wrapped = {f"{mod}.{attr}" for mod, attrs in layers.values() for attr in attrs}
+    return sorted(wrapped.union(*map(_direct_reads, sorted(BENCHMARKS.glob("*.py")))))
 
 
 @pytest.mark.parametrize("pinned", _pinned_names())
 def test_benchmark_pinned_names_resolve(pinned):
-    # the benchmark's tracer wraps these by name: one that moves or goes
-    # breaks the benchmark, so it fails tier-1 too
+    # the benchmark's tracer wraps these by name, and its tests and
+    # workloads read them as module attributes (cli.amp_state is one): one
+    # that moves or goes breaks the benchmark, so it fails tier-1 too
     mod, *owner, attr = pinned.split(".")
     where = importlib.import_module(f"ringtoa.{mod}")
     for name in owner:  # a method is wrapped from its class's own __dict__
         where = vars(where)[name]
     assert attr in vars(where), f"ringtoa.{pinned} is gone"
+
+
+# public functions that neither a shipped config's run, the acceptance
+# suite's imports nor a benchmark name reaches, each with its reason.  The
+# list may only shrink: a new unreached public function fails the test below
+# until it is listed here.
+UNREACHED = {
+    "multitime.jensen_interval": "called once at import, for CS_INTERVAL, before any run",
+    "specfun.sinc": "reached only through detector.wigner_weyl, which no config runs",
+}
+
+
+def _entered_by_shipped_configs(out: Path) -> set:
+    """The code objects that the five shipped configs enter, run in process."""
+    configs = sorted((BENCHMARKS.parent / "configs").glob("*.json"))
+    assert len(configs) == 5
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(["run", str(cfg), "--out", str(out / cfg.stem)]) for cfg in configs]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(configs)
+    return entered
+
+
+def _named_statically() -> set:
+    """The objects that tests/test_acceptance.py imports and the benchmark names."""
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    named = {getattr(importlib.import_module(node.module), a.name)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ringtoa")
+             for a in node.names}
+    for pinned in _pinned_names():
+        mod, *attrs = pinned.split(".")
+        where = importlib.import_module(f"ringtoa.{mod}")
+        for attr in attrs:
+            where = vars(where)[attr]
+        named.add(where)
+    return named
+
+
+def test_only_listed_public_functions_go_unreached(tmp_path):
+    entered, named = _entered_by_shipped_configs(tmp_path), _named_statically()
+    unreached = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"ringtoa.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            fn = getattr(mod, attr)
+            if inspect.isfunction(fn) and fn.__code__ not in entered and fn not in named:
+                unreached.add(f"{name}.{attr}")
+    assert unreached == set(UNREACHED)

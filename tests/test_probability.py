@@ -24,7 +24,7 @@ from ringtoa import (
 )
 from ringtoa.modes import omega
 from ringtoa import lattice, oracle
-from ringtoa.probability import _k_norm, pgamma_validation
+from ringtoa.probability import _k_norm
 from ringtoa.errors import DomainError, SeriesError
 
 
@@ -465,16 +465,3 @@ def test_autocorrelation_reads_the_state_mode_space():
     with pytest.raises(TypeError):
         autocorrelation(st, MS0, 0.0)
 
-
-def test_pgamma_regularized_normalization_validation():
-    ms = ModeSpace(mu=0.0, r=1.0, m_max=40)
-    st = from_modes(ms, {6: 1.0, 9: 1.0, 12: 0.5})
-    dk = DetectorKernel.ring_exponential(a=0.5)
-    ratios, offdiag = [], []
-    for gamma in (0.2, 0.1, 0.05):
-        out = pgamma_validation(st, dk, gamma)
-        ratios.append(out["ratio"])
-        offdiag.append(out["offdiag_fraction"])
-    assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
-    assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0) + 1e-9
-    assert offdiag[-1] < 1e-10

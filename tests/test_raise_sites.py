@@ -54,7 +54,6 @@ from ringtoa.errors import (
 )
 from ringtoa.lattice import _double_sum
 from ringtoa.modes import as_float
-from ringtoa.probability import pgamma_validation
 from ringtoa.states import STATE_SPEC_KEYS, state_from_spec
 
 MS = ModeSpace(mu=0.0, r=1.0, m_max=40)
@@ -164,11 +163,6 @@ CASES = {  # name -> (error, a fragment of its message, the call)
                        lambda: eta(_growing_kernel(), MASSIVE, 0.1)),
     "timescales xi = 0": (DomainError, "xi != 0", lambda: timescales(MS, 0.0, 2.0)),
     "autocorrelation mixed": (StateError, "pure states", lambda: autocorrelation(MIXED, 0.5)),
-    "pgamma_validation gamma = 0": (DomainError, "regulator width",
-                                    lambda: pgamma_validation(COH, MAX_LOC, 0.0)),
-    "pgamma_validation no positive support": (
-        StateError, "support on positive modes",
-        lambda: pgamma_validation(from_modes(MS, {-3: 1.0}), MAX_LOC, 0.1)),
     # rotation
     "eta_closed_form a <= 0": (DomainError, "decay constant",
                                lambda: eta_closed_form(-1.0, 0.1)),

@@ -10,8 +10,6 @@ from ringtoa import (
     ModeSpace,
     RotationFrame,
     coherent_state,
-    coincidence_report,
-    coincidence_winding,
     eta,
     eta_closed_form,
     noise_curve,
@@ -156,31 +154,13 @@ def test_sagnac_rejects_asymmetric_state():
         sagnac_scan(st, rf, np.arange(0.5, 30.0, 0.01))
 
 
-def test_coincidence_winding_formula():
-    assert coincidence_winding(math.pi, 1000.0, 1e-3) == 0.0
-    assert coincidence_winding(0.0, 1000.0, math.pi / 1000.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        coincidence_winding(0.0, 1000.0, 0.0)
-
-
-def test_coincidence_report_observability():
-    ms = ModeSpace(mu=1000.0, r=1.0, m_max=1120)
-    rep = coincidence_report(0.0, 1000.0, math.pi / 1000.0, ms, 10.0)
-    assert rep["n"] == pytest.approx(1.0)
-    assert rep["observable"] == (rep["t_n"] < rep["t_quantum"])
-    assert rep["observable"]  # one winding needs ~8.9 << T_q ~ 283
-    # a coincidence requiring many more windings than T_q allows is flagged
-    far = coincidence_report(0.0, 1000.0, 1e-7, ms, 10.0)
-    assert not far["observable"]
-
-
 def test_coincidence_scan_follows_drifted_fringe_model():
     # At the winding-formula example parameters (phi=0, xi Omega_D = pi),
     # the per-winding weights follow 1 + c_n cos(2 xi Omega_D t_n) with the
     # envelope-drift contrast c_n = exp(-(4 pi n r Omega_D)^2 / (8 sigma_t^2)).
     # The strongest early peak is this model's argmax (winding 3), NOT the
-    # formula's round(n) = 1; the formula is reported as specified, the scan
-    # tells the actual story.
+    # winding formula's n = (pi - phi) / (xi Omega_D) = 1; the scan tells the
+    # actual story.
     ms, sym, rf = sagnac_setup(math.pi / 1000.0)
     t = np.arange(0.3, 8.0 * 2.0 * math.pi, 0.005)
     res = sagnac_scan(sym, rf, t, phi=0.0)
@@ -192,4 +172,3 @@ def test_coincidence_scan_follows_drifted_fringe_model():
     # shift it a little, hence the 0.1 absolute band
     np.testing.assert_allclose(res.pass_weights, model, atol=0.1)
     assert int(np.argmax(res.pass_weights)) == int(np.argmax(model)) == 2
-    assert coincidence_winding(0.0, 1000.0, rf.omega_d) == pytest.approx(1.0)
