@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import StateError
-from .lattice import _mode_sum, _on_grid
+from .lattice import _mode_sum, _on_grid, _prune, _term_sum
 from .modes import ModeSpace, RotationFrame, omega, rotating_omega, rotating_velocity, velocity
 from .oracle import _gate, _images, _warn_below_reach
 from .states import RingState
@@ -33,6 +33,10 @@ __all__ = [
     "amp_rotating_split",
     "line_arrival_amp",
 ]
+
+# frame pairs whose terms a state keeps (see _terms): a scan over many frames
+# on one state rebuilds its terms instead of growing the memo
+_TERM_MEMO_PAIRS = 4
 
 
 def quad(*args, **kwargs):
@@ -50,17 +54,53 @@ def _pointwise(t, phi, at):
     return _on_grid(t, phi, fill)
 
 
-def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
-    """v_m, or v~_m relative to a rotating frame, with the zero mode excluded (0)."""
+def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None,
+                energies: np.ndarray | None = None):
+    """v_m, or v~_m relative to a rotating frame, with the zero mode excluded (0).
+
+    energies: omega_m at m, when already at hand.
+    """
     v = np.zeros(m.size)
     nz = m != 0
-    v[nz] = velocity(ms, m[nz]) if frame is None else rotating_velocity(frame, m[nz])
+    w = None if energies is None else energies[nz]
+    v[nz] = velocity(ms, m[nz], w) if frame is None else rotating_velocity(frame, m[nz], w)
     return v
 
 
-def _speed_weights(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
+def _speed_weights(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None,
+                   energies: np.ndarray | None = None):
     """sqrt(|v_m|), or sqrt(|v~_m|) in a rotating frame, with the zero mode excluded (0)."""
-    return np.sqrt(np.abs(_velocities(ms, m, frame)))
+    return np.sqrt(np.abs(_velocities(ms, m, frame, energies)))
+
+
+def _terms(state: RingState, weight_frame: RotationFrame | None,
+           freq_frame: RotationFrame | None):
+    """A pure state's mode-sum terms (psi_m sqrt|v_m|, m, omega_m), built once per frame pair.
+
+    Returns (every, active): every holds the terms of the non-zero
+    coefficients, active those that lattice._prune keeps, each a triple
+    (coefficients times speed weights, modes as floats, frequencies) of
+    read-only arrays.  The weights take weight_frame's velocities v~_m and
+    the frequencies freq_frame's energies omega_m - m Omega_D (static for
+    None); omega_m is evaluated once and v_m derived from it.  The pair is
+    memoized on the state (RingState._term_memo) under (weight_frame,
+    freq_frame), for the _TERM_MEMO_PAIRS pairs built last.
+    """
+    memo, key = state._term_memo, (weight_frame, freq_frame)
+    if key not in memo:
+        ms = state.modespace
+        nz = np.flatnonzero(state.coeffs)  # a zero coefficient is never summed
+        m = ms.modes()[nz]
+        w, mf = omega(ms, m), m.astype(float)
+        every = (state.coeffs[nz] * _speed_weights(ms, m, weight_frame, w), mf,
+                 w if freq_frame is None else rotating_omega(freq_frame, mf, w))
+        active = _prune(*every)
+        for arr in every + active:
+            arr.flags.writeable = False
+        if len(memo) >= _TERM_MEMO_PAIRS:
+            del memo[next(iter(memo))]  # the oldest pair
+        memo[key] = every, active
+    return memo[key]
 
 
 def amp_state(state: RingState, ms: ModeSpace, t, phi):
@@ -73,10 +113,7 @@ def amp_state(state: RingState, ms: ModeSpace, t, phi):
         raise StateError("amplitudes need a pure state; use pc_density for mixed")
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
-    nz = np.flatnonzero(state.coeffs)  # a zero coefficient is never summed
-    m = ms.modes()[nz]
-    coeffs = state.coeffs[nz] * _speed_weights(ms, m)
-    return _mode_sum(coeffs, m.astype(float), omega(ms, m), t, phi)
+    return _term_sum(*_terms(state, None, None)[1], t, phi)
 
 
 def taper_window(m: np.ndarray, m_max: int) -> np.ndarray:
@@ -165,10 +202,9 @@ def amp_rotating_split(state: RingState, rf: RotationFrame, t, phi):
         raise StateError("rotating split needs a pure state")
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
-    m = ms.modes()
-    vt, freq = _velocities(ms, m, rf), rotating_omega(rf, m)
-    coeffs = state.coeffs * _speed_weights(ms, m)  # zero at m = 0: in neither sum
-    mf = m.astype(float)
-    d_plus = _mode_sum(np.where(vt >= 0.0, coeffs, 0.0), mf, freq, t, phi)
-    d_minus = _mode_sum(np.where(vt < 0.0, coeffs, 0.0), mf, freq, t, phi)
-    return d_plus, d_minus
+    # static speed weights under rotating frequencies: ROADMAP N2 is to pass
+    # rf as the weight frame too, as pc_density(frame=rf) does
+    c, m, freq = _terms(state, None, rf)[0]
+    plus = _velocities(ms, m, rf) >= 0.0  # the zero mode is weighted 0: in neither sum
+    return (_mode_sum(c[plus], m[plus], freq[plus], t, phi),
+            _mode_sum(c[~plus], m[~plus], freq[~plus], t, phi))

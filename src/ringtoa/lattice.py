@@ -1,9 +1,10 @@
 """Lattice sums over the ring's angular-momentum modes, and the chunk rule they share.
 
-The mode sum sum_m c_m exp(i(m phi - omega_m t)) (_mode_sum) and the double
-sum of a general localization matrix (_double_sum), on a broadcast (t, phi)
-grid.  Each of their phases e^{ix} comes from one kernel, _unit_phasors (a
-table of roots of unity and short series; the line oracle keeps libm's exp).
+The mode sum sum_m c_m exp(i(m phi - omega_m t)) (_mode_sum: _prune, then
+_term_sum) and the double sum of a general localization matrix
+(_double_sum), on a broadcast (t, phi) grid.  Each of their phases e^{ix}
+comes from one kernel, _unit_phasors (a table of roots of unity and short
+series; the line oracle keeps libm's exp).
 Every chunked loop of the package sizes its chunks by _chunks.
 """
 
@@ -42,13 +43,13 @@ _TABLE_REACH = 2.0**31
 _MIN_TABLE = 1 << 10
 _PHASOR_BLOCK = 1 << 15
 
-# Uniform grids (see _mode_sum).  A block holds _BLOCK points, so a grid of
+# Uniform grids (see _term_sum).  A block holds _BLOCK points, so a grid of
 # n points costs modes x (_BLOCK + n / _BLOCK) unit phasors instead of
 # modes x n; a full period of angles at one t costs modes phasors and one FFT.
 # Grids shorter than _MIN_UNIFORM save too little and stay dense.  A grid
 # counts as uniform when every point lies within tol_t = _UNIFORM_ULPS ulps
 # of max|t| (tol_phi: of max|phi|) of the progression (_grid_tol), and as a
-# full period when also |n dphi| is within tol_phi of 2 pi.  _mode_sum
+# full period when also |n dphi| is within tol_phi of 2 pi.  _term_sum
 # states the phase error this allows.
 _BLOCK = 64
 _MIN_UNIFORM = 2 * _BLOCK
@@ -241,8 +242,14 @@ def _period_sum(c, mm, ww, tf, pf, dp):
     return np.fft.ifft(folded, norm="forward") if dp > 0 else np.fft.fft(folded)
 
 
-def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
-    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid, m integers.
+def _prune(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray):
+    """The _significant terms (coeffs, m, freq) of a mode sum: within u sum|coeffs| of all."""
+    active = _significant(np.abs(coeffs))
+    return coeffs[active], m[active], freq[active]
+
+
+def _term_sum(c: np.ndarray, mm: np.ndarray, ww: np.ndarray, t, phi):
+    """sum_m c_m exp(i(m phi - ww_m t)) over every given term and a broadcast (t, phi) grid.
 
     A flattened grid of at least _MIN_UNIFORM points that is an arithmetic
     progression in both t and phi (either step may be 0) is uniform.  A
@@ -250,14 +257,9 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
     2 pi within tol_phi, takes _period_sum; any other uniform grid takes
     _blocked_sum, and every other grid _dense_sum.  On a uniform grid the
     phases stray from the dense ones by at most
-    2 (max|freq_m| tol_t + max|m| tol_phi) rad plus roundoff, tol_t and
-    tol_phi the _grid_tol of t and phi.
-    Each path sums only the _significant terms, within u sum|coeffs| of the
-    sum over all of them.
+    2 (max|ww_m| tol_t + max|mm| tol_phi) rad plus roundoff, tol_t and
+    tol_phi the _grid_tol of t and phi.  mm must hold integers.
     """
-    active = _significant(np.abs(coeffs))
-    c, mm, ww = coeffs[active], m[active], freq[active]
-
     def fill(tf, pf):
         if tf.size >= _MIN_UNIFORM:
             dt, dp = _arithmetic_step(tf), _arithmetic_step(pf)
@@ -269,6 +271,15 @@ def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
         return _dense_sum(c, mm, ww, tf, pf)
 
     return _on_grid(t, phi, fill)
+
+
+def _mode_sum(coeffs: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):
+    """sum_m coeffs_m exp(i(m phi - freq_m t)) over a broadcast (t, phi) grid, m integers.
+
+    The _term_sum of the _prune'd terms: within u sum|coeffs| of the sum over
+    all of them.
+    """
+    return _term_sum(*_prune(coeffs, m, freq), t, phi)
 
 
 def _double_sum(kernel: np.ndarray, m: np.ndarray, freq: np.ndarray, t, phi):

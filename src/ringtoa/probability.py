@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _speed_weights, amp_state
+from .amplitudes import _speed_weights, _terms, amp_state
 from .detector import DetectorKernel, LocalizationMatrix
 from .errors import DomainError, SeriesError, StateError
-from .lattice import _double_sum, _mode_sum
+from .lattice import _double_sum, _mode_sum, _term_sum
 from .modes import ModeSpace, RotationFrame, is_number, omega, rotating_omega
 from .states import CoherentParams, RingState, coherent_state
 
@@ -72,21 +72,20 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
     det.require_support(state.occupation())
 
     # L = 1 on support: a pure state's double sum is K |sum_m psi_m w_m e^{...}|^2
-    factorized = state.is_pure and det.is_max_localization
-    if factorized:
+    if state.is_pure and det.is_max_localization:
         # the double sum drops the modes off support (L = 0 there), which
         # require_support lets through at occupations up to 1e-14
         if np.any(state.coeffs[~det.on_support]):
-            state = RingState(ms, coeffs=np.where(det.on_support, state.coeffs, 0.0))
+            every = _terms(state, frame, frame)[0]
+            keep = det.on_support[every[1].astype(np.intp) + ms.m_max]
+            return _density(ms, _mode_sum(*(x[keep] for x in every), t, phi))
         if frame is None:
             return _density(ms, amp_state(state, ms, t, phi))
+        return _density(ms, _term_sum(*_terms(state, frame, frame)[1], t, phi))
 
     m = ms.modes()
     freq = omega(ms, m) if frame is None else rotating_omega(frame, m)
     w = _speed_weights(ms, m, frame)
-    if factorized:
-        return _density(ms, _mode_sum(state.coeffs * w, m.astype(float), freq, t, phi))
-
     # the kernel on the occupied, supported block with w > 0 (zero outside it)
     blk = np.flatnonzero(state.occupied() & det.on_support & (w > 0.0))
     if state.is_pure:

@@ -144,7 +144,9 @@ class RingState:
     mode sums never need it.  coeffs and rho must hold numbers, not bools or
     strings (modes.number_array): StateError otherwise.  rho is scanned for
     its occupied modes once, at construction; occupied() returns that
-    read-only mask, so rho must not change afterwards.
+    read-only mask, so rho must not change afterwards.  coeffs is stored as
+    a read-only array of the state's own, never the caller's, because a pure
+    state's mode-sum terms are memoized in _term_memo (amplitudes._terms).
     """
 
     modespace: ModeSpace
@@ -152,6 +154,7 @@ class RingState:
     rho: np.ndarray | None = None
     packet: LineProfileOnRing | None = None
     _occupied: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _term_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = 2 * self.modespace.m_max + 1
@@ -164,6 +167,8 @@ class RingState:
             norm2 = float(np.sum(np.abs(c) ** 2))
             if not abs(norm2 - 1.0) <= NORM_TOL:  # a NaN norm fails too
                 raise StateError(f"pure state not normalized: sum|psi|^2 = {norm2!r}")
+            c = c.copy() if c is self.coeffs else c  # never the caller's array
+            c.flags.writeable = False
             object.__setattr__(self, "coeffs", c)
         else:
             rho = number_array(self.rho, "rho", StateError, complex)
