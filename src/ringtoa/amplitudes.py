@@ -54,53 +54,58 @@ def _pointwise(t, phi, at):
     return _on_grid(t, phi, fill)
 
 
-def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None,
-                energies: np.ndarray | None = None):
-    """v_m, or v~_m relative to a rotating frame, with the zero mode excluded (0).
-
-    energies: omega_m at m, when already at hand.
-    """
+def _velocities(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
+    """v_m, or v~_m relative to a rotating frame, with the zero mode excluded (0)."""
     v = np.zeros(m.size)
     nz = m != 0
-    w = None if energies is None else energies[nz]
-    v[nz] = velocity(ms, m[nz], w) if frame is None else rotating_velocity(frame, m[nz], w)
+    v[nz] = velocity(ms, m[nz]) if frame is None else rotating_velocity(frame, m[nz])
     return v
 
 
-def _speed_weights(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None,
-                   energies: np.ndarray | None = None):
+def _speed_weights(ms: ModeSpace, m: np.ndarray, frame: RotationFrame | None = None):
     """sqrt(|v_m|), or sqrt(|v~_m|) in a rotating frame, with the zero mode excluded (0)."""
-    return np.sqrt(np.abs(_velocities(ms, m, frame, energies)))
+    return np.sqrt(np.abs(_velocities(ms, m, frame)))
+
+
+def _read_only(arrays: tuple) -> tuple:
+    """The arrays, each marked read-only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _terms(state: RingState, weight_frame: RotationFrame | None,
-           freq_frame: RotationFrame | None):
+           freq_frame: RotationFrame | None, pruned: bool = True):
     """A pure state's mode-sum terms (psi_m sqrt|v_m|, m, omega_m), built once per frame pair.
 
-    Returns (every, active): every holds the terms of the non-zero
-    coefficients, active those that lattice._prune keeps, each a triple
-    (coefficients times speed weights, modes as floats, frequencies) of
-    read-only arrays.  The weights take weight_frame's velocities v~_m and
-    the frequencies freq_frame's energies omega_m - m Omega_D (static for
-    None); omega_m is evaluated once and v_m derived from it.  The pair is
-    memoized on the state (RingState._term_memo) under (weight_frame,
-    freq_frame), for the _TERM_MEMO_PAIRS pairs built last.
+    A triple (coefficients times speed weights, modes as floats,
+    frequencies) of read-only arrays over the non-zero coefficients, or,
+    when pruned, over those that lattice._prune keeps, ready for _term_sum.
+    The weights take weight_frame's velocities v~_m and the frequencies
+    freq_frame's energies omega_m - m Omega_D (static for None).  Both
+    triples are memoized on the state (RingState._term_memo) under
+    (weight_frame, freq_frame), for the _TERM_MEMO_PAIRS pairs built last;
+    the pruned one is built when first asked for.  amp_state and the
+    on-support factorized pc_density read the pruned terms;
+    amp_rotating_split and the off-support pc_density branch read every
+    term, select some and prune those.
     """
     memo, key = state._term_memo, (weight_frame, freq_frame)
-    if key not in memo:
+    entry = memo.get(key)
+    if entry is None:
         ms = state.modespace
         nz = np.flatnonzero(state.coeffs)  # a zero coefficient is never summed
         m = ms.modes()[nz]
-        w, mf = omega(ms, m), m.astype(float)
-        every = (state.coeffs[nz] * _speed_weights(ms, m, weight_frame, w), mf,
-                 w if freq_frame is None else rotating_omega(freq_frame, mf, w))
-        active = _prune(*every)
-        for arr in every + active:
-            arr.flags.writeable = False
+        every = (state.coeffs[nz] * _speed_weights(ms, m, weight_frame), m.astype(float),
+                 omega(ms, m) if freq_frame is None else rotating_omega(freq_frame, m))
         if len(memo) >= _TERM_MEMO_PAIRS:
             del memo[next(iter(memo))]  # the oldest pair
-        memo[key] = every, active
-    return memo[key]
+        entry = memo[key] = [_read_only(every), None]
+    if not pruned:
+        return entry[0]
+    if entry[1] is None:
+        entry[1] = _read_only(_prune(*entry[0]))
+    return entry[1]
 
 
 def amp_state(state: RingState, ms: ModeSpace, t, phi):
@@ -113,7 +118,7 @@ def amp_state(state: RingState, ms: ModeSpace, t, phi):
         raise StateError("amplitudes need a pure state; use pc_density for mixed")
     if state.modespace != ms:
         raise StateError("state lives on a different mode space")
-    return _term_sum(*_terms(state, None, None)[1], t, phi)
+    return _term_sum(*_terms(state, None, None), t, phi)
 
 
 def taper_window(m: np.ndarray, m_max: int) -> np.ndarray:
@@ -204,7 +209,7 @@ def amp_rotating_split(state: RingState, rf: RotationFrame, t, phi):
         raise StateError("state lives on a different mode space")
     # static speed weights under rotating frequencies: ROADMAP N2 is to pass
     # rf as the weight frame too, as pc_density(frame=rf) does
-    c, m, freq = _terms(state, None, rf)[0]
+    c, m, freq = _terms(state, None, rf, pruned=False)
     plus = _velocities(ms, m, rf) >= 0.0  # the zero mode is weighted 0: in neither sum
     return (_mode_sum(c[plus], m[plus], freq[plus], t, phi),
             _mode_sum(c[~plus], m[~plus], freq[~plus], t, phi))

@@ -120,37 +120,35 @@ def omega(ms: ModeSpace, m) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def velocity(ms: ModeSpace, m, energies=None) -> np.ndarray | float:
+def velocity(ms: ModeSpace, m) -> np.ndarray | float:
     """Linear velocity v_m = m / (omega_m * r).
 
     |v_m| < 1 for mu > 0 and |v_m| = 1 for mu = 0, m != 0.  The massless
-    zero mode has no defined velocity.  energies: omega_m at m, when
-    already at hand (omega(ms, m) otherwise).
+    zero mode has no defined velocity.
     """
     m_arr = np.asarray(m, dtype=float)
     if ms.mu == 0 and np.any(m_arr == 0):
         raise DomainError("velocity undefined for the massless zero mode (mu=0, m=0)")
-    w = omega(ms, m_arr) if energies is None else energies
     with np.errstate(invalid="ignore"):
-        out = m_arr / (w * ms.r)
+        out = m_arr / (omega(ms, m_arr) * ms.r)
     return float(out) if out.ndim == 0 else out
 
 
-def rotating_omega(rf: RotationFrame, m, energies=None) -> np.ndarray | float:
+def rotating_omega(rf: RotationFrame, m) -> np.ndarray | float:
     """Mode energy in the rotating frame: omega_m - m*omega_d (positive branch).
 
     Strictly positive for all m != 0 while the frame is timelike, which is
-    what makes the rotating vacuum coincide with the static one.  energies:
-    the static omega_m at m, when already at hand.
+    what makes the rotating vacuum coincide with the static one.
     """
+    ms = rf.modespace
     m = np.asarray(m, dtype=float)
-    out = (omega(rf.modespace, m) if energies is None else energies) - m * rf.omega_d
+    out = omega(ms, m) - m * rf.omega_d
     return float(out) if out.ndim == 0 else out
 
 
-def rotating_velocity(rf: RotationFrame, m, energies=None) -> np.ndarray | float:
-    """Velocity relative to the rotating frame: v_m - r*omega_d (energies as for velocity)."""
+def rotating_velocity(rf: RotationFrame, m) -> np.ndarray | float:
+    """Velocity relative to the rotating frame: v_m - r*omega_d."""
     ms = rf.modespace
-    v = velocity(ms, m, energies)
+    v = velocity(ms, m)
     out = np.asarray(v) - ms.r * rf.omega_d
     return float(out) if out.ndim == 0 else out

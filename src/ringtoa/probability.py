@@ -76,12 +76,12 @@ def pc_density(state: RingState, det: LocalizationMatrix, t, phi,
         # the double sum drops the modes off support (L = 0 there), which
         # require_support lets through at occupations up to 1e-14
         if np.any(state.coeffs[~det.on_support]):
-            every = _terms(state, frame, frame)[0]
+            every = _terms(state, frame, frame, pruned=False)
             keep = det.on_support[every[1].astype(np.intp) + ms.m_max]
             return _density(ms, _mode_sum(*(x[keep] for x in every), t, phi))
         if frame is None:
             return _density(ms, amp_state(state, ms, t, phi))
-        return _density(ms, _term_sum(*_terms(state, frame, frame)[1], t, phi))
+        return _density(ms, _term_sum(*_terms(state, frame, frame), t, phi))
 
     m = ms.modes()
     freq = omega(ms, m) if frame is None else rotating_omega(frame, m)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringtoa import amplitudes, states
+from ringtoa import amplitudes, modes, states
 from ringtoa.amplitudes import _speed_weights, amp_rotating_split, amp_state
 from ringtoa.detector import DetectorKernel, localization_matrix
 from ringtoa.lattice import _mode_sum
@@ -90,14 +90,16 @@ def test_second_amp_state_call_builds_no_terms(monkeypatch):
     ms = ModeSpace(mu=10.0, r=1.0, m_max=300)
     state = coherent_state(ms, CoherentParams(0.3, 120.0, 8.0))
     calls = Counter()
-    for name in ("_speed_weights", "omega"):
-        def spy(*args, _orig=getattr(amplitudes, name), _name=name, **kwargs):
+    # omega is spied on in both modules: modes.velocity calls modes.omega
+    for module, name in ((amplitudes, "_speed_weights"), (amplitudes, "omega"),
+                         (modes, "omega")):
+        def spy(*args, _orig=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(amplitudes, name, spy)
+        monkeypatch.setattr(module, name, spy)
     first = amp_state(state, ms, 2.0, 0.5)
-    assert calls["_speed_weights"] == 1 and calls["omega"] == 1
+    assert calls["_speed_weights"] == 1 and calls["omega"] >= 2
     calls.clear()
     assert amp_state(state, ms, 2.0, 0.5) == first
     assert not calls
@@ -111,8 +113,11 @@ def test_memo_arrays_are_read_only():
     amp_state(state, ms, 1.0, 0.0)
     pc_density(state, det_rot, 1.0, 0.0, frame=rf)
     amp_rotating_split(state, rf, 1.0, 0.0)
-    arrays = [arr for entry in state._term_memo.values() for part in entry for arr in part]
-    assert len(arrays) == 3 * 3 * 2
+    memo = state._term_memo
+    # amp_rotating_split reads only every term: its pruned triple is never built
+    assert memo[(None, rf)][1] is None
+    arrays = [arr for entry in memo.values() for part in entry if part for arr in part]
+    assert len(arrays) == 3 * 5
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

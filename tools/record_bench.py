@@ -1,7 +1,7 @@
 """Record a BENCH file: paired benchmark claims, one run per workload, cold CLI runs.
 
     python tools/record_bench.py --parent DIR --out BENCH_<n>.json \\
-        [--claim oracle] [--claim-seeds 601-610] [--seconds 30]
+        --claim-seeds S1-S10 [--claim oracle]
 
 DIR is a checkout of the parent commit (git clone or git archive); the
 change is the checkout this script lives in.  Each side's benchmark runs
@@ -9,12 +9,13 @@ from its own checkout, so it imports that side's src/.  The script records
 into one JSON file:
 
 * claim: for each claim seed, `benchmarks/run.py --workload W --seed S
-  --seconds T --trace 0` on the parent and on the change, the parent first
-  at even positions in the seed list and the change first at odd ones, each
-  run's last stdout line (its result as JSON) stored unchanged, and per side the
-  median and quartiles of the claim metric over the seeds, with the number
-  of seeds the change won.  The metric is CLAIM_METRIC, and BENCHMARK.json
-  gives its direction;
+  --seconds RUN_SECONDS --trace 0` on the parent and on the change, the
+  parent first at even positions in the seed list and the change first at
+  odd ones, each run's last stdout line (its result as JSON) stored
+  unchanged, and per side the median and quartiles of the claim metric over
+  the seeds, with the number of seeds the change won.  The metric is
+  CLAIM_METRIC, and BENCHMARK.json gives its direction.  The seeds have no
+  default: a claim takes seeds that were not run while writing the change;
 * workloads: one `--trace 0` run of every workload on each side, at seed
   WORKLOAD_SEED, each as long as a claim run;
 * cold_runs: `python -m ringtoa run CONFIG` for each shipped config in fresh
@@ -26,7 +27,7 @@ into one JSON file:
 
 The benchmark pins its own thread variables to 1; the cold runs inherit the
 environment's.  Nothing under benchmarks/ is written; run.py removes what
-it writes.  The defaults take about 15 minutes on a 2-core host.
+it writes.  Ten claim seeds take about 15 minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ SIDES = ("parent", "change")
 CLAIM_METRIC = "pass_s"
 WORKLOAD_SEED = 1
 COLD_REPEATS = 5
+# the length of every benchmark run: the one a paired claim needs to resolve
+# a change (shorter runs cannot resolve one on figures)
+RUN_SECONDS = 30.0
 COLD_BYTECODE = "1"
 
 
@@ -57,8 +61,7 @@ def parse_args(argv=None):
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--claim", default="oracle")
-    ap.add_argument("--claim-seeds", type=seeds, default=seeds("601-610"))
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--claim-seeds", type=seeds, required=True)
     args = ap.parse_args(argv)
     if not (args.parent / "benchmarks" / "run.py").is_file():
         ap.error(f"--parent {args.parent} holds no benchmarks/run.py")
@@ -97,10 +100,10 @@ def environment(args) -> dict:
     }
 
 
-def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(side: Path, workload: str, seed: int) -> dict:
     """The last stdout line of one `benchmarks/run.py --trace 0` run, parsed."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=side, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -149,7 +152,7 @@ def main(argv=None) -> int:
     pairs = []
     for i, seed in enumerate(args.claim_seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        runs = {side: bench(getattr(args, side), args.claim, seed, args.seconds)
+        runs = {side: bench(getattr(args, side), args.claim, seed)
                 for side in order}
         pairs.append({"seed": seed, "first": order[0], **runs})
         print(f"claim seed {seed}: " + " ".join(
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
             for side in SIDES), file=sys.stderr)
     record["claim"] = {
         "workload": args.claim, "metric": CLAIM_METRIC, "better": better,
-        "seconds": args.seconds, "trace": 0,
+        "seconds": RUN_SECONDS, "trace": 0,
         "pairs": pairs, "summary": summarize(pairs, CLAIM_METRIC, better),
     }
 
@@ -165,8 +168,8 @@ def main(argv=None) -> int:
     for wl in spec["workloads"]:
         name = wl["name"]
         record["workloads"][name] = {
-            "seed": WORKLOAD_SEED, "seconds": args.seconds, "trace": 0,
-            **{side: bench(getattr(args, side), name, WORKLOAD_SEED, args.seconds)
+            "seed": WORKLOAD_SEED, "seconds": RUN_SECONDS, "trace": 0,
+            **{side: bench(getattr(args, side), name, WORKLOAD_SEED)
                for side in SIDES}}
         print(f"workload {name} recorded", file=sys.stderr)
 
